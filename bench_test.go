@@ -251,9 +251,9 @@ func solverCampaign(b *testing.B) ([]*window.Observations, solver.Config) {
 	cfg := core.DefaultConfig()
 	cfg.Rounds = 6
 	var snaps []*window.Observations
-	cfg.OnRound = func(_ int, obs *window.Observations) {
+	cfg.Observer = core.ObserverFuncs{OnRound: func(_ core.RoundSnapshot, obs *window.Observations) {
 		snaps = append(snaps, obs.Clone())
-	}
+	}}
 	if _, err := core.Infer(context.Background(), app, cfg); err != nil {
 		b.Fatal(err)
 	}

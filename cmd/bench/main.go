@@ -36,10 +36,12 @@
 // -app selects the workload of the server/obs/incremental measurements;
 // the solver and static sweeps always cover all apps, and the gen sweep
 // scores -gen-n procedurally generated apps against their machine-
-// readable ground truth. Each -*out flag accepts "" to skip that
-// measurement; -obs-max-pct, -incr-min-speedup, -incr-max-fold-growth,
-// -static-gate, -gen-gate and -min-pivot-rate turn their records into
-// CI gates (non-zero exit on breach).
+// readable ground truth. Each -*out flag names that suite's output file
+// and selects the suite; every one defaults to empty (skip), so a run
+// measures exactly the suites it names, and naming none exits 2.
+// -obs-max-pct, -incr-min-speedup, -incr-max-fold-growth, -static-gate,
+// -gen-gate and -min-pivot-rate turn their records into CI gates
+// (non-zero exit on breach).
 package main
 
 import (
@@ -108,11 +110,10 @@ func main() {
 		appName      = flag.String("app", "App-1", "application to campaign on")
 		rounds       = flag.Int("rounds", 6, "campaign rounds")
 		reps         = flag.Int("reps", 5, "repetitions (best is reported)")
-		out          = flag.String("out", "BENCH_solver.json", "solver benchmark output file (empty = skip)")
-		outAlias     = flag.String("o", "", "alias for -out (deprecated)")
-		serverOut    = flag.String("server-out", "BENCH_server.json", "server benchmark output file (empty = skip)")
+		out          = flag.String("out", "", "solver benchmark output file (empty = skip)")
+		serverOut    = flag.String("server-out", "", "server benchmark output file (empty = skip)")
 		serverJobs   = flag.Int("server-jobs", 16, "cold/hit submissions per server measurement")
-		storeOut     = flag.String("store-out", "BENCH_store.json", "trace-store benchmark output file (empty = skip)")
+		storeOut     = flag.String("store-out", "", "trace-store benchmark output file (empty = skip)")
 		obsOut       = flag.String("obs-out", "", "tracing-overhead benchmark output file (empty = skip)")
 		obsReps      = flag.Int("obs-reps", 7, "campaign repetitions per tracing mode (best is reported)")
 		obsMaxPct    = flag.Float64("obs-max-pct", 0, "fail (exit 1) if no-sink tracing overhead exceeds this percentage (0 = record only)")
@@ -121,9 +122,9 @@ func main() {
 		incrReps     = flag.Int("incr-reps", 5, "repetitions per incremental point (best is reported)")
 		incrMinSpd   = flag.Float64("incr-min-speedup", 0, "fail (exit 1) if the +1-trace incremental speedup falls below this (0 = record only)")
 		incrMaxFG    = flag.Float64("incr-max-fold-growth", 0, "fail (exit 1) if the +1-trace fold cost at the full base exceeds this multiple of the quarter-base cost (0 = record only)")
-		staticOut    = flag.String("static-out", "", "static/hybrid inference benchmark output file (empty = skip)")
-		staticRounds = flag.Int("static-rounds", 3, "campaign rounds for the static/hybrid sweep")
-		staticGate   = flag.Bool("static-gate", false, "fail (exit 1) if any app's hybrid campaign diverges from dynamic or converges slower")
+		staticOut    = flag.String("static-out", "", "static/refine inference benchmark output file (empty = skip)")
+		staticRounds = flag.Int("static-rounds", 3, "campaign rounds for the static/refine sweep")
+		staticGate   = flag.Bool("static-gate", false, "fail (exit 1) if any app's refine campaign diverges from dynamic or converges slower")
 		genOut       = flag.String("gen-out", "", "generated-app benchmark output file (empty = skip)")
 		genN         = flag.Int("gen-n", 100, "number of distinct generated applications to sweep")
 		genRounds    = flag.Int("gen-rounds", 3, "campaign rounds per generated app")
@@ -139,8 +140,10 @@ func main() {
 		clMinSpeed   = flag.Float64("cluster-min-speedup", 0, "fail (exit 1) if 4-node throughput is below this multiple of 1-node (0 = record only)")
 	)
 	flag.Parse()
-	if *outAlias != "" {
-		*out = *outAlias
+	if *out+*serverOut+*storeOut+*obsOut+*incrOut+*staticOut+*genOut+*clusterOut == "" {
+		fmt.Fprintln(os.Stderr, "bench: no suite selected; name at least one suite's output file (-out, -server-out, -store-out, ...)")
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	if *out != "" {
@@ -240,9 +243,9 @@ func benchSolverApp(appName string, rounds, reps int) (appResult, error) {
 	cfg := core.DefaultConfig()
 	cfg.Rounds = rounds
 	var snaps []*window.Observations
-	cfg.OnRound = func(_ int, obs *window.Observations) {
+	cfg.Observer = core.ObserverFuncs{OnRound: func(_ core.RoundSnapshot, obs *window.Observations) {
 		snaps = append(snaps, obs.Clone())
-	}
+	}}
 	if _, err := core.Infer(context.Background(), app, cfg); err != nil {
 		return ar, err
 	}

@@ -1,15 +1,14 @@
-// Static & hybrid inference benchmark: what does run-free analysis buy?
-// For every registered application it records (a) static-only quality —
-// precision/recall of core.InferStatic against ground truth, plus a
-// bit-identical reproducibility check across two independent analyses —
-// and (b) campaign economics: rounds-to-converge for the pure-dynamic
-// campaign, the hybrid campaign (static priors seeding round 0), and a
-// refine campaign warm-started from the dynamic campaign's posterior,
-// with the equal-final-set invariant checked for both. Saved runs are
-// (dynamic − seeded) convergence rounds × the app's per-round execution
-// count. The numbers land in BENCH_static.json; -static-gate turns the
-// two hard invariants (hybrid finals identical, hybrid rounds never worse)
-// into a CI gate.
+// Static & refine inference benchmark: what does run-free analysis buy,
+// and what does posterior seeding buy? For every registered application it
+// records (a) static-only quality — precision/recall of core.InferStatic
+// against ground truth, plus a bit-identical reproducibility check across
+// two independent analyses — and (b) campaign economics: rounds-to-converge
+// for the pure-dynamic campaign and for a refine campaign warm-started from
+// the dynamic campaign's posterior, with the equal-final-set invariant
+// checked. Saved runs are (dynamic − refine) convergence rounds × the app's
+// per-round execution count. The numbers land in BENCH_static.json;
+// -static-gate turns the hard invariants (static analysis bit-identical,
+// refine finals identical, refine rounds never worse) into a CI gate.
 package main
 
 import (
@@ -39,14 +38,11 @@ type staticAppResult struct {
 	// already holding the final inferred set); RunsPerRound is the app's
 	// execution count per round.
 	DynamicRounds int  `json:"dynamic_rounds"`
-	HybridRounds  int  `json:"hybrid_rounds"`
 	RefineRounds  int  `json:"refine_rounds"`
 	RunsPerRound  int  `json:"runs_per_round"`
-	EqualFinal    bool `json:"equal_final"`        // hybrid final set == dynamic final set
 	RefineEqual   bool `json:"refine_equal_final"` // refine final set == dynamic final set
-	// RunsSaved* count executions a convergence-stopping campaign would
-	// skip relative to pure dynamic.
-	RunsSavedHybrid int `json:"runs_saved_hybrid"`
+	// RunsSavedRefine counts executions a convergence-stopping campaign
+	// would skip relative to pure dynamic.
 	RunsSavedRefine int `json:"runs_saved_refine"`
 }
 
@@ -57,8 +53,9 @@ type staticResult struct {
 }
 
 // benchStatic runs the sweep and writes the result file. With gate set,
-// any app whose hybrid campaign diverges from dynamic (different final
-// set) or converges slower is an error (exit 1 in main).
+// any app whose static analysis is not reproducible, or whose refine
+// campaign diverges from dynamic (different final set) or converges
+// slower, is an error (exit 1 in main).
 func benchStatic(outFile string, rounds int, gate bool) error {
 	ctx := context.Background()
 	res := staticResult{Rounds: rounds}
@@ -79,22 +76,21 @@ func benchStatic(outFile string, rounds int, gate bool) error {
 		return err
 	}
 	for _, ar := range res.Apps {
-		fmt.Printf("%s: %s static %.0f%%P/%.0f%%R (repro=%t); rounds dyn %d, hybrid %d (equal=%t, saves %d runs), refine %d (equal=%t, saves %d runs)\n",
+		fmt.Printf("%s: %s static %.0f%%P/%.0f%%R (repro=%t); rounds dyn %d, refine %d (equal=%t, saves %d runs)\n",
 			outFile, ar.App, 100*ar.StaticPrecision, 100*ar.StaticRecall, ar.BitIdentical,
-			ar.DynamicRounds, ar.HybridRounds, ar.EqualFinal, ar.RunsSavedHybrid,
-			ar.RefineRounds, ar.RefineEqual, ar.RunsSavedRefine)
+			ar.DynamicRounds, ar.RefineRounds, ar.RefineEqual, ar.RunsSavedRefine)
 	}
 	if gate {
 		for _, ar := range res.Apps {
 			if !ar.BitIdentical {
 				return fmt.Errorf("%s: static analysis not bit-identical across runs", ar.App)
 			}
-			if !ar.EqualFinal {
-				return fmt.Errorf("%s: hybrid final inferred set diverges from pure dynamic", ar.App)
+			if !ar.RefineEqual {
+				return fmt.Errorf("%s: refine final inferred set diverges from pure dynamic", ar.App)
 			}
-			if ar.HybridRounds > ar.DynamicRounds {
-				return fmt.Errorf("%s: hybrid needs %d rounds to converge vs dynamic %d",
-					ar.App, ar.HybridRounds, ar.DynamicRounds)
+			if ar.RefineRounds > ar.DynamicRounds {
+				return fmt.Errorf("%s: refine needs %d rounds to converge vs dynamic %d",
+					ar.App, ar.RefineRounds, ar.DynamicRounds)
 			}
 		}
 	}
@@ -140,20 +136,6 @@ func benchStaticApp(ctx context.Context, appName string, rounds int) (staticAppR
 	}
 	ar.DynamicRounds = dyn.RoundsToConverge()
 	dynFinal, _ := json.Marshal(dyn.Inferred)
-
-	// Hybrid: static priors seed round 0.
-	hcfg := cfg
-	if hcfg.StaticPriors, err = core.StaticPriors(ctx, app, cfg); err != nil {
-		return ar, err
-	}
-	hyb, err := core.Infer(ctx, app, hcfg)
-	if err != nil {
-		return ar, err
-	}
-	ar.HybridRounds = hyb.RoundsToConverge()
-	hybFinal, _ := json.Marshal(hyb.Inferred)
-	ar.EqualFinal = string(hybFinal) == string(dynFinal)
-	ar.RunsSavedHybrid = (ar.DynamicRounds - ar.HybridRounds) * ar.RunsPerRound
 
 	// Refine: warm-start from the dynamic campaign's own posterior, the
 	// steady state of a checkpointed campaign series.

@@ -34,7 +34,6 @@ type submitSpec struct {
 	TraceKeys []string `json:"trace_keys,omitempty"`
 	WatchApp  string   `json:"watch_app,omitempty"`
 	StaticApp string   `json:"static_app,omitempty"`
-	Hybrid    bool     `json:"hybrid,omitempty"`
 	Rounds    int      `json:"rounds,omitempty"`
 	Lambda    float64  `json:"lambda,omitempty"`
 	Near      int64    `json:"near,omitempty"`
@@ -59,8 +58,8 @@ func apiError(op, status string, body []byte) error {
 // submitJob POSTs an application job and optionally polls it to
 // completion, printing the id, content key, and terminal status. With
 // wait set it also fetches and pretty-prints the result summary.
-func submitJob(ctx context.Context, base, app string, hybrid bool, rounds int, lambda float64, near, seed int64, wait bool) error {
-	spec := submitSpec{App: app, Hybrid: hybrid, Rounds: rounds, Lambda: lambda, Near: near, Seed: seed}
+func submitJob(ctx context.Context, base, app string, rounds int, lambda float64, near, seed int64, wait bool) error {
+	spec := submitSpec{App: app, Rounds: rounds, Lambda: lambda, Near: near, Seed: seed}
 	return postJobSpec(ctx, base, spec, wait)
 }
 

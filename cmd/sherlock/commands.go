@@ -1,18 +1,14 @@
 // Subcommand interface for the sherlock CLI. Each verb owns its flag set:
 //
-//	sherlock capture -corpus DIR [-app App-4] [-seed 1]
+//	sherlock capture [-corpus DIR | -traces DIR -app App-4] [-seed 1]
 //	sherlock infer   [-app App-4 | -corpus DIR | -traces DIR | -all | -list]
-//	                 [-hybrid] [-refine -corpus DIR]
+//	                 [-refine -corpus DIR]
 //	sherlock static  [-app App-4 | -all] [-server URL]
 //	sherlock upload  -server URL FILE...
-//	sherlock submit  -server URL [-app X [-hybrid] | -keys k1,k2 |
+//	sherlock submit  -server URL [-app X | -keys k1,k2 |
 //	                 -watch-app X | -static-app X] [-wait]
 //	sherlock watch   -server URL [-job job-000001 | -app X]
 //	sherlock status  -server URL [JOB-ID | -result KEY | -list [-filter done]]
-//
-// The pre-subcommand flat flags (sherlock -app App-4, sherlock -server ...
-// -submit ...) still work as deprecated aliases; main falls back to them
-// when the first argument is a flag.
 package main
 
 import (
@@ -28,7 +24,7 @@ import (
 )
 
 // runCommand dispatches one subcommand; returns false if the verb is
-// unknown (the caller falls back to legacy flag parsing).
+// unknown.
 func runCommand(ctx context.Context, verb string, args []string) bool {
 	switch verb {
 	case "capture":
@@ -65,6 +61,9 @@ procedurally generated app ("gen:<seed>[,profile=mixed|classic|go|racy]
 Local:
   sherlock capture -corpus DIR [-app App-4] [-seed 1]
       run the benchmark tests and ingest their traces into a corpus
+  sherlock capture -traces DIR -app App-4 [-seed 1]
+      run the tests once and write one JSONL trace per test (the files
+      'infer -traces DIR' reads)
   sherlock infer -app App-4 [-rounds 3] [-lambda 0.2] [-near 1000000] [-v]
       full feedback campaign on one application
   sherlock infer -app gen:42 [-dist zipf|bursty]
@@ -76,8 +75,6 @@ Local:
       offline inference over JSONL trace files
   sherlock infer -all | -list
       Table 2 over every application / the application inventory
-  sherlock infer -app App-4 -hybrid
-      hybrid campaign: static priors seed round 0, evidence takes over
   sherlock infer -app App-4 -refine -corpus DIR
       refine campaign: warm-start from (and persist) the posterior
       checkpoint stored in the corpus
@@ -93,8 +90,6 @@ Against a sherlockd daemon:
   sherlock submit -server URL -app App-4 [-wait]
   sherlock submit -server URL -keys KEY1,KEY2 [-wait]
       one-shot inference jobs (campaign / corpus offline solve)
-  sherlock submit -server URL -app App-4 -hybrid [-wait]
-      hybrid campaign job (static priors seed round 0)
   sherlock submit -server URL -static-app App-4 [-wait]
       run-free static inference job, cached by program hash
   sherlock static -server URL -app App-4
@@ -110,22 +105,28 @@ Against a sherlockd daemon:
       job status, stored results, and the job listing
   sherlock cluster -server URL
       cluster membership and peer liveness as the daemon sees it
-
-The pre-subcommand flat flags (sherlock -app ..., sherlock -server ...
--submit ...) remain available but are deprecated.
 `)
 }
 
 func cmdCapture(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("capture", flag.ExitOnError)
-	corpus := fs.String("corpus", "", "corpus directory (required)")
-	appName := fs.String("app", "", "capture only this application (default all)")
+	corpus := fs.String("corpus", "", "ingest the runs into the trace corpus at this directory")
+	tracesDir := fs.String("traces", "", "write one JSONL trace per test to this directory (needs -app)")
+	appName := fs.String("app", "", "capture only this application (default all; required with -traces)")
 	seed := fs.Int64("seed", 1, "base scheduler seed")
 	fs.Parse(args)
-	if *corpus == "" {
-		die(fmt.Errorf("capture: -corpus is required"))
+	switch {
+	case (*corpus == "") == (*tracesDir == ""):
+		die(fmt.Errorf("capture: exactly one of -corpus or -traces is required"))
+	case *corpus != "":
+		die(captureToCorpus(ctx, *appName, *corpus, *seed))
+	case *appName == "":
+		die(fmt.Errorf("capture: -traces requires -app"))
+	default:
+		app, err := apps.ByName(*appName)
+		die(err)
+		die(dumpTraces(app, *tracesDir, *seed))
 	}
-	die(captureToCorpus(ctx, *appName, *corpus, *seed))
 }
 
 func cmdInfer(ctx context.Context, args []string) {
@@ -143,7 +144,6 @@ func cmdInfer(ctx context.Context, args []string) {
 	parallel := fs.Int("p", 0, "worker pool size per round (0 = GOMAXPROCS)")
 	verbose := fs.Bool("v", false, "print per-round snapshots")
 	traceOut := fs.String("trace-out", "", "write the campaign's span event log as JSON lines to this file")
-	hybrid := fs.Bool("hybrid", false, "with -app: seed round 0 with static priors")
 	refine := fs.Bool("refine", false, "with -app and -corpus: warm-start from (and persist) the corpus posterior checkpoint")
 	fs.Parse(args)
 
@@ -179,10 +179,6 @@ func cmdInfer(ctx context.Context, args []string) {
 		observer, closeLog, err := traceObserver(*traceOut)
 		die(err)
 		cfg.Observer = observer
-		if *hybrid {
-			die(firstErr(hybridCampaign(ctx, app, cfg, *verbose), closeLog()))
-			return
-		}
 		res, err := core.Infer(ctx, app, cfg)
 		die(firstErr(err, closeLog()))
 		printResult(app, res, *verbose)
@@ -248,7 +244,6 @@ func cmdSubmit(ctx context.Context, args []string) {
 	keys := fs.String("keys", "", "submit an offline job over comma-separated corpus keys")
 	watchApp := fs.String("watch-app", "", "submit a streaming watch job bound to this corpus app")
 	staticApp := fs.String("static-app", "", "submit a run-free static inference job for this application")
-	hybrid := fs.Bool("hybrid", false, "with -app: seed the campaign's round 0 with static priors")
 	rounds := fs.Int("rounds", 0, "rounds override (0 = server default)")
 	lambda := fs.Float64("lambda", 0, "lambda override (0 = server default)")
 	near := fs.Int64("near", 0, "near-window override (0 = server default)")
@@ -258,16 +253,13 @@ func cmdSubmit(ctx context.Context, args []string) {
 	if *server == "" {
 		die(fmt.Errorf("submit: -server is required"))
 	}
-	if *hybrid && *appName == "" {
-		die(fmt.Errorf("submit: -hybrid requires -app (a campaign to seed)"))
-	}
 	switch {
 	case *watchApp != "":
 		die(submitWatchJob(ctx, *server, *watchApp, *rounds, *lambda, *near, *seed, *wait))
 	case *staticApp != "":
 		die(submitStaticJob(ctx, *server, *staticApp, *lambda, *near, *wait))
 	case *appName != "":
-		die(submitJob(ctx, *server, *appName, *hybrid, *rounds, *lambda, *near, *seed, *wait))
+		die(submitJob(ctx, *server, *appName, *rounds, *lambda, *near, *seed, *wait))
 	case *keys != "":
 		die(submitKeysJob(ctx, *server, *keys, *rounds, *lambda, *near, *seed, *wait))
 	default:

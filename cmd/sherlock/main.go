@@ -3,6 +3,7 @@
 // interface is subcommands (commands.go):
 //
 //	sherlock capture -corpus DIR [-app App-4] [-seed 1]
+//	sherlock capture -traces DIR -app App-4 [-seed 1]
 //	sherlock infer   -app App-4 [-rounds 3] [-lambda 0.2] [-near 1000000] [-v]
 //	sherlock infer   -corpus DIR | -traces DIR | -all | -list
 //	sherlock upload  -server http://localhost:8419 trace.bin ...
@@ -11,27 +12,19 @@
 //	sherlock submit  -server URL -watch-app App-4
 //	sherlock watch   -server URL -job job-000001 | -app App-4
 //	sherlock status  -server URL job-000001 | -result KEY | -list
-//
-// The original flat flags (sherlock -app App-4, sherlock -server URL
-// -submit App-4, -capture-to, -corpus, -analyze-traces, ...) keep working
-// as deprecated aliases of the same code paths.
 package main
 
 import (
 	"bufio"
 	"context"
-	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"path/filepath"
 
-	"sherlock/internal/apps"
 	"sherlock/internal/core"
-	"sherlock/internal/exper"
 	"sherlock/internal/obs"
 	"sherlock/internal/prog"
-	"sherlock/internal/report"
 	"sherlock/internal/sched"
 	"sherlock/internal/trace"
 )
@@ -42,103 +35,15 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// Subcommand interface (commands.go). Unknown verbs and flag-first
-	// invocations fall through to the deprecated flat-flag parser below.
+	if len(os.Args) > 1 && runCommand(ctx, os.Args[1], os.Args[2:]) {
+		return
+	}
 	if len(os.Args) > 1 && os.Args[1] != "" && os.Args[1][0] != '-' {
-		if runCommand(ctx, os.Args[1], os.Args[2:]) {
-			return
-		}
 		fmt.Fprintf(os.Stderr, "sherlock: unknown command %q; run 'sherlock help'\n", os.Args[1])
-		os.Exit(2)
+	} else {
+		usage(os.Stderr)
 	}
-	if len(os.Args) > 1 {
-		fmt.Fprintln(os.Stderr, "sherlock: note: flat flags are deprecated; run 'sherlock help' for the subcommand interface")
-	}
-	legacyMain(ctx)
-}
-
-// legacyMain is the original flat-flag interface, kept as a deprecated
-// alias for existing scripts.
-func legacyMain(ctx context.Context) {
-	var (
-		appName    = flag.String("app", "", "application id (App-1..App-8)")
-		dumpDir    = flag.String("dump-traces", "", "write one JSONL trace per test to this directory instead of inferring")
-		analyzeDir = flag.String("analyze-traces", "", "offline: infer from the JSONL traces in this directory")
-		captureTo  = flag.String("capture-to", "", "capture test runs into the content-addressed corpus at this directory (-app selects one app; default all)")
-		corpusPath = flag.String("corpus", "", "offline: infer from the trace corpus at this directory (-app filters by application)")
-		all        = flag.Bool("all", false, "run every application and print Table 2")
-		list       = flag.Bool("list", false, "print the application inventory (Table 1)")
-		rounds     = flag.Int("rounds", 3, "rounds per test input")
-		lambda     = flag.Float64("lambda", 0.2, "Mostly-Protected trade-off knob")
-		near       = flag.Int64("near", 1_000_000, "conflict window in virtual ns")
-		seed       = flag.Int64("seed", 1, "base scheduler seed")
-		parallel   = flag.Int("p", 0, "worker pool size per round (0 = GOMAXPROCS); results are identical for every value")
-		verbose    = flag.Bool("v", false, "print per-round snapshots")
-		traceOut   = flag.String("trace-out", "", "write the campaign's span event log as JSON lines to this file (works with -app, -analyze-traces, -corpus)")
-
-		// Client mode.
-		serverURL  = flag.String("server", "", "sherlockd base URL; enables -submit/-upload/-submit-keys/-status/-result")
-		submit     = flag.String("submit", "", "submit an application job to -server")
-		upload     = flag.String("upload", "", "upload a trace file (binary or JSONL) to -server's corpus")
-		submitKeys = flag.String("submit-keys", "", "submit an inference job over comma-separated corpus keys on -server")
-		status     = flag.String("status", "", "query a job id on -server")
-		result     = flag.String("result", "", "fetch a result by content key from -server")
-		wait       = flag.Bool("wait", false, "with -submit/-submit-keys: poll to completion and print the result")
-	)
-	flag.Parse()
-
-	switch {
-	case *serverURL != "" && *submit != "":
-		die(submitJob(ctx, *serverURL, *submit, false, *rounds, *lambda, *near, *seed, *wait))
-	case *serverURL != "" && *upload != "":
-		die(uploadTrace(ctx, *serverURL, *upload))
-	case *serverURL != "" && *submitKeys != "":
-		die(submitKeysJob(ctx, *serverURL, *submitKeys, *rounds, *lambda, *near, *seed, *wait))
-	case *serverURL != "" && *status != "":
-		die(printJobStatus(ctx, *serverURL, *status))
-	case *serverURL != "" && *result != "":
-		die(printServerResult(ctx, *serverURL, *result))
-	case *serverURL != "":
-		die(fmt.Errorf("-server needs one of -submit, -upload, -submit-keys, -status, or -result"))
-	case *list:
-		report.Table1(os.Stdout)
-	case *all:
-		rows, runs, err := exper.Table2(ctx)
-		die(err)
-		report.Table2(os.Stdout, rows, exper.UniqueCorrect(runs))
-	case *captureTo != "":
-		die(captureToCorpus(ctx, *appName, *captureTo, *seed))
-	case *corpusPath != "":
-		observer, closeLog, err := traceObserver(*traceOut)
-		die(err)
-		die(firstErr(analyzeCorpus(ctx, *corpusPath, *appName, *lambda, *near, observer), closeLog()))
-	case *analyzeDir != "":
-		observer, closeLog, err := traceObserver(*traceOut)
-		die(err)
-		die(firstErr(analyzeTraces(ctx, *analyzeDir, *lambda, *near, observer), closeLog()))
-	case *appName != "" && *dumpDir != "":
-		app, err := apps.ByName(*appName)
-		die(err)
-		die(dumpTraces(app, *dumpDir, *seed))
-	case *appName != "":
-		app, err := apps.ByName(*appName)
-		die(err)
-		cfg := core.DefaultConfig()
-		cfg.Rounds = *rounds
-		cfg.Solver.Lambda = *lambda
-		cfg.Window.Near = *near
-		cfg.Seed = *seed
-		cfg.Parallelism = *parallel
-		observer, closeLog, err := traceObserver(*traceOut)
-		die(err)
-		cfg.Observer = observer
-		res, err := core.Infer(ctx, app, cfg)
-		die(firstErr(err, closeLog()))
-		printResult(app, res, *verbose)
-	default:
-		flag.Usage()
-		os.Exit(2)
-	}
+	os.Exit(2)
 }
 
 func printResult(app *prog.Program, res *core.Result, verbose bool) {
@@ -191,7 +96,7 @@ func classify(app *prog.Program, s core.InferredSync) string {
 }
 
 // dumpTraces executes every test once and writes its log as JSON lines —
-// the paper's materialized per-run log files.
+// the paper's materialized per-run log files (`sherlock capture -traces`).
 func dumpTraces(app *prog.Program, dir string, seed int64) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err

@@ -71,8 +71,7 @@ func fetchClusterView(ctx context.Context, base string) *clusterView {
 // computation (same module, same struct semantics).
 func toJobSpec(s submitSpec) server.JobSpec {
 	return server.JobSpec{
-		App: s.App, TraceKeys: s.TraceKeys, WatchApp: s.WatchApp,
-		StaticApp: s.StaticApp, Hybrid: s.Hybrid,
+		App: s.App, TraceKeys: s.TraceKeys, WatchApp: s.WatchApp, StaticApp: s.StaticApp,
 		Rounds: s.Rounds, Lambda: s.Lambda, Near: s.Near, Seed: s.Seed,
 	}
 }

@@ -1,5 +1,5 @@
-// `sherlock static` — run-free inference — plus the hybrid/refine
-// campaign helpers behind `sherlock infer -hybrid` and `-refine`.
+// `sherlock static` — run-free inference — plus the refine campaign
+// helper behind `sherlock infer -refine`.
 package main
 
 import (
@@ -95,24 +95,6 @@ func recall(s *core.Score) float64 {
 		return 0
 	}
 	return float64(len(s.Correct)) / float64(denom)
-}
-
-// hybridCampaign runs `sherlock infer -app X -hybrid`: static priors seed
-// round 0, dynamic evidence takes over from round 1.
-func hybridCampaign(ctx context.Context, app *prog.Program, cfg core.Config, verbose bool) error {
-	pri, err := core.StaticPriors(ctx, app, cfg)
-	if err != nil {
-		return fmt.Errorf("static priors: %w", err)
-	}
-	cfg.StaticPriors = pri
-	res, err := core.Infer(ctx, app, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("hybrid campaign (static-seeded round 0): converged in %d/%d rounds\n\n",
-		res.RoundsToConverge(), len(res.Rounds))
-	printResult(app, res, verbose)
-	return nil
 }
 
 // refineCampaign runs `sherlock infer -app X -refine -corpus DIR`: the

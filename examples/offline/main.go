@@ -36,7 +36,7 @@ func main() {
 	)
 
 	// Phase 1: capture. Each run becomes one JSONL document (here an
-	// in-memory buffer; cmd/sherlock -dump-traces writes real files).
+	// in-memory buffer; `sherlock capture -traces` writes real files).
 	var files []bytes.Buffer
 	for seed := int64(1); seed <= 5; seed++ {
 		tr, err := sherlock.CaptureTrace(context.Background(), app, app.Tests[0], seed)

@@ -53,15 +53,15 @@ type Config struct {
 	// MaxStepsPerTest bounds each simulated test (0 = scheduler default).
 	MaxStepsPerTest int
 
-	// StaticPriors, when non-nil, runs the campaign in hybrid mode: the
-	// priors (typically StaticPriors() from the run-free analysis, or a
-	// previous campaign's posteriors via PriorsFromResult) seed round 0 —
-	// they discount the Syncs-are-Rare cost of believed keys in the first
-	// solve only, and the believed releases get a round-0 delay plan, so
-	// the first round already perturbs like a dynamic second round. From
-	// round 1 on the objective is purely evidence-driven, which is what
-	// keeps hybrid campaigns convergent to the dynamic fixpoint rather
-	// than anchored to the prior.
+	// StaticPriors, when non-nil, seeds a refine campaign with a previous
+	// campaign's posterior (Posterior.Priors). It changes only round 0's
+	// reported snapshot: round 0 is re-solved with the prior-tilted
+	// objective and that solve's sets are what RoundSnapshot 1 reports.
+	// The round-0 delay plan, the carried basis and every later round stay
+	// with the evidence-only solve, so the executions, the accumulated
+	// evidence and the final inferred set are exactly the unseeded
+	// campaign's; a good prior only makes the reported sets reach the
+	// final set earlier.
 	StaticPriors *solver.Priors
 
 	// ColdStart disables cross-round solver reuse: every round encodes from
@@ -73,9 +73,7 @@ type Config struct {
 
 	// Observer, when non-nil, receives the campaign's full observability
 	// stream: every span/counter event of the campaign trace plus each
-	// round's solved snapshot. It is the unified hook surface — see the
-	// Observer interface — and subsumes OnRound and OnSnapshot, which
-	// remain for compatibility but are deprecated.
+	// round's solved snapshot; see the Observer interface.
 	Observer Observer
 
 	// DisableTracing turns span construction off entirely: the engine runs
@@ -84,27 +82,6 @@ type Config struct {
 	// it honest); this toggle exists for that benchmark's baseline and for
 	// ruling tracing out when bisecting performance.
 	DisableTracing bool
-
-	// OnRound, when non-nil, is called after each round's observations are
-	// merged and solved, with the 1-based round number and the live
-	// accumulator. The accumulator is reused across rounds — callers that
-	// keep it past the callback must Clone it. A diagnostics hook, used by
-	// the solver benchmarks to replay a campaign's accumulator states.
-	//
-	// Deprecated: set Observer instead; its Round method receives the same
-	// accumulator along with the solved snapshot.
-	OnRound func(round int, obs *window.Observations)
-
-	// OnSnapshot, when non-nil, receives each round's RoundSnapshot right
-	// after the solve, before the next round starts. Unlike OnRound it
-	// carries the solved per-round statistics (inferred sets, LP pivots,
-	// warm-start flag), so long-running consumers — the serving layer's
-	// metrics in particular — can stream campaign progress without waiting
-	// for the final Result. The snapshot is the caller's to keep.
-	//
-	// Deprecated: set Observer instead; its Round method receives the same
-	// snapshot along with the live accumulator.
-	OnSnapshot func(RoundSnapshot)
 }
 
 // DefaultConfig mirrors the paper's default operating point.

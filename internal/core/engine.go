@@ -182,13 +182,13 @@ func Infer(ctx context.Context, app *prog.Program, cfg Config) (*Result, error) 
 		}
 		reported := sr
 		if round == 0 && cfg.StaticPriors != nil && cfg.Rounds > 1 {
-			// Hybrid mode: re-solve round 0 with the prior-tilted objective
-			// and report THAT snapshot — the prior anticipates what later
+			// Refine seed: re-solve round 0 with the prior-tilted objective
+			// and report THAT snapshot — the posterior anticipates what later
 			// rounds' evidence confirms, so the campaign's reported sets
 			// converge earlier. The feedback plan and the carried basis stay
 			// with the evidence-only solve: the execution schedule — and
 			// with it the accumulated evidence and the final inferred set —
-			// is exactly the dynamic campaign's, bit for bit. The re-solve
+			// is exactly the unseeded campaign's, bit for bit. The re-solve
 			// warm-starts from the evidence optimum (the dual simplex
 			// re-prices the discounted costs in a few pivots).
 			enc.SetPriors(cfg.StaticPriors)
@@ -198,7 +198,7 @@ func Infer(ctx context.Context, app *prog.Program, cfg Config) (*Result, error) 
 			enc.SetPriors(nil)
 			if herr != nil {
 				rspan.End()
-				return nil, fmt.Errorf("core: %s hybrid round %d solve: %w", app.Name, round+1, herr)
+				return nil, fmt.Errorf("core: %s seeded round %d solve: %w", app.Name, round+1, herr)
 			}
 			tr.Count("lp.pivots", int64(hr.Iters))
 			reported = hr

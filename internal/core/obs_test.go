@@ -65,45 +65,6 @@ func TestSpanTreeGoldenAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestObserverRoundSubsumesLegacyHooks: Observer.Round, OnRound, and
-// OnSnapshot all fire once per round with the same snapshots.
-func TestObserverRoundSubsumesLegacyHooks(t *testing.T) {
-	app, err := apps.ByName("App-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var viaObserver, viaOnRound, viaOnSnapshot []int
-	cfg := DefaultConfig()
-	cfg.Observer = ObserverFuncs{
-		OnRound: func(snap RoundSnapshot, acc *window.Observations) {
-			if acc == nil {
-				t.Error("Observer.Round got nil observations")
-			}
-			viaObserver = append(viaObserver, snap.Round)
-		},
-	}
-	cfg.OnRound = func(round int, acc *window.Observations) {
-		viaOnRound = append(viaOnRound, round)
-	}
-	cfg.OnSnapshot = func(snap RoundSnapshot) {
-		viaOnSnapshot = append(viaOnSnapshot, snap.Round)
-	}
-	res, err := Infer(context.Background(), app, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := len(res.Rounds)
-	if len(viaObserver) != want || len(viaOnRound) != want || len(viaOnSnapshot) != want {
-		t.Fatalf("hook fire counts: observer=%d onRound=%d onSnapshot=%d, want %d each",
-			len(viaObserver), len(viaOnRound), len(viaOnSnapshot), want)
-	}
-	for i := 0; i < want; i++ {
-		if viaObserver[i] != i+1 || viaOnRound[i] != i+1 || viaOnSnapshot[i] != i+1 {
-			t.Fatalf("round sequence wrong: %v / %v / %v", viaObserver, viaOnRound, viaOnSnapshot)
-		}
-	}
-}
-
 // TestDisableTracingStillInfers: the benchmark-baseline escape hatch must
 // not change inference results, only suppress span construction.
 func TestDisableTracingStillInfers(t *testing.T) {

@@ -1,8 +1,7 @@
 // Campaign observability: the Observer interface (the public hook surface,
 // re-exported as sherlock.Observer) and the tracer wiring that connects an
-// engine run to internal/obs. Observer subsumes the deprecated
-// Config.OnRound / Config.OnSnapshot callbacks: one value receives both the
-// span/counter event stream and the per-round solved snapshots.
+// engine run to internal/obs. One Observer receives both the span/counter
+// event stream and the per-round solved snapshots.
 package core
 
 import (
@@ -10,8 +9,7 @@ import (
 	"sherlock/internal/window"
 )
 
-// Observer streams a campaign's observability data. It subsumes (and
-// deprecates) the OnRound and OnSnapshot callbacks:
+// Observer streams a campaign's observability data:
 //
 //   - Event receives every tracing event of the campaign span tree
 //     (campaign → round → {execute, extract, encode, solve, perturb}),
@@ -75,15 +73,8 @@ func (c Config) tracer() *obs.Tracer {
 	return obs.New(obs.SinkFunc(c.Observer.Event))
 }
 
-// notifyRound fans one solved round out to every configured hook: the
-// Observer and the deprecated OnRound/OnSnapshot callbacks.
+// notifyRound hands one solved round to the Observer, if any.
 func (c Config) notifyRound(snap RoundSnapshot, acc *window.Observations) {
-	if c.OnSnapshot != nil {
-		c.OnSnapshot(snap)
-	}
-	if c.OnRound != nil {
-		c.OnRound(snap.Round, acc)
-	}
 	if c.Observer != nil {
 		c.Observer.Round(snap, acc)
 	}

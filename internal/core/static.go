@@ -1,19 +1,17 @@
-// Static and hybrid inference entrypoints: run-free constraint derivation
-// (internal/static) solved through the same LP as dynamic campaigns, prior
-// production for hybrid seeding, and posterior persistence for refine mode.
+// Static and refine inference entrypoints: run-free constraint derivation
+// (internal/static) solved through the same LP as dynamic campaigns, and
+// posterior persistence for refine mode.
 //
-// Three consumption patterns, in increasing dynamism:
+// Two consumption patterns:
 //
 //   - InferStatic: no execution at all. The abstract walk's synthetic
 //     windows go straight to the solver; the result is a prior-quality
 //     report (every key statically reachable, probabilities from structure
 //     alone), bit-identical across runs of the same program.
-//   - Hybrid: Config.StaticPriors (from StaticPriors or a stored
-//     Posterior) seeds Infer's round 0; the campaign then converges on
-//     dynamic evidence. See Config.StaticPriors for the contract.
 //   - Refine: PosteriorFromResult persists a solved campaign's
 //     probabilities (via store.SaveCheckpoint under PosteriorName), and
-//     Posterior.Priors feeds them back as the next campaign's seed.
+//     Posterior.Priors feeds them back as the next campaign's
+//     Config.StaticPriors seed.
 package core
 
 import (
@@ -97,53 +95,9 @@ func InferStatic(ctx context.Context, app *prog.Program, cfg Config) (*Result, *
 	return res, an, nil
 }
 
-// StaticPriorWeight is the objective discount applied to statically
-// derived priors. It is deliberately far below solver.DefaultPriorWeight
-// (which posterior-derived refine priors use): a run-free analysis ranks
-// candidates from structure alone, and on the benchmark suite weights
-// beyond ~0.15 start re-ranking evidence-supported keys out of the round-0
-// report (App-5 loses a barrier release at 0.2). At 0.1 the tilt is
-// measured non-regressive on every app: wherever the dynamic round-0
-// report already equals the final set, the tilted report still does.
-const StaticPriorWeight = 0.1
-
-// StaticPriors runs the static pass and packages its probabilities as
-// hybrid-campaign priors — the standard way to fill Config.StaticPriors.
-func StaticPriors(ctx context.Context, app *prog.Program, cfg Config) (*solver.Priors, error) {
-	res, _, err := InferStatic(ctx, app, cfg)
-	if err != nil {
-		return nil, err
-	}
-	pri := PriorsFromResult(res)
-	pri.Weight = StaticPriorWeight
-	return pri, nil
-}
-
-// PriorsFromResult converts any inference result's full probability maps
-// into priors. The weight is left at zero — solver.DefaultPriorWeight —
-// which is right for posterior-derived refine priors; static callers go
-// through StaticPriors, which dials it down to StaticPriorWeight.
-func PriorsFromResult(res *Result) *solver.Priors {
-	p := &solver.Priors{
-		Acquires: make(map[trace.Key]float64, len(res.Acquires)),
-		Releases: make(map[trace.Key]float64, len(res.Releases)),
-	}
-	for k, v := range res.Acquires {
-		if v > 0 {
-			p.Acquires[k] = v
-		}
-	}
-	for k, v := range res.Releases {
-		if v > 0 {
-			p.Releases[k] = v
-		}
-	}
-	return p
-}
-
 // RoundsToConverge returns the 1-based round at which the inferred
 // acquire/release sets first equal the final round's sets — the campaign's
-// convergence point, the quantity hybrid seeding is meant to shrink.
+// convergence point, the quantity refine seeding is meant to shrink.
 // Zero when the result carries no rounds.
 func (r *Result) RoundsToConverge() int {
 	if len(r.Rounds) == 0 {

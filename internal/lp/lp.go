@@ -6,23 +6,21 @@
 //	            0 ≤ xⱼ ≤ uⱼ          for every variable j
 //
 // It stands in for the external solver (Flipy/CBC) used by the SherLock
-// paper. Two solver backends share one problem representation:
+// paper. Solve / SolveWarm / ReoptimizeDual run a sparse revised simplex
+// over an LU-factorized basis (lu.go): constraint columns are stored
+// sparsely (the synchronization-inference encodings are >95% zeros), the
+// basis factors are updated in place by sparse eta updates and
+// refactorized periodically, a presolve pass (presolve.go) shrinks the
+// matrix before any pivoting, independent connected components solve
+// separately and concurrently (decompose.go), and an optimal Basis can be
+// carried into the next, slightly different problem to re-optimize in a
+// handful of dual pivots (dual.go — cross-round warm starting in the
+// Perturber feedback loop).
 //
-//   - Solve / SolveWarm / ReoptimizeDual — a sparse revised simplex over an
-//     LU-factorized basis (lu.go): constraint columns are stored sparsely
-//     (the synchronization-inference encodings are >95% zeros), the basis
-//     factors are updated in place by sparse eta updates and refactorized
-//     periodically, a presolve pass (presolve.go) shrinks the matrix before
-//     any pivoting, independent connected components solve separately and
-//     concurrently (decompose.go), and an optimal Basis can be carried into
-//     the next, slightly different problem to re-optimize in a handful of
-//     dual pivots (dual.go — cross-round warm starting in the Perturber
-//     feedback loop).
-//   - SolveDense — the original dense two-phase tableau, kept as the
-//     reference implementation for equivalence testing (no presolve, no
-//     decomposition: it solves the problem as given).
+// The original dense two-phase tableau (SolveDense) lives in
+// dense_test.go as the reference oracle for the equivalence tests.
 //
-// Both backends are deterministic: identical problems yield identical
+// The solver is deterministic: identical problems yield identical
 // vertex solutions at any Parallel setting, which keeps the whole
 // inference pipeline reproducible.
 package lp

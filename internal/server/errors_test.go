@@ -79,6 +79,8 @@ func TestErrorEnvelopeEveryPath(t *testing.T) {
 		{"submit bad trace", "POST", "/v1/jobs", `{"traces":["not a trace"]}`, http.StatusBadRequest, CodeInvalidArgument},
 		{"submit unknown trace key", "POST", "/v1/jobs", `{"trace_keys":["deadbeef"]}`, http.StatusBadRequest, CodeInvalidArgument},
 		{"submit bad config", "POST", "/v1/jobs", `{"app":"App-1","rounds":-1}`, http.StatusBadRequest, CodeInvalidArgument},
+		{"submit removed hybrid mode", "POST", "/v1/jobs", `{"mode":"hybrid","target":"App-1"}`, http.StatusBadRequest, CodeInvalidArgument},
+		{"submit removed hybrid flag", "POST", "/v1/jobs", `{"app":"App-1","hybrid":true}`, http.StatusBadRequest, CodeInvalidArgument},
 		{"job status unknown id", "GET", "/v1/jobs/job-999999", "", http.StatusNotFound, CodeNotFound},
 		{"job spans unknown id", "GET", "/v1/jobs/job-999999/spans", "", http.StatusNotFound, CodeNotFound},
 		{"job watch unknown id", "GET", "/v1/jobs/job-999999/watch", "", http.StatusNotFound, CodeNotFound},

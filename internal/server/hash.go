@@ -11,9 +11,9 @@
 //   - Execution-irrelevant knobs are excluded: Config.Parallelism is NOT
 //     hashed because results are bit-identical for every worker-pool size
 //     (a PR 1 invariant) — a 4-worker submission hits the cache entry a
-//     16-worker submission populated. Hooks (OnRound, OnSnapshot) and
-//     ColdStart are likewise excluded: they change cost, not results
-//     (the warm/cold equivalence tests enforce the latter).
+//     16-worker submission populated. The Observer and ColdStart are
+//     likewise excluded: they change cost, not results (the warm/cold
+//     equivalence tests enforce the latter).
 //
 // The encoding is versioned (keyEncodingV1); changing what gets hashed
 // must bump the version so stale keys can never alias new content.
@@ -73,11 +73,6 @@ func JobKeyFromConfigText(spec JobSpec, cfgText string) string {
 		}
 	}
 	io.WriteString(h, applyOverrides(spec, cfgText))
-	if spec.Hybrid {
-		// Appended only when set so every pre-hybrid key — and the cache
-		// entries filed under them — stays addressable.
-		io.WriteString(h, "hybrid=true\n")
-	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -200,6 +195,6 @@ func writeConfig(w io.Writer, cfg core.Config) {
 	if cfg.StepDist != "" && cfg.StepDist != sched.DistUniform {
 		fmt.Fprintf(w, "sched.dist=%s\n", cfg.StepDist)
 	}
-	// Parallelism, ColdStart, OnRound, OnSnapshot intentionally omitted:
+	// Parallelism, ColdStart and the Observer intentionally omitted:
 	// they affect cost, not results.
 }

@@ -4,6 +4,8 @@
 package server
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -14,7 +16,7 @@ import (
 // JobSpec is the client-facing description of one inference job — the body
 // of POST /v1/jobs. The v1 shape names the workload with one (Mode,
 // Target) pair; the original one-field-per-kind shape (App, Traces,
-// TraceKeys, WatchApp, StaticApp, Hybrid) remains accepted verbatim.
+// TraceKeys, WatchApp, StaticApp) remains accepted verbatim.
 // normalize lowers Mode/Target onto the legacy fields before validation
 // and hashing, so both spellings of the same job address the same
 // content key — and therefore the same cache entry. Zero-valued tuning
@@ -24,13 +26,13 @@ import (
 // omitted rounds field on a rounds=3 server address the same cache entry.
 type JobSpec struct {
 	// Mode selects the workload kind in the unified submission shape:
-	// "app" (benchmark campaign), "hybrid" (campaign seeded with static
-	// priors), "static" (run-free report), "watch" (corpus
-	// subscription), "traces" (inline JSONL documents), or "trace_keys"
-	// (corpus content addresses). Empty means the legacy shape below.
+	// "app" (benchmark campaign), "static" (run-free report), "watch"
+	// (corpus subscription), "traces" (inline JSONL documents), or
+	// "trace_keys" (corpus content addresses). Empty means the legacy
+	// shape below.
 	Mode string `json:"mode,omitempty"`
 	// Target carries the mode's workload: an application name for
-	// app/hybrid/static/watch (built-ins "App-1".."App-8" or generated
+	// app/static/watch (built-ins "App-1".."App-8" or generated
 	// "gen:<seed>[,profile=...][,size=...]"), an array of strings for
 	// traces/trace_keys.
 	Target any `json:"target,omitempty"`
@@ -61,13 +63,6 @@ type JobSpec struct {
 	// same report without the job machinery).
 	StaticApp string `json:"static_app,omitempty"`
 
-	// Hybrid (only valid with App) seeds the campaign's round-0 objective
-	// with the app's static priors before running the normal dynamic
-	// rounds. The final inferred set is bit-identical to the non-hybrid
-	// campaign (the engine guarantees it); only the round snapshots and
-	// solve accounting differ, so hybrid jobs get their own content key.
-	Hybrid bool `json:"hybrid,omitempty"`
-
 	// Overrides of the server's base config (zero = inherit).
 	Rounds int     `json:"rounds,omitempty"`
 	Lambda float64 `json:"lambda,omitempty"`
@@ -76,6 +71,31 @@ type JobSpec struct {
 	// MaxSteps bounds each simulated test (guards the service against
 	// adversarially long campaigns; zero = inherit).
 	MaxSteps int `json:"max_steps,omitempty"`
+}
+
+// errRemovedMode answers both spellings of the removed hybrid mode
+// ("mode": "hybrid" and the legacy "hybrid": true) so an old client gets a
+// clear 400 rather than a plain campaign it did not ask for.
+var errRemovedMode = errors.New(`job spec: hybrid mode was removed; submit the campaign as mode "app" (its final inferred set is the same)`)
+
+// UnmarshalJSON decodes a wire spec. The decoder ignores unknown fields,
+// so the removed "hybrid" flag is checked for by name here; without the
+// check a legacy {"app": ..., "hybrid": true} would silently run a plain
+// campaign.
+func (s *JobSpec) UnmarshalJSON(data []byte) error {
+	type plain JobSpec // no methods: decodes without recursing
+	var wire struct {
+		plain
+		Removed *bool `json:"hybrid"`
+	}
+	if err := json.Unmarshal(data, &wire); err != nil {
+		return err
+	}
+	if wire.Removed != nil && *wire.Removed {
+		return errRemovedMode
+	}
+	*s = JobSpec(wire.plain)
+	return nil
 }
 
 // normalize lowers the unified (Mode, Target) shape onto the legacy
@@ -121,8 +141,7 @@ func (s *JobSpec) normalize() error {
 	case "app":
 		s.App, err = name()
 	case "hybrid":
-		s.App, err = name()
-		s.Hybrid = true
+		return errRemovedMode
 	case "static":
 		s.StaticApp, err = name()
 	case "watch":
@@ -132,7 +151,7 @@ func (s *JobSpec) normalize() error {
 	case "trace_keys":
 		s.TraceKeys, err = list()
 	default:
-		return fmt.Errorf("job spec: unknown mode %q (want \"app\", \"hybrid\", \"static\", \"watch\", \"traces\", or \"trace_keys\")", s.Mode)
+		return fmt.Errorf("job spec: unknown mode %q (want \"app\", \"static\", \"watch\", \"traces\", or \"trace_keys\")", s.Mode)
 	}
 	if err != nil {
 		return err
@@ -160,9 +179,6 @@ func (s JobSpec) validate() error {
 	if set > 1 {
 		return fmt.Errorf("job spec: \"app\", \"traces\", \"trace_keys\", \"watch_app\", and \"static_app\" are mutually exclusive")
 	}
-	if s.Hybrid && s.App == "" {
-		return fmt.Errorf("job spec: \"hybrid\" requires \"app\" (a campaign to seed)")
-	}
 	return nil
 }
 
@@ -184,9 +200,7 @@ func (s JobSpec) effectiveConfig(base core.Config) core.Config {
 	if s.MaxSteps != 0 {
 		cfg.MaxStepsPerTest = s.MaxSteps
 	}
-	// Hooks are the server's own; never inherit a caller-visible one.
-	cfg.OnRound = nil
-	cfg.OnSnapshot = nil
+	// The observer is the server's own; never inherit a caller-visible one.
 	cfg.Observer = nil
 	return cfg
 }
@@ -383,7 +397,6 @@ type jobView struct {
 	Version     uint64 `json:"version,omitempty"` // watch jobs: published results so far
 	WatchApp    string `json:"watch_app,omitempty"`
 	StaticApp   string `json:"static_app,omitempty"`
-	Hybrid      bool   `json:"hybrid,omitempty"`
 	Error       string `json:"error,omitempty"`
 	SubmittedAt string `json:"submitted_at"`
 	StartedAt   string `json:"started_at,omitempty"`
@@ -405,7 +418,6 @@ func (j *Job) view() jobView {
 		Version:     j.version,
 		WatchApp:    j.Spec.WatchApp,
 		StaticApp:   j.Spec.StaticApp,
-		Hybrid:      j.Spec.Hybrid,
 		Error:       j.err,
 		SubmittedAt: j.submitted.UTC().Format(time.RFC3339Nano),
 		WatchURL:    "/v1/jobs/" + j.ID + "/watch",

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sherlock/internal/core"
@@ -27,11 +29,6 @@ func TestModeSpecKeyCompat(t *testing.T) {
 			name:   "app generated",
 			legacy: JobSpec{App: "gen:42,profile=go"},
 			mode:   JobSpec{Mode: "app", Target: "gen:42,profile=go"},
-		},
-		{
-			name:   "hybrid",
-			legacy: JobSpec{App: "App-3", Hybrid: true},
-			mode:   JobSpec{Mode: "hybrid", Target: "App-3"},
 		},
 		{
 			name:   "static",
@@ -80,24 +77,34 @@ func TestModeSpecKeyCompat(t *testing.T) {
 	}
 }
 
-// TestModeSpecErrors covers the new validation paths the unified shape
-// introduces.
+// TestModeSpecErrors covers the validation paths of the unified shape and
+// the removed hybrid mode, from the wire body through normalize. A row
+// with want set must fail with an error mentioning it.
 func TestModeSpecErrors(t *testing.T) {
-	for name, spec := range map[string]JobSpec{
-		"unknown mode":        {Mode: "campaign", Target: "App-1"},
-		"target without mode": {Target: "App-1"},
-		"mode without target": {Mode: "app"},
-		"empty string target": {Mode: "app", Target: ""},
-		"array for app":       {Mode: "app", Target: []any{"App-1"}},
-		"string for traces":   {Mode: "traces", Target: "doc"},
-		"empty array":         {Mode: "trace_keys", Target: []any{}},
-		"non-string element":  {Mode: "trace_keys", Target: []any{"k1", 7.0}},
-		"mode plus legacy":    {Mode: "app", Target: "App-1", App: "App-2"},
+	for name, c := range map[string]struct{ body, want string }{
+		"unknown mode":        {body: `{"mode":"campaign","target":"App-1"}`},
+		"target without mode": {body: `{"target":"App-1"}`},
+		"mode without target": {body: `{"mode":"app"}`},
+		"empty string target": {body: `{"mode":"app","target":""}`},
+		"array for app":       {body: `{"mode":"app","target":["App-1"]}`},
+		"string for traces":   {body: `{"mode":"traces","target":"doc"}`},
+		"empty array":         {body: `{"mode":"trace_keys","target":[]}`},
+		"non-string element":  {body: `{"mode":"trace_keys","target":["k1",7]}`},
+		"mode plus legacy":    {body: `{"mode":"app","target":"App-1","app":"App-2"}`},
+		"hybrid mode":         {body: `{"mode":"hybrid","target":"App-3"}`, want: "hybrid mode was removed"},
+		"legacy hybrid flag":  {body: `{"app":"App-3","hybrid":true}`, want: "hybrid mode was removed"},
 	} {
-		spec := spec
 		t.Run(name, func(t *testing.T) {
-			if err := spec.normalize(); err == nil {
-				t.Fatalf("normalize(%+v) should fail", spec)
+			var spec JobSpec
+			err := json.Unmarshal([]byte(c.body), &spec)
+			if err == nil {
+				err = spec.normalize()
+			}
+			if err == nil {
+				t.Fatalf("%s should fail", c.body)
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("%s: error %q does not mention %q", c.body, err, c.want)
 			}
 		})
 	}

@@ -66,6 +66,7 @@ import (
 	"sherlock/internal/obs"
 	"sherlock/internal/store"
 	"sherlock/internal/trace"
+	"sherlock/internal/window"
 )
 
 // maxBodyBytes bounds a submission body (raw traces can be large, but not
@@ -726,9 +727,11 @@ func (s *Server) runJob(ctx context.Context, j *Job) ([]byte, error) {
 	}
 	cfg := j.Cfg
 	mem := obs.NewMemorySink()
-	cfg.Observer = core.SinkObserver(obs.Fanout(mem, s.spanSink))
-	cfg.OnSnapshot = func(snap core.RoundSnapshot) {
-		s.lpPivots.Add(snap.LPIters)
+	cfg.Observer = core.ObserverFuncs{
+		OnEvent: obs.Fanout(mem, s.spanSink).Emit,
+		OnRound: func(snap core.RoundSnapshot, _ *window.Observations) {
+			s.lpPivots.Add(snap.LPIters)
+		},
 	}
 	defer func() {
 		if body, rerr := renderSpans(j.ID, mem); rerr == nil {
@@ -752,18 +755,6 @@ func (s *Server) runJob(ctx context.Context, j *Job) ([]byte, error) {
 		prog, aerr := apps.ByName(j.Spec.App)
 		if aerr != nil {
 			return nil, aerr
-		}
-		if j.Spec.Hybrid {
-			// Hybrid campaign: derive the app's static priors (themselves
-			// deterministic) and seed round 0. The final result is
-			// bit-identical to the non-hybrid campaign by the engine's
-			// dual-solve contract; the separate content key exists because
-			// the round snapshots differ.
-			pri, perr := core.StaticPriors(ctx, prog, cfg)
-			if perr != nil {
-				return nil, fmt.Errorf("static priors: %w", perr)
-			}
-			cfg.StaticPriors = pri
 		}
 		res, err = core.Infer(ctx, prog, cfg)
 	case len(j.Spec.TraceKeys) > 0:

@@ -90,47 +90,6 @@ func TestStaticJob(t *testing.T) {
 	}
 }
 
-// TestHybridJob: a hybrid campaign's final inferred set must be
-// bit-identical to the plain campaign's, under a distinct content key.
-func TestHybridJob(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Inference.Rounds = 2
-	_, ts := startTestServer(t, cfg)
-
-	_, plain := postJob(t, ts.URL, JobSpec{App: "App-3"})
-	_, hybrid := postJob(t, ts.URL, JobSpec{App: "App-3", Hybrid: true})
-	if plain.Key == hybrid.Key {
-		t.Fatal("hybrid job shares the plain campaign's content key")
-	}
-	pd := waitDone(t, ts.URL, plain.ID)
-	hd := waitDone(t, ts.URL, hybrid.ID)
-	if pd.Status != string(StatusDone) || hd.Status != string(StatusDone) {
-		t.Fatalf("jobs ended %s/%s: %s %s", pd.Status, hd.Status, pd.Error, hd.Error)
-	}
-
-	var penv, henv resultEnvelope
-	if _, body := getBody(t, ts.URL+pd.ResultURL); json.Unmarshal(body, &penv) != nil {
-		t.Fatal("bad plain envelope")
-	}
-	if _, body := getBody(t, ts.URL+hd.ResultURL); json.Unmarshal(body, &henv) != nil {
-		t.Fatal("bad hybrid envelope")
-	}
-	if len(penv.Result.Inferred) == 0 {
-		t.Fatal("plain campaign inferred nothing")
-	}
-	pi, _ := json.Marshal(penv.Result.Inferred)
-	hi, _ := json.Marshal(henv.Result.Inferred)
-	if string(pi) != string(hi) {
-		t.Fatalf("hybrid final set diverges:\n%s\nvs\n%s", pi, hi)
-	}
-
-	// Hybrid on a non-campaign workload is a spec error.
-	resp, _ := postJob(t, ts.URL, JobSpec{StaticApp: "App-3", Hybrid: true})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("hybrid+static_app accepted: %d", resp.StatusCode)
-	}
-}
-
 // TestJobKeyFromConfigText: the client-side key computation (canonical
 // config text + textual override patching) must agree with the server's
 // JobKey for every override field — the property ring-aware client routing
@@ -143,7 +102,6 @@ func TestJobKeyFromConfigText(t *testing.T) {
 		{App: "App-1", Rounds: 5},
 		{App: "App-2", Lambda: 0.7, Seed: 42},
 		{App: "App-2", Near: 9000, MaxSteps: 1234},
-		{App: "App-4", Hybrid: true},
 		{TraceKeys: []string{"k1", "k2"}, Rounds: 2},
 	}
 	for _, spec := range specs {
@@ -152,9 +110,6 @@ func TestJobKeyFromConfigText(t *testing.T) {
 		if server != client {
 			t.Errorf("spec %+v: client key %s != server key %s", spec, client, server)
 		}
-	}
-	if JobKey(specs[0], specs[0].effectiveConfig(base)) == JobKey(specs[4], specs[4].effectiveConfig(base)) {
-		t.Error("hybrid flag does not separate content keys")
 	}
 }
 

@@ -5,39 +5,28 @@ import "sherlock/internal/trace"
 // Priors are soft per-role beliefs about which candidate operations are
 // synchronization, fed into the objective as a discount on the
 // Syncs-are-Rare penalty (Eq. 3–4): a candidate believed to be an acquire
-// with probability p pays (1 − Weight·p) of its usual rareness cost for
+// with probability p pays (1 − PriorWeight·p) of its usual rareness cost for
 // that role. The hypothesis stays active — priors tilt it, they never
 // override window evidence, and a zero prior leaves the cost untouched.
 //
-// Two producers exist: internal/static derives priors from program
-// structure alone (the "Static SherLock" pre-pass), and core.
-// PriorsFromResult recycles a previous campaign's solved posteriors (the
-// refine mode). Consumers set them for the first solve of a campaign only:
-// once dynamic windows accumulate, the evidence supersedes the prior.
+// The producer is core.Posterior.Priors, which recycles a previous
+// campaign's solved posteriors (the refine mode). Consumers set them for
+// the first solve of a campaign only: once dynamic windows accumulate, the
+// evidence supersedes the prior.
 type Priors struct {
 	// Acquires / Releases map candidate keys to belief in [0, 1] that the
 	// key serves that role. Missing keys mean zero belief.
 	Acquires map[trace.Key]float64
 	Releases map[trace.Key]float64
-	// Weight caps the discount a full-confidence prior earns, in [0, 1).
-	// Zero selects DefaultPriorWeight. Keeping it well below 1 bounds how
-	// far a wrong prior can tilt the objective: even at belief 1 the
-	// rareness cost only shrinks by Weight, it never reaches zero.
-	Weight float64
 }
 
-// DefaultPriorWeight is the discount cap used when Priors.Weight is zero:
-// strong enough to steer tie-breaks and speed convergence, weak enough
-// that one window of contrary dynamic evidence outvotes a wrong prior.
-const DefaultPriorWeight = 0.4
-
-// resolvedWeight returns the effective discount cap.
-func (p *Priors) resolvedWeight() float64 {
-	if p.Weight == 0 {
-		return DefaultPriorWeight
-	}
-	return p.Weight
-}
+// PriorWeight caps the discount a full-confidence prior earns: strong
+// enough to steer tie-breaks and speed convergence, weak enough that one
+// window of contrary dynamic evidence outvotes a wrong prior. Keeping it
+// well below 1 bounds how far a wrong prior can tilt the objective: even
+// at belief 1 the rareness cost only shrinks by PriorWeight, it never
+// reaches zero.
+const PriorWeight = 0.4
 
 // discount returns the multiplicative rareness-cost factor for belief b,
 // clamping stray inputs into [0, 1] so a malformed prior can never turn a
@@ -49,7 +38,7 @@ func (p *Priors) discount(b float64) float64 {
 	if b > 1 {
 		b = 1
 	}
-	return 1 - p.resolvedWeight()*b
+	return 1 - PriorWeight*b
 }
 
 // SetPriors installs (or, with nil, removes) objective priors for

@@ -10,7 +10,8 @@ import (
 )
 
 // TestFacadeObserver: the public Observer surface — a MemorySink observer
-// collects the campaign span tree and the Round callback fires per round.
+// collects the campaign span tree and the Round callback fires once per
+// round, in order, with the live accumulator.
 func TestFacadeObserver(t *testing.T) {
 	app := buildDemo()
 	mem := NewMemorySink()
@@ -18,7 +19,12 @@ func TestFacadeObserver(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Observer = ObserverFuncs{
 		OnEvent: mem.Emit,
-		OnRound: func(snap RoundSnapshot, acc *Observations) { rounds++ },
+		OnRound: func(snap RoundSnapshot, acc *Observations) {
+			rounds++
+			if snap.Round != rounds || acc == nil {
+				t.Errorf("Round call %d got round %d, observations %v", rounds, snap.Round, acc != nil)
+			}
+		},
 	}
 	if _, err := Infer(context.Background(), app, cfg); err != nil {
 		t.Fatal(err)

@@ -92,7 +92,7 @@ echo "$M1" | grep -q '^sherlock_cluster_peer_up{peer="n2"} 1$' \
 # Upload one trace to n1 only; replication (fan-out or anti-entropy)
 # must land the blob on n2's corpus without n2 ever seeing the upload.
 TRACES=$(mktemp -d)
-go run ./cmd/sherlock -app App-1 -dump-traces "$TRACES" >/dev/null
+go run ./cmd/sherlock capture -traces "$TRACES" -app App-1 >/dev/null
 TRACE_FILE=$(ls "$TRACES"/*.jsonl | head -1)
 UP=$(curl -fsS -X POST --data-binary @"$TRACE_FILE" "$N1/v1/traces")
 TKEY=$(echo "$UP" | grep -o '"key":"[^"]*"' | head -1 | cut -d'"' -f4)

@@ -134,7 +134,7 @@ curl -fsS "$BASE/v1/jobs?status=watching" | grep -q "\"id\":\"$WID\"" \
 # Trace corpus: upload a captured trace, assert dedup on re-upload, then
 # run inference addressed by the corpus key.
 TRACES=$(mktemp -d)
-go run ./cmd/sherlock -app App-1 -dump-traces "$TRACES" >/dev/null
+go run ./cmd/sherlock capture -traces "$TRACES" -app App-1 >/dev/null
 TRACE_FILE=$(ls "$TRACES"/*.jsonl | head -1)
 
 UP1=$(curl -fsS -X POST --data-binary @"$TRACE_FILE" "$BASE/v1/traces")

@@ -130,9 +130,8 @@ type (
 
 	// Observer receives an inference campaign's observability stream: every
 	// span event the tracer emits plus a Round callback at the end of each
-	// round. Set it on Config.Observer; it subsumes the deprecated OnRound
-	// and OnSnapshot hooks. Implementations must be safe for concurrent
-	// Event calls (per-test spans end on pool workers).
+	// round. Set it on Config.Observer. Implementations must be safe for
+	// concurrent Event calls (per-test spans end on pool workers).
 	Observer = core.Observer
 	// ObserverFuncs adapts plain functions to Observer; nil fields are
 	// skipped.
