@@ -28,9 +28,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"os"
 	"regexp"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -40,6 +38,17 @@ import (
 	"sherlock/internal/sched"
 	"sherlock/internal/server"
 	"sherlock/internal/store"
+)
+
+// The workload knobs, recorded verbatim in the output's workload block.
+const (
+	clusterClients  = 24
+	clusterRequests = 6000        // total, per cluster size
+	clusterKeys     = 600         // distinct content keys in the zipfian keyspace
+	clusterCacheCap = 200         // result cache entries per node
+	clusterZipfS    = 1.02        // zipf exponent (> 1)
+	clusterZipfV    = clusterKeys // rank offset: head/tail ratio ≈ 2^s
+	clusterReplicas = 2
 )
 
 // clusterWorkload is the knob block, recorded verbatim in the output.
@@ -63,13 +72,13 @@ type clusterPoint struct {
 	P50Ms          float64 `json:"p50_ms"`
 	P95Ms          float64 `json:"p95_ms"`
 	P99Ms          float64 `json:"p99_ms"`
-	Computed       float64 `json:"jobs_computed"`        // cluster-wide fresh solves
-	LocalHits      float64 `json:"local_cache_hits"`     // answered from the node's own cache
-	RemoteHits     float64 `json:"remote_cache_hits"`    // answered by a peer's cache
-	Proxied        float64 `json:"proxied_jobs"`         // routed to the key's owner
-	CacheHitRatio  float64 `json:"cache_hit_ratio"`      // (local+remote+proxied-computed)/requests
-	CrossNodeRatio float64 `json:"cross_node_ratio"`     // (remote+proxied)/requests
-	Errors         int     `json:"errors,omitempty"`     // failed requests (should be 0)
+	Computed       float64 `json:"jobs_computed"`     // cluster-wide fresh solves
+	LocalHits      float64 `json:"local_cache_hits"`  // answered from the node's own cache
+	RemoteHits     float64 `json:"remote_cache_hits"` // answered by a peer's cache
+	Proxied        float64 `json:"proxied_jobs"`      // routed to the key's owner
+	CacheHitRatio  float64 `json:"cache_hit_ratio"`   // (local+remote+proxied-computed)/requests
+	CrossNodeRatio float64 `json:"cross_node_ratio"`  // (remote+proxied)/requests
+	Errors         int     `json:"errors,omitempty"`  // failed requests; -gate requires 0
 }
 
 // clusterResult is the BENCH_cluster.json schema.
@@ -95,16 +104,24 @@ func (n *benchNode) stop() {
 	n.srv.Close()
 }
 
-// benchCluster runs the sweep and writes the result file. A non-zero
-// minSpeedup turns the 4-node-vs-1-node throughput ratio into a CI gate.
-func benchCluster(outFile string, clients, requests, keys, cacheCap int, zipfS, zipfV float64, minSpeedup float64) error {
-	if zipfV <= 0 {
-		zipfV = float64(keys) // bounded-skew default: head/tail ratio ≈ 2^s
+func (r clusterResult) gate() error {
+	for _, pt := range r.Configs {
+		if pt.Errors > 0 {
+			return fmt.Errorf("%d of %d requests failed at %d node(s)", pt.Errors, r.Workload.Requests, pt.Nodes)
+		}
 	}
-	wl := clusterWorkload{
-		Clients: clients, Requests: requests, Keys: keys,
-		CacheCap: cacheCap, ZipfS: zipfS, ZipfV: zipfV, Replicas: 2,
+	if r.Speedup < clusterMinSpeedup {
+		return fmt.Errorf("4-node speedup %.2fx below the %dx gate", r.Speedup, clusterMinSpeedup)
 	}
+	return nil
+}
+
+// benchCluster runs the 1/2/4-node sweep.
+func benchCluster() (clusterResult, error) {
+	res := clusterResult{Workload: clusterWorkload{
+		Clients: clusterClients, Requests: clusterRequests, Keys: clusterKeys,
+		CacheCap: clusterCacheCap, ZipfS: clusterZipfS, ZipfV: clusterZipfV, Replicas: clusterReplicas,
+	}}
 
 	// One shared trace set: a handful of real app traces, uploaded once
 	// per cluster; every job solves all of them.
@@ -115,53 +132,41 @@ func benchCluster(outFile string, clients, requests, keys, cacheCap int, zipfS, 
 	}{{"App-1", 1}, {"App-2", 1}, {"App-3", 1}, {"App-4", 1}, {"App-5", 1}, {"App-6", 1}} {
 		a, err := apps.ByName(spec.app)
 		if err != nil {
-			return err
+			return res, err
 		}
 		for _, tc := range a.Tests {
 			run, err := sched.Run(a, tc, sched.Options{Seed: spec.seed})
 			if err != nil {
-				return err
+				return res, err
 			}
 			bin, err := store.EncodeTrace(run.Trace)
 			if err != nil {
-				return err
+				return res, err
 			}
 			traceBlobs = append(traceBlobs, bin)
 		}
 	}
-	wl.Traces = len(traceBlobs)
+	res.Workload.Traces = len(traceBlobs)
 
-	res := clusterResult{Workload: wl}
 	var oneNode float64
 	for _, n := range []int{1, 2, 4} {
 		pt, computeMs, err := benchClusterSize(n, &res.Workload, traceBlobs)
 		if err != nil {
-			return fmt.Errorf("cluster bench at %d nodes: %w", n, err)
+			return res, fmt.Errorf("cluster bench at %d nodes: %w", n, err)
 		}
 		if n == 1 {
 			oneNode = pt.Throughput
 			res.Workload.ComputeMs = computeMs
 		}
 		res.Configs = append(res.Configs, pt)
-		fmt.Printf("bench cluster: %d node(s): %.1f jobs/s, p50 %.2fms p95 %.2fms p99 %.2fms, hit ratio %.2f, cross-node %.2f, computed %.0f\n",
+		fmt.Printf("cluster: %d node(s): %.1f jobs/s, p50 %.2fms p95 %.2fms p99 %.2fms, hit ratio %.2f, cross-node %.2f, computed %.0f\n",
 			n, pt.Throughput, pt.P50Ms, pt.P95Ms, pt.P99Ms, pt.CacheHitRatio, pt.CrossNodeRatio, pt.Computed)
 	}
 	if oneNode > 0 {
 		res.Speedup = res.Configs[len(res.Configs)-1].Throughput / oneNode
 	}
-	fmt.Printf("bench cluster: 4-node speedup over 1-node: %.2fx\n", res.Speedup)
-
-	buf, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outFile, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	if minSpeedup > 0 && res.Speedup < minSpeedup {
-		return fmt.Errorf("4-node speedup %.2fx below the %.2fx gate", res.Speedup, minSpeedup)
-	}
-	return nil
+	fmt.Printf("cluster: 4-node speedup over 1-node: %.2fx\n", res.Speedup)
+	return res, nil
 }
 
 // benchClusterSize measures one cluster size end to end.
@@ -190,7 +195,7 @@ func benchClusterSize(n int, wl *clusterWorkload, traceBlobs [][]byte) (clusterP
 
 	// Measure one cold solve to report the per-job compute cost.
 	t0 := time.Now()
-	if _, err := runClusterJob(nodes[0].url, traceKeys, 1_000_000); err != nil {
+	if _, err := runJob(nodes[0].url, clusterJob(traceKeys, 1_000_000)); err != nil {
 		return pt, 0, err
 	}
 	computeMs := float64(time.Since(t0).Microseconds()) / 1000
@@ -218,7 +223,7 @@ func benchClusterSize(n int, wl *clusterWorkload, traceBlobs [][]byte) (clusterP
 				seed := int64(zipf.Uint64()) + 1 // seed 0 would mean "inherit"
 				url := nodes[rng.Intn(len(nodes))].url
 				t := time.Now()
-				if _, err := runClusterJob(url, traceKeys, seed); err != nil {
+				if _, err := runJob(url, clusterJob(traceKeys, seed)); err != nil {
 					myErrs++
 					continue
 				}
@@ -235,7 +240,8 @@ func benchClusterSize(n int, wl *clusterWorkload, traceBlobs [][]byte) (clusterP
 
 	pt.WallMs = float64(wall.Microseconds()) / 1000
 	pt.Throughput = float64(len(lats)) / wall.Seconds()
-	pt.P50Ms, pt.P95Ms, pt.P99Ms = latencyPercentiles(lats)
+	ms := func(q float64) float64 { return float64(quantile(lats, q).Microseconds()) / 1000 }
+	pt.P50Ms, pt.P95Ms, pt.P99Ms = ms(0.50), ms(0.95), ms(0.99)
 	pt.Errors = errCount
 
 	// Scrape the cluster-wide counters.
@@ -301,50 +307,10 @@ func startBenchCluster(n, cacheCap, replicas int) ([]*benchNode, error) {
 	return nodes, nil
 }
 
-// runClusterJob submits one trace_keys job with a seed override and
-// drives it to done, returning the result key.
-func runClusterJob(base string, traceKeys []string, seed int64) (string, error) {
-	buf, _ := json.Marshal(map[string]any{"trace_keys": traceKeys, "seed": seed})
-	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(buf))
-	if err != nil {
-		return "", err
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return "", fmt.Errorf("submit: HTTP %d: %s", resp.StatusCode, body)
-	}
-	var v struct {
-		ID     string `json:"id"`
-		Key    string `json:"key"`
-		Status string `json:"status"`
-		Error  string `json:"error"`
-	}
-	if err := json.Unmarshal(body, &v); err != nil {
-		return "", err
-	}
-	// Long-poll to completion: one blocking watch call per job instead of
-	// a tight status loop — at bench rates the poll traffic itself would
-	// be a real CPU tax on the nodes being measured.
-	deadline := time.Now().Add(time.Minute)
-	for v.Status != "done" {
-		if v.Status == "failed" || v.Status == "canceled" {
-			return "", fmt.Errorf("job %s: %s: %s", v.ID, v.Status, v.Error)
-		}
-		if time.Now().After(deadline) {
-			return "", fmt.Errorf("job %s stuck in %s", v.ID, v.Status)
-		}
-		r, err := http.Get(base + "/v1/jobs/" + v.ID + "/watch?timeout=30")
-		if err != nil {
-			return "", err
-		}
-		b, _ := io.ReadAll(r.Body)
-		r.Body.Close()
-		if err := json.Unmarshal(b, &v); err != nil {
-			return "", err
-		}
-	}
-	return v.Key, nil
+// clusterJob is an offline solve over the uploaded trace set with a seed
+// override.
+func clusterJob(traceKeys []string, seed int64) map[string]any {
+	return map[string]any{"trace_keys": traceKeys, "seed": seed}
 }
 
 // uploadBlob posts one encoded trace and returns its corpus key.
@@ -365,20 +331,6 @@ func uploadBlob(base string, bin []byte) (string, error) {
 		return "", err
 	}
 	return v.Key, nil
-}
-
-// latencyPercentiles returns p50/p95/p99 in milliseconds.
-func latencyPercentiles(lats []time.Duration) (p50, p95, p99 float64) {
-	if len(lats) == 0 {
-		return 0, 0, 0
-	}
-	sorted := append([]time.Duration(nil), lats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	at := func(q float64) float64 {
-		i := int(q * float64(len(sorted)-1))
-		return float64(sorted[i].Microseconds()) / 1000
-	}
-	return at(0.50), at(0.95), at(0.99)
 }
 
 var metricLine = regexp.MustCompile(`(?m)^([a-z_]+)(?:\{[^}]*\})? ([0-9.e+-]+)$`)

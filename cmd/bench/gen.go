@@ -4,7 +4,7 @@
 // generated programs (seeds round-robined across the generator's
 // profiles), scores each against its truth, and writes per-app rows plus
 // aggregates to BENCH_gen.json. Two aggregate quality figures drive the
-// -gen-gate CI gate:
+// -gate floors:
 //
 //   - non-race precision: correct / (correct + not-sync). True-race and
 //     instrumentation-error inferences are the paper's expected,
@@ -19,9 +19,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"sherlock/internal/apps"
 	"sherlock/internal/core"
@@ -68,21 +66,29 @@ type genResult struct {
 	Aggregate        genAggregate   `json:"aggregate"`
 }
 
-// genGateMinPrecision / genGateMinRecall are the -gen-gate floors,
-// deliberately below the measured operating point (≈0.95 / ≈0.89 at
-// N=100, rounds=3) so the gate trips on regressions, not noise.
 const (
-	genGateMinPrecision = 0.90
-	genGateMinRecall    = 0.75
+	genN      = 100 // distinct generated applications swept
+	genRounds = 3   // campaign rounds per app
 )
 
-// benchGen sweeps n generated applications and writes the result file.
-// With gate set, the aggregate non-race precision and recall floors (and
-// a minimum sweep size) become errors — exit 1 in main.
-func benchGen(outFile string, n, rounds int, gate bool) error {
+func (r genResult) gate() error {
+	a := r.Aggregate
+	if a.NonRacePrecision < genGateMinPrecision {
+		return fmt.Errorf("aggregate non-race precision %.3f below the gate floor %.2f",
+			a.NonRacePrecision, genGateMinPrecision)
+	}
+	if a.Recall < genGateMinRecall {
+		return fmt.Errorf("aggregate recall %.3f below the gate floor %.2f",
+			a.Recall, genGateMinRecall)
+	}
+	return nil
+}
+
+// benchGen sweeps genN generated applications.
+func benchGen() (genResult, error) {
 	ctx := context.Background()
-	res := genResult{GeneratorVersion: gen.Version, N: n, Rounds: rounds}
-	for i := 0; i < n; i++ {
+	res := genResult{GeneratorVersion: gen.Version, N: genN, Rounds: genRounds}
+	for i := 0; i < genN; i++ {
 		spec := gen.Spec{
 			Seed:    int64(i + 1),
 			Profile: gen.Profiles[i%len(gen.Profiles)],
@@ -92,13 +98,13 @@ func benchGen(outFile string, n, rounds int, gate bool) error {
 		// CLI and server take — so the sweep also exercises name routing.
 		app, err := apps.ByName(spec.Name())
 		if err != nil {
-			return fmt.Errorf("%s: %w", spec.Name(), err)
+			return res, fmt.Errorf("%s: %w", spec.Name(), err)
 		}
 		cfg := core.DefaultConfig()
-		cfg.Rounds = rounds
+		cfg.Rounds = genRounds
 		r, err := core.Infer(ctx, app, cfg)
 		if err != nil {
-			return fmt.Errorf("%s: %w", spec.Name(), err)
+			return res, fmt.Errorf("%s: %w", spec.Name(), err)
 		}
 		score := core.ScoreResult(app, r)
 		row := genAppResult{
@@ -130,32 +136,10 @@ func benchGen(outFile string, n, rounds int, gate bool) error {
 		res.Aggregate.Recall = float64(res.Aggregate.Correct) / float64(d)
 	}
 
-	buf, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(outFile, buf, 0o644); err != nil {
-		return err
-	}
 	a := res.Aggregate
-	fmt.Printf("%s: %d generated apps (%s, rounds=%d): %d inferred, %d correct, %d racy, %d instr, %d not-sync, %d missed (%d unbucketed)\n",
-		outFile, a.Apps, gen.Version, rounds, a.Inferred, a.Correct, a.DataRacy, a.InstrErrors, a.NotSync, a.Missed, a.MissedOther)
-	fmt.Printf("%s: non-race precision %.3f (gate ≥ %.2f), recall %.3f (gate ≥ %.2f)\n",
-		outFile, a.NonRacePrecision, genGateMinPrecision, a.Recall, genGateMinRecall)
-
-	if gate {
-		if n < 100 {
-			return fmt.Errorf("gen gate needs -gen-n >= 100, got %d", n)
-		}
-		if a.NonRacePrecision < genGateMinPrecision {
-			return fmt.Errorf("aggregate non-race precision %.3f below the gate floor %.2f",
-				a.NonRacePrecision, genGateMinPrecision)
-		}
-		if a.Recall < genGateMinRecall {
-			return fmt.Errorf("aggregate recall %.3f below the gate floor %.2f",
-				a.Recall, genGateMinRecall)
-		}
-	}
-	return nil
+	fmt.Printf("gen: %d generated apps (%s, rounds=%d): %d inferred, %d correct, %d racy, %d instr, %d not-sync, %d missed (%d unbucketed)\n",
+		a.Apps, gen.Version, genRounds, a.Inferred, a.Correct, a.DataRacy, a.InstrErrors, a.NotSync, a.Missed, a.MissedOther)
+	fmt.Printf("gen: non-race precision %.3f (gate ≥ %.2f), recall %.3f (gate ≥ %.2f)\n",
+		a.NonRacePrecision, genGateMinPrecision, a.Recall, genGateMinRecall)
+	return res, nil
 }

@@ -6,15 +6,14 @@
 // stored basis. The checkpoint is decoded once, outside the timed region:
 // a live daemon holds it in memory between uploads and only pays the
 // decode on restart, so the steady-state per-upload cost is the honest
-// comparison. The numbers land in BENCH_incremental.json;
-// -incr-min-speedup turns the +1-trace point into a CI gate.
+// comparison. -gate asserts the +1-trace speedup and the fold cost's
+// independence of the base size.
 package main
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -54,17 +53,33 @@ type incrResult struct {
 	FoldGrowth float64     `json:"fold_growth"`
 }
 
-// benchIncr runs the incremental-vs-from-scratch measurement and writes
-// the result file. A non-zero minSpeedup gates the +1-trace point; a
-// non-zero maxFoldGrowth gates the base-size independence of the fold.
-func benchIncr(outFile, appName string, baseTraces, reps int, minSpeedup, maxFoldGrowth float64) error {
-	app, err := apps.ByName(appName)
+const (
+	incrApp        = "App-1"
+	incrBaseTraces = 160 // checkpointed base corpus size
+	incrReps       = 5   // repetitions per point; the best is reported
+)
+
+func (r incrResult) gate() error {
+	if r.Points[0].Speedup < incrMinSpeedup {
+		return fmt.Errorf("+1-trace incremental speedup %.2fx below the %dx gate", r.Points[0].Speedup, incrMinSpeedup)
+	}
+	if r.FoldGrowth > incrMaxFoldGrowth {
+		return fmt.Errorf("+1-trace fold cost grows %.2fx from %d- to %d-trace base (gate %dx): fold is not base-size independent",
+			r.FoldGrowth, r.Fold[0].BaseTraces, r.BaseTraces, incrMaxFoldGrowth)
+	}
+	return nil
+}
+
+// benchIncr runs the incremental-vs-from-scratch measurement.
+func benchIncr() (incrResult, error) {
+	res := incrResult{App: incrApp, BaseTraces: incrBaseTraces, Reps: incrReps}
+	app, err := apps.ByName(incrApp)
 	if err != nil {
-		return err
+		return res, err
 	}
 	cfg := core.DefaultConfig()
 	appends := []int{1, 4, 16}
-	need := baseTraces + appends[len(appends)-1]
+	need := incrBaseTraces + appends[len(appends)-1]
 
 	// Capture distinct traces (tests x seeds, deduped by content address).
 	var kts []core.KeyedTrace
@@ -73,11 +88,11 @@ func benchIncr(outFile, appName string, baseTraces, reps int, minSpeedup, maxFol
 		for _, tc := range app.Tests {
 			run, err := sched.Run(app, tc, sched.Options{Seed: seed})
 			if err != nil {
-				return err
+				return res, err
 			}
 			key, err := store.Key(run.Trace)
 			if err != nil {
-				return err
+				return res, err
 			}
 			if seen[key] {
 				continue
@@ -93,22 +108,21 @@ func benchIncr(outFile, appName string, baseTraces, reps int, minSpeedup, maxFol
 	// Build the base checkpoint once and round-trip it through the persisted
 	// encoding, so the measured state is exactly what a daemon would hold.
 	ctx := context.Background()
-	_, baseCk, err := core.InferIncremental(ctx, nil, core.KeyedSlice(kts[:baseTraces]), cfg)
+	_, baseCk, err := core.InferIncremental(ctx, nil, core.KeyedSlice(kts[:incrBaseTraces]), cfg)
 	if err != nil {
-		return err
+		return res, err
 	}
 	ckBytes, err := core.EncodeCheckpoint(baseCk)
 	if err != nil {
-		return err
+		return res, err
 	}
 	ck, err := core.DecodeCheckpoint(ckBytes)
 	if err != nil {
-		return err
+		return res, err
 	}
 
-	res := incrResult{App: appName, BaseTraces: baseTraces, Reps: reps}
 	for _, k := range appends {
-		full := kts[:baseTraces+k]
+		full := kts[:incrBaseTraces+k]
 		sorted := append([]core.KeyedTrace(nil), full...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
 		var traces []*trace.Trace
@@ -118,91 +132,69 @@ func benchIncr(outFile, appName string, baseTraces, reps int, minSpeedup, maxFol
 
 		pt := incrPoint{Appended: k}
 		var scratchRes, incrRes *core.Result
-		for rep := 0; rep < reps; rep++ {
+		for rep := 0; rep < incrReps; rep++ {
 			t0 := time.Now()
 			sr, err := core.InferFromSource(ctx, core.SliceSource(traces), cfg)
 			if err != nil {
-				return err
+				return res, err
 			}
-			if d := time.Since(t0); rep == 0 || d.Nanoseconds() < pt.ScratchNs {
-				pt.ScratchNs = d.Nanoseconds()
-			}
+			keepMin(&pt.ScratchNs, time.Since(t0))
 			scratchRes = sr
 
 			t0 = time.Now()
-			ir, _, err := core.InferIncremental(ctx, ck, core.KeyedSlice(kts[baseTraces:baseTraces+k]), cfg)
+			ir, _, err := core.InferIncremental(ctx, ck, core.KeyedSlice(kts[incrBaseTraces:incrBaseTraces+k]), cfg)
 			if err != nil {
-				return err
+				return res, err
 			}
-			if d := time.Since(t0); rep == 0 || d.Nanoseconds() < pt.IncrNs {
-				pt.IncrNs = d.Nanoseconds()
-			}
+			keepMin(&pt.IncrNs, time.Since(t0))
 			incrRes = ir
 		}
 		if err := sameInference(scratchRes, incrRes); err != nil {
-			return fmt.Errorf("+%d traces: %w", k, err)
+			return res, fmt.Errorf("+%d traces: %w", k, err)
 		}
 		pt.Speedup = float64(pt.ScratchNs) / float64(pt.IncrNs)
 		res.Points = append(res.Points, pt)
 	}
 
-	// Fold-growth: fold the same held-out trace (kts[baseTraces], in no
+	// Fold-growth: fold the same held-out trace (kts[incrBaseTraces], in no
 	// base) into checkpoints of a quarter, half, and the full base. Each
 	// checkpoint round-trips the persisted encoding like the main
 	// measurement, and only the fold is timed.
-	extra := core.KeyedSlice(kts[baseTraces : baseTraces+1])
-	for _, b := range []int{baseTraces / 4, baseTraces / 2, baseTraces} {
+	extra := core.KeyedSlice(kts[incrBaseTraces : incrBaseTraces+1])
+	for _, b := range []int{incrBaseTraces / 4, incrBaseTraces / 2, incrBaseTraces} {
 		_, bck, err := core.InferIncremental(ctx, nil, core.KeyedSlice(kts[:b]), cfg)
 		if err != nil {
-			return err
+			return res, err
 		}
 		bb, err := core.EncodeCheckpoint(bck)
 		if err != nil {
-			return err
+			return res, err
 		}
 		fck, err := core.DecodeCheckpoint(bb)
 		if err != nil {
-			return err
+			return res, err
 		}
 		fp := foldPoint{BaseTraces: b}
-		for rep := 0; rep < reps; rep++ {
+		for rep := 0; rep < incrReps; rep++ {
 			t0 := time.Now()
 			if _, _, err := core.InferIncremental(ctx, fck, extra, cfg); err != nil {
-				return err
+				return res, err
 			}
-			if d := time.Since(t0); rep == 0 || d.Nanoseconds() < fp.IncrNs {
-				fp.IncrNs = d.Nanoseconds()
-			}
+			keepMin(&fp.IncrNs, time.Since(t0))
 		}
 		res.Fold = append(res.Fold, fp)
 	}
 	res.FoldGrowth = float64(res.Fold[len(res.Fold)-1].IncrNs) / float64(res.Fold[0].IncrNs)
 
-	buf, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(outFile, buf, 0o644); err != nil {
-		return err
-	}
 	for _, pt := range res.Points {
-		fmt.Printf("%s: +%d traces on %d-trace base: scratch %.1fms vs incremental %.1fms: %.2fx\n",
-			outFile, pt.Appended, res.BaseTraces,
-			float64(pt.ScratchNs)/1e6, float64(pt.IncrNs)/1e6, pt.Speedup)
+		fmt.Printf("incremental: +%d traces on %d-trace base: scratch %.1fms vs incremental %.1fms: %.2fx\n",
+			pt.Appended, res.BaseTraces, float64(pt.ScratchNs)/1e6, float64(pt.IncrNs)/1e6, pt.Speedup)
 	}
 	for _, fp := range res.Fold {
-		fmt.Printf("%s: +1-trace fold on %d-trace base: %.1fms\n", outFile, fp.BaseTraces, float64(fp.IncrNs)/1e6)
+		fmt.Printf("incremental: +1-trace fold on %d-trace base: %.1fms\n", fp.BaseTraces, float64(fp.IncrNs)/1e6)
 	}
-	fmt.Printf("%s: fold growth %dx base -> %.2fx cost\n", outFile, baseTraces/(baseTraces/4), res.FoldGrowth)
-	if minSpeedup > 0 && res.Points[0].Speedup < minSpeedup {
-		return fmt.Errorf("+1-trace incremental speedup %.2fx below the %.2fx gate", res.Points[0].Speedup, minSpeedup)
-	}
-	if maxFoldGrowth > 0 && res.FoldGrowth > maxFoldGrowth {
-		return fmt.Errorf("+1-trace fold cost grows %.2fx from %d- to %d-trace base (gate %.2fx): fold is not base-size independent",
-			res.FoldGrowth, res.Fold[0].BaseTraces, baseTraces, maxFoldGrowth)
-	}
-	return nil
+	fmt.Printf("incremental: fold growth %dx base -> %.2fx cost\n", incrBaseTraces/(incrBaseTraces/4), res.FoldGrowth)
+	return res, nil
 }
 
 // sameInference checks the benchmark's sanity invariant: both paths must

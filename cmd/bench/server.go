@@ -1,8 +1,6 @@
 // Serving-path benchmark: drive an in-process sherlockd over a real TCP
 // socket and measure the submit→done latency of cold campaigns against
-// cache-hit resubmissions, plus aggregate throughput of a concurrent cold
-// sweep. The numbers land in BENCH_server.json so the serving perf
-// trajectory is tracked across commits next to the solver's.
+// cache-hit resubmissions, plus aggregate throughput of the cold sweep.
 package main
 
 import (
@@ -12,10 +10,14 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"time"
 
 	"sherlock/internal/server"
+)
+
+const (
+	serverApp  = "App-1"
+	serverJobs = 16 // cold and cache-hit submissions each
 )
 
 // serverResult is the BENCH_server.json schema. Latencies are per-job
@@ -33,19 +35,22 @@ type serverResult struct {
 	CacheMisses    uint64  `json:"cache_misses"`
 }
 
-func benchServer(outFile, appName string, jobs int) error {
+func (serverResult) gate() error { return nil }
+
+func benchServer() (serverResult, error) {
+	var res serverResult
 	cfg := server.DefaultConfig()
-	cfg.QueueSize = 2 * jobs
-	cfg.CacheCapacity = 4 * jobs
+	cfg.QueueSize = 2 * serverJobs
+	cfg.CacheCapacity = 4 * serverJobs
 	cfg.Inference.Rounds = 1
 	srv, err := server.New(cfg)
 	if err != nil {
-		return err
+		return res, err
 	}
 	defer srv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return err
+		return res, err
 	}
 	hs := &http.Server{Handler: srv.Handler()}
 	go hs.Serve(ln)
@@ -54,12 +59,12 @@ func benchServer(outFile, appName string, jobs int) error {
 
 	// Cold sweep: distinct seeds => distinct content addresses => every
 	// job runs a real campaign.
-	coldLat := make([]time.Duration, jobs)
+	coldLat := make([]time.Duration, serverJobs)
 	sweep0 := time.Now()
-	for i := 0; i < jobs; i++ {
+	for i := range coldLat {
 		t0 := time.Now()
-		if _, err := submitWait(base, appName, int64(1+i)); err != nil {
-			return fmt.Errorf("cold job %d: %w", i, err)
+		if _, err := runJob(base, map[string]any{"app": serverApp, "seed": 1 + i}); err != nil {
+			return res, fmt.Errorf("cold job %d: %w", i, err)
 		}
 		coldLat[i] = time.Since(t0)
 	}
@@ -67,48 +72,39 @@ func benchServer(outFile, appName string, jobs int) error {
 
 	// Hit sweep: resubmit the first seed; every submission must be
 	// answered from the cache.
-	hitLat := make([]time.Duration, jobs)
-	for i := 0; i < jobs; i++ {
+	hitLat := make([]time.Duration, serverJobs)
+	for i := range hitLat {
 		t0 := time.Now()
-		v, err := submitWait(base, appName, 1)
+		v, err := runJob(base, map[string]any{"app": serverApp, "seed": 1})
 		if err != nil {
-			return fmt.Errorf("hit job %d: %w", i, err)
+			return res, fmt.Errorf("hit job %d: %w", i, err)
 		}
 		if !v.Cached {
-			return fmt.Errorf("hit job %d: expected a cache hit", i)
+			return res, fmt.Errorf("hit job %d: expected a cache hit", i)
 		}
 		hitLat[i] = time.Since(t0)
 	}
 
 	hits, misses, _, _ := srv.Cache().Stats()
-	res := serverResult{
-		App:            appName,
-		Jobs:           jobs,
+	res = serverResult{
+		App:            serverApp,
+		Jobs:           serverJobs,
 		Workers:        cfg.Workers,
-		ColdMedianNs:   median(coldLat).Nanoseconds(),
-		HitMedianNs:    median(hitLat).Nanoseconds(),
-		ColdThroughput: float64(jobs) / sweepWall.Seconds(),
+		ColdMedianNs:   quantile(coldLat, 0.5).Nanoseconds(),
+		HitMedianNs:    quantile(hitLat, 0.5).Nanoseconds(),
+		ColdThroughput: serverJobs / sweepWall.Seconds(),
 		CacheHits:      hits,
 		CacheMisses:    misses,
 	}
 	res.Speedup = float64(res.ColdMedianNs) / float64(res.HitMedianNs)
-
-	buf, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(outFile, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("%s: cold median %.2fms vs cache-hit median %.3fms: %.0fx; %.1f cold jobs/s\n",
-		outFile, float64(res.ColdMedianNs)/1e6, float64(res.HitMedianNs)/1e6,
+	fmt.Printf("server: cold median %.2fms vs cache-hit median %.3fms: %.0fx; %.1f cold jobs/s\n",
+		float64(res.ColdMedianNs)/1e6, float64(res.HitMedianNs)/1e6,
 		res.Speedup, res.ColdThroughput)
-	return nil
+	return res, nil
 }
 
-// clientJob mirrors the daemon's job JSON.
-type clientJob struct {
+// jobView is the part of the daemon's job JSON the benchmarks read.
+type jobView struct {
 	ID     string `json:"id"`
 	Key    string `json:"key"`
 	Status string `json:"status"`
@@ -116,45 +112,53 @@ type clientJob struct {
 	Error  string `json:"error,omitempty"`
 }
 
-// submitWait posts one job and polls it to a terminal state.
-func submitWait(base, app string, seed int64) (*clientJob, error) {
-	buf, _ := json.Marshal(map[string]any{"app": app, "seed": seed})
-	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(buf))
+// runJob submits one job spec to base and drives it to done. It waits
+// with one blocking /watch long-poll per step instead of a status loop:
+// at bench rates the poll traffic itself would be a CPU tax on the
+// daemon being measured. A failed or canceled job, a non-2xx answer
+// (the daemon's error envelope) and a job still running after a minute
+// are all errors.
+func runJob(base string, spec any) (*jobView, error) {
+	buf, err := json.Marshal(spec)
 	if err != nil {
 		return nil, err
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return nil, fmt.Errorf("submit: HTTP %d: %s", resp.StatusCode, body)
+	v, err := decodeJob(http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(buf)))
+	if err != nil {
+		return nil, fmt.Errorf("submit: %w", err)
 	}
-	var v clientJob
-	if err := json.Unmarshal(body, &v); err != nil {
-		return nil, err
-	}
+	deadline := time.Now().Add(time.Minute)
 	for v.Status != "done" {
 		if v.Status == "failed" || v.Status == "canceled" {
 			return nil, fmt.Errorf("job %s ended %s: %s", v.ID, v.Status, v.Error)
 		}
-		sr, err := http.Get(base + "/v1/jobs/" + v.ID)
-		if err != nil {
-			return nil, err
+		if time.Now().After(deadline) {
+			return nil, fmt.Errorf("job %s stuck in %s", v.ID, v.Status)
 		}
-		sb, _ := io.ReadAll(sr.Body)
-		sr.Body.Close()
-		if err := json.Unmarshal(sb, &v); err != nil {
-			return nil, err
+		if v, err = decodeJob(http.Get(base + "/v1/jobs/" + v.ID + "/watch?timeout=30")); err != nil {
+			return nil, fmt.Errorf("watch: %w", err)
 		}
 	}
-	return &v, nil
+	return v, nil
 }
 
-func median(ds []time.Duration) time.Duration {
-	sorted := append([]time.Duration(nil), ds...)
-	for i := 1; i < len(sorted); i++ { // insertion sort; n is small
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
+// decodeJob reads one job-endpoint response, reporting any status other
+// than 200/202 with its body.
+func decodeJob(resp *http.Response, err error) (*jobView, error) {
+	if err != nil {
+		return nil, err
 	}
-	return sorted[len(sorted)/2]
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+		return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
+	}
+	var v jobView
+	if err := json.Unmarshal(body, &v); err != nil {
+		return nil, err
+	}
+	return &v, nil
 }

@@ -6,16 +6,15 @@
 // for the pure-dynamic campaign and for a refine campaign warm-started from
 // the dynamic campaign's posterior, with the equal-final-set invariant
 // checked. Saved runs are (dynamic − refine) convergence rounds × the app's
-// per-round execution count. The numbers land in BENCH_static.json;
-// -static-gate turns the hard invariants (static analysis bit-identical,
-// refine finals identical, refine rounds never worse) into a CI gate.
+// per-round execution count. -gate asserts the hard invariants: static
+// analysis bit-identical, refine finals identical, refine rounds never
+// worse.
 package main
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
 
 	"sherlock/internal/apps"
 	"sherlock/internal/core"
@@ -52,60 +51,50 @@ type staticResult struct {
 	Apps   []staticAppResult `json:"apps"`
 }
 
-// benchStatic runs the sweep and writes the result file. With gate set,
-// any app whose static analysis is not reproducible, or whose refine
-// campaign diverges from dynamic (different final set) or converges
-// slower, is an error (exit 1 in main).
-func benchStatic(outFile string, rounds int, gate bool) error {
-	ctx := context.Background()
-	res := staticResult{Rounds: rounds}
-	for _, appName := range apps.Names() {
-		ar, err := benchStaticApp(ctx, appName, rounds)
-		if err != nil {
-			return fmt.Errorf("%s: %w", appName, err)
-		}
-		res.Apps = append(res.Apps, ar)
-	}
+const staticRounds = 3 // campaign rounds per app
 
-	buf, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(outFile, buf, 0o644); err != nil {
-		return err
-	}
-	for _, ar := range res.Apps {
-		fmt.Printf("%s: %s static %.0f%%P/%.0f%%R (repro=%t); rounds dyn %d, refine %d (equal=%t, saves %d runs)\n",
-			outFile, ar.App, 100*ar.StaticPrecision, 100*ar.StaticRecall, ar.BitIdentical,
-			ar.DynamicRounds, ar.RefineRounds, ar.RefineEqual, ar.RunsSavedRefine)
-	}
-	if gate {
-		for _, ar := range res.Apps {
-			if !ar.BitIdentical {
-				return fmt.Errorf("%s: static analysis not bit-identical across runs", ar.App)
-			}
-			if !ar.RefineEqual {
-				return fmt.Errorf("%s: refine final inferred set diverges from pure dynamic", ar.App)
-			}
-			if ar.RefineRounds > ar.DynamicRounds {
-				return fmt.Errorf("%s: refine needs %d rounds to converge vs dynamic %d",
-					ar.App, ar.RefineRounds, ar.DynamicRounds)
-			}
+func (r staticResult) gate() error {
+	for _, ar := range r.Apps {
+		if !ar.BitIdentical {
+			return fmt.Errorf("%s: static analysis not bit-identical across runs", ar.App)
+		}
+		if !ar.RefineEqual {
+			return fmt.Errorf("%s: refine final inferred set diverges from pure dynamic", ar.App)
+		}
+		if ar.RefineRounds > ar.DynamicRounds {
+			return fmt.Errorf("%s: refine needs %d rounds to converge vs dynamic %d",
+				ar.App, ar.RefineRounds, ar.DynamicRounds)
 		}
 	}
 	return nil
 }
 
+// benchStatic runs the sweep over every registered application.
+func benchStatic() (staticResult, error) {
+	ctx := context.Background()
+	res := staticResult{Rounds: staticRounds}
+	for _, appName := range apps.Names() {
+		ar, err := benchStaticApp(ctx, appName)
+		if err != nil {
+			return res, fmt.Errorf("%s: %w", appName, err)
+		}
+		res.Apps = append(res.Apps, ar)
+		fmt.Printf("static: %s static %.0f%%P/%.0f%%R (repro=%t); rounds dyn %d, refine %d (equal=%t, saves %d runs)\n",
+			ar.App, 100*ar.StaticPrecision, 100*ar.StaticRecall, ar.BitIdentical,
+			ar.DynamicRounds, ar.RefineRounds, ar.RefineEqual, ar.RunsSavedRefine)
+	}
+	return res, nil
+}
+
 // benchStaticApp measures one application.
-func benchStaticApp(ctx context.Context, appName string, rounds int) (staticAppResult, error) {
+func benchStaticApp(ctx context.Context, appName string) (staticAppResult, error) {
 	ar := staticAppResult{App: appName}
 	app, err := apps.ByName(appName)
 	if err != nil {
 		return ar, err
 	}
 	cfg := core.DefaultConfig()
-	cfg.Rounds = rounds
+	cfg.Rounds = staticRounds
 
 	// Static-only quality + reproducibility.
 	sres, an, err := core.InferStatic(ctx, app, cfg)

@@ -1,15 +1,12 @@
 // Trace-store benchmark: encode the full 8-app benchmark corpus (every
 // test of every application, one run each) in both serializations and
-// measure size and codec throughput. The numbers land in BENCH_store.json
-// so the binary format's size win (ISSUE acceptance: >= 4x smaller than
-// JSON lines) and decode speed are tracked across commits.
+// measure size and codec throughput, so the binary format's size win
+// over JSON lines and its decode speed are tracked across commits.
 package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"sherlock/internal/apps"
@@ -35,33 +32,38 @@ type storeResult struct {
 	DecodeSpeedup float64 `json:"decode_speedup"`    // json_decode_ns / decode_ns
 }
 
+const storeReps = 5 // codec passes per serialization; the best is reported
+
+func (storeResult) gate() error { return nil }
+
 // benchStore captures the whole benchmark corpus once, then times the
 // binary codec against the JSON-lines one over identical traces.
-func benchStore(outFile string, reps int) error {
+func benchStore() (storeResult, error) {
+	var res storeResult
 	var traces []*trace.Trace
 	for _, app := range apps.All() {
 		for i, test := range app.Tests {
 			run, err := sched.Run(app, test, sched.Options{Seed: int64(i) + 1})
 			if err != nil {
-				return err
+				return res, err
 			}
 			traces = append(traces, run.Trace)
 		}
 	}
 
-	res := storeResult{Traces: len(traces)}
+	res.Traces = len(traces)
 	var jsonDocs, binDocs [][]byte
 	for _, tr := range traces {
 		res.Events += len(tr.Events)
 		var jb bytes.Buffer
 		if err := tr.Write(&jb); err != nil {
-			return err
+			return res, err
 		}
 		jsonDocs = append(jsonDocs, jb.Bytes())
 		res.JSONBytes += jb.Len()
 		bb, err := store.EncodeTrace(tr)
 		if err != nil {
-			return err
+			return res, err
 		}
 		binDocs = append(binDocs, bb)
 		res.BinaryBytes += len(bb)
@@ -69,51 +71,37 @@ func benchStore(outFile string, reps int) error {
 	res.SizeRatio = float64(res.JSONBytes) / float64(res.BinaryBytes)
 	res.BytesPerEvent = float64(res.BinaryBytes) / float64(res.Events)
 
-	for rep := 0; rep < reps; rep++ {
+	for rep := 0; rep < storeReps; rep++ {
 		t0 := time.Now()
 		for _, tr := range traces {
 			if _, err := store.EncodeTrace(tr); err != nil {
-				return err
+				return res, err
 			}
 		}
-		if d := time.Since(t0); rep == 0 || d.Nanoseconds() < res.EncodeNs {
-			res.EncodeNs = d.Nanoseconds()
-		}
+		keepMin(&res.EncodeNs, time.Since(t0))
 
 		t0 = time.Now()
 		for _, bb := range binDocs {
 			if _, err := store.DecodeTrace(bb); err != nil {
-				return err
+				return res, err
 			}
 		}
-		if d := time.Since(t0); rep == 0 || d.Nanoseconds() < res.DecodeNs {
-			res.DecodeNs = d.Nanoseconds()
-		}
+		keepMin(&res.DecodeNs, time.Since(t0))
 
 		t0 = time.Now()
 		for _, jb := range jsonDocs {
 			if _, err := trace.Read(bytes.NewReader(jb)); err != nil {
-				return err
+				return res, err
 			}
 		}
-		if d := time.Since(t0); rep == 0 || d.Nanoseconds() < res.JSONDecodeNs {
-			res.JSONDecodeNs = d.Nanoseconds()
-		}
+		keepMin(&res.JSONDecodeNs, time.Since(t0))
 	}
 	res.EncodeMBs = float64(res.BinaryBytes) / 1e6 / (float64(res.EncodeNs) / 1e9)
 	res.DecodeMBs = float64(res.BinaryBytes) / 1e6 / (float64(res.DecodeNs) / 1e9)
 	res.DecodeSpeedup = float64(res.JSONDecodeNs) / float64(res.DecodeNs)
 
-	buf, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(outFile, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("%s: %d traces, %d events: binary %d B vs JSON %d B (%.2fx, %.1f B/event); decode %.1f MB/s, %.2fx faster than JSON\n",
-		outFile, res.Traces, res.Events, res.BinaryBytes, res.JSONBytes,
+	fmt.Printf("store: %d traces, %d events: binary %d B vs JSON %d B (%.2fx, %.1f B/event); decode %.1f MB/s, %.2fx faster than JSON\n",
+		res.Traces, res.Events, res.BinaryBytes, res.JSONBytes,
 		res.SizeRatio, res.BytesPerEvent, res.DecodeMBs, res.DecodeSpeedup)
-	return nil
+	return res, nil
 }

@@ -78,7 +78,7 @@ type Config struct {
 
 	// DisableTracing turns span construction off entirely: the engine runs
 	// with a nil tracer and every span operation is inert. Tracing with no
-	// Observer already costs < 2% of a campaign (cmd/bench -obs-out keeps
+	// Observer already costs < 2% of a campaign (cmd/bench -suite obs keeps
 	// it honest); this toggle exists for that benchmark's baseline and for
 	// ruling tracing out when bisecting performance.
 	DisableTracing bool

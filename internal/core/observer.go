@@ -62,7 +62,7 @@ func SinkObserver(s obs.Sink) Observer {
 // the Observer when one is configured. With no observer the tracer runs
 // with a nil sink — spans are still constructed, so attribute bookkeeping
 // stays on the always-exercised path, at a cost benchmarked under 2% of a
-// campaign (cmd/bench -obs-out).
+// campaign (cmd/bench -suite obs).
 func (c Config) tracer() *obs.Tracer {
 	if c.DisableTracing {
 		return nil

@@ -162,9 +162,9 @@ func solveDecomposed(p *Problem, warm *Basis) *Solution {
 	}
 
 	merged := &Solution{
-		Status: Optimal,
-		X:      make([]float64, len(p.names)),
-		Basis:  &Basis{},
+		Status:     Optimal,
+		X:          make([]float64, len(p.names)),
+		Basis:      &Basis{},
 		Components: len(comps),
 	}
 	worst := Optimal

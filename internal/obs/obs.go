@@ -27,7 +27,7 @@
 //
 // A Tracer with a nil sink still builds spans (so IDs/attributes are always
 // coherent) but emits nothing; that no-sink mode is the engine's default
-// and is benchmarked to cost < 2% on a full campaign (cmd/bench -obs-out).
+// and is benchmarked to cost < 2% on a full campaign (cmd/bench -suite obs).
 // A nil *Tracer and a nil *Span are both valid and make every method a
 // no-op, so call sites never need nil checks.
 package obs

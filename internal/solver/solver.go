@@ -363,17 +363,17 @@ func (e *Encoder) SolveSpan(obs *window.Observations, warm *lp.Basis, parent *ob
 	}
 
 	res := &Result{
-		Acquires:    map[trace.Key]float64{},
-		Releases:    map[trace.Key]float64{},
-		Objective:   sol.Objective,
-		Vars:        b.prob.NumVars(),
-		Constraints: b.prob.NumConstraints(),
-		Iters:       sol.Iters,
-		DualIters:   sol.DualIters,
-		Components:  sol.Components,
+		Acquires:      map[trace.Key]float64{},
+		Releases:      map[trace.Key]float64{},
+		Objective:     sol.Objective,
+		Vars:          b.prob.NumVars(),
+		Constraints:   b.prob.NumConstraints(),
+		Iters:         sol.Iters,
+		DualIters:     sol.DualIters,
+		Components:    sol.Components,
 		RowsPresolved: sol.RowsPresolved,
 		ColsPresolved: sol.ColsPresolved,
-		WarmStarted: sol.WarmStarted,
+		WarmStarted:   sol.WarmStarted,
 	}
 	for _, k := range e.keys {
 		vp := b.vars[k]

@@ -64,11 +64,11 @@ type Window struct {
 	// accumulator index), which keeps row names — and with them warm-basis
 	// mapping — stable even when later encodings insert windows from other
 	// traces ahead of this one. Empty for windows built live by the engine.
-	UID  string
-	Pair PairID
-	ThreadA   int
-	ThreadB   int
-	TA, TB    int64
+	UID     string
+	Pair    PairID
+	ThreadA int
+	ThreadB int
+	TA, TB  int64
 	// RelEvents are operations from ThreadA in (TA, TB): release candidates.
 	RelEvents []CandEvent
 	// AcqEvents are operations from ThreadB in (TA, TB): acquire candidates.
