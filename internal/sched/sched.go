@@ -196,7 +196,7 @@ type machine struct {
 	// Object identity.
 	slots     map[string]uint64
 	nextObjID uint64
-	fieldAddr map[string]uint64
+	fieldAddr map[fieldKey]uint64
 	fieldVal  map[uint64]int64
 	nextAddr  uint64
 
@@ -303,7 +303,7 @@ func runLoop(ctx context.Context, p *prog.Program, t *prog.Test, opt Options) (*
 		handleTID: map[string]int{},
 		inits:     map[string]*initState{},
 		slots:     map[string]uint64{},
-		fieldAddr: map[string]uint64{},
+		fieldAddr: map[fieldKey]uint64{},
 		fieldVal:  map[uint64]int64{},
 		nextObjID: 1,
 		nextAddr:  0x1000,
@@ -448,9 +448,17 @@ func (m *machine) objID(slot string) uint64 {
 	return id
 }
 
-// addr resolves (field, object) to a stable address for this run.
+// fieldKey names one field instance: a static field of one object.
+type fieldKey struct {
+	field string
+	obj   uint64
+}
+
+// addr resolves (field, object) to a stable address for this run: the
+// first access to a field instance allocates the next address, later
+// accesses find it without allocating.
 func (m *machine) addr(field string, obj uint64) uint64 {
-	key := fmt.Sprintf("%s#%d", field, obj)
+	key := fieldKey{field, obj}
 	if a, ok := m.fieldAddr[key]; ok {
 		return a
 	}

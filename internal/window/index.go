@@ -7,6 +7,8 @@
 package window
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"sherlock/internal/trace"
@@ -27,21 +29,32 @@ type Index struct {
 // NewIndex builds the per-thread index of a trace. Events arrive
 // time-ordered from the scheduler; out-of-order inputs are sorted
 // defensively.
+//
+// A counting pass sizes every thread's slices up front, carved from one
+// backing array per field, so no slice grows an event at a time.
 func NewIndex(tr *trace.Trace) *Index {
-	idx := &Index{app: tr.App, test: tr.Test, threads: map[int]*threadIndex{}}
+	counts := map[int]int{}
+	for i := range tr.Events {
+		counts[tr.Events[i].Thread]++
+	}
+	idx := &Index{app: tr.App, test: tr.Test, threads: make(map[int]*threadIndex, len(counts))}
+	times := make([]int64, len(tr.Events))
+	cands := make([]CandEvent, len(tr.Events))
+	off := 0
+	for th, n := range counts {
+		idx.threads[th] = &threadIndex{times: times[off : off : off+n], cands: cands[off : off : off+n]}
+		off += n
+	}
 	for i := range tr.Events {
 		e := &tr.Events[i]
-		ti, ok := idx.threads[e.Thread]
-		if !ok {
-			ti = &threadIndex{}
-			idx.threads[e.Thread] = ti
-		}
+		ti := idx.threads[e.Thread]
 		ti.times = append(ti.times, e.Time)
 		ti.cands = append(ti.cands, CandEvent{Key: trace.EventKey(e), Time: e.Time})
 	}
+	byTime := func(a, b CandEvent) int { return cmp.Compare(a.Time, b.Time) }
 	for _, ti := range idx.threads {
-		if !sort.SliceIsSorted(ti.cands, func(i, j int) bool { return ti.cands[i].Time < ti.cands[j].Time }) {
-			sort.SliceStable(ti.cands, func(i, j int) bool { return ti.cands[i].Time < ti.cands[j].Time })
+		if !slices.IsSortedFunc(ti.cands, byTime) {
+			slices.SortStableFunc(ti.cands, byTime)
 			for i, c := range ti.cands {
 				ti.times[i] = c.Time
 			}

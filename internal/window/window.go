@@ -7,6 +7,8 @@
 package window
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -139,19 +141,21 @@ type Conflict struct {
 // A before B. Pairs per static location pair are capped by perPairCap to
 // bound the quadratic blowup from loops (the Extractor applies its own
 // cross-run cap later).
+//
+// The per-address lists hold event indices, not event copies: the pair
+// loop reads events in place and copies only the pairs it emits.
 func FindConflicts(tr *trace.Trace, cfg Config) []Conflict {
-	type acc struct {
-		ev trace.Event
-	}
-	byAddr := map[uint64][]acc{}
-	for _, e := range tr.Events {
+	evs := tr.Events
+	byAddr := map[uint64][]int32{}
+	for i := range evs {
+		e := &evs[i]
 		if !e.ConflictEligible() {
 			continue
 		}
 		if e.Lib && !cfg.UseUnsafeAPIs {
 			continue
 		}
-		byAddr[e.Addr] = append(byAddr[e.Addr], acc{ev: e})
+		byAddr[e.Addr] = append(byAddr[e.Addr], int32(i))
 	}
 	// The per-pair cap below consumes a budget shared across addresses, so
 	// the iteration order decides WHICH conflicts survive once a pair
@@ -162,16 +166,22 @@ func FindConflicts(tr *trace.Trace, cfg Config) []Conflict {
 	for a := range byAddr {
 		addrs = append(addrs, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
+	// The scheduler emits time-ordered traces, but uploaded ones may run
+	// backwards; the Near cut-off below needs each address's accesses in
+	// time order.
+	byTime := func(i, j int32) int { return cmp.Compare(evs[i].Time, evs[j].Time) }
 	var out []Conflict
 	perPair := map[PairID]int{}
-	for _, a := range addrs {
-		evs := byAddr[a]
-		// Events arrive time-ordered (trace is sorted).
-		for j := 1; j < len(evs); j++ {
-			b := evs[j].ev
+	for _, addr := range addrs {
+		ix := byAddr[addr]
+		if !slices.IsSortedFunc(ix, byTime) {
+			slices.SortStableFunc(ix, byTime)
+		}
+		for j := 1; j < len(ix); j++ {
+			b := &evs[ix[j]]
 			for i := j - 1; i >= 0; i-- {
-				a := evs[i].ev
+				a := &evs[ix[i]]
 				if b.Time-a.Time > cfg.Near {
 					break
 				}
@@ -186,7 +196,7 @@ func FindConflicts(tr *trace.Trace, cfg Config) []Conflict {
 					continue
 				}
 				perPair[pid]++
-				out = append(out, Conflict{A: a, B: b})
+				out = append(out, Conflict{A: *a, B: *b})
 			}
 		}
 	}

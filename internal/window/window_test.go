@@ -2,6 +2,7 @@ package window
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -22,6 +23,58 @@ func ev(t int64, th int, kind trace.Kind, name string, addr uint64) trace.Event 
 
 func mkTrace(events ...trace.Event) *trace.Trace {
 	return &trace.Trace{App: "a", Test: "t", Events: events}
+}
+
+// findConflictsRef is FindConflicts as it was before the pair loop read
+// events in place: per-address lists of event copies, compared by value.
+// It stays as the differential oracle for the index-based version on
+// time-ordered traces.
+func findConflictsRef(tr *trace.Trace, cfg Config) []Conflict {
+	type acc struct {
+		ev trace.Event
+	}
+	byAddr := map[uint64][]acc{}
+	for _, e := range tr.Events {
+		if !e.ConflictEligible() {
+			continue
+		}
+		if e.Lib && !cfg.UseUnsafeAPIs {
+			continue
+		}
+		byAddr[e.Addr] = append(byAddr[e.Addr], acc{ev: e})
+	}
+	addrs := make([]uint64, 0, len(byAddr))
+	for a := range byAddr {
+		addrs = append(addrs, a)
+	}
+	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	var out []Conflict
+	perPair := map[PairID]int{}
+	for _, a := range addrs {
+		evs := byAddr[a]
+		for j := 1; j < len(evs); j++ {
+			b := evs[j].ev
+			for i := j - 1; i >= 0; i-- {
+				a := evs[i].ev
+				if b.Time-a.Time > cfg.Near {
+					break
+				}
+				if a.Thread == b.Thread {
+					continue
+				}
+				if a.Acc != trace.AccWrite && b.Acc != trace.AccWrite {
+					continue
+				}
+				pid := PairID{First: a.Site, Second: b.Site}
+				if perPair[pid] >= cfg.PerPairCap {
+					continue
+				}
+				perPair[pid]++
+				out = append(out, Conflict{A: a, B: b})
+			}
+		}
+	}
+	return out
 }
 
 func TestFindConflictsBasics(t *testing.T) {
@@ -363,6 +416,7 @@ func windowsEqual(a, b Window) bool {
 func BenchmarkFindConflicts(b *testing.B) {
 	tr, _ := benchTrace()
 	cfg := DefaultConfig()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		FindConflicts(tr, cfg)
@@ -372,6 +426,7 @@ func BenchmarkFindConflicts(b *testing.B) {
 // BenchmarkBuildWindows vs the naive path, on an App-1-sized trace.
 func BenchmarkBuildWindows(b *testing.B) {
 	tr, conflicts := benchTrace()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BuildWindows(tr, conflicts)
