@@ -1,4 +1,4 @@
-// sherlockd client mode: submit jobs to a running daemon, poll status,
+// sherlockd client mode: submit jobs to a running daemon, wait on them,
 // and fetch content-addressed results, so a fleet of CLI users shares one
 // warm cache instead of each paying full trace capture + inference.
 package main
@@ -7,12 +7,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
-	"time"
 )
 
 // jobView mirrors the server's job JSON (internal/server.jobView).
@@ -55,9 +53,9 @@ func apiError(op, status string, body []byte) error {
 	return fmt.Errorf("%s: %s: %s", op, status, strings.TrimSpace(string(body)))
 }
 
-// submitJob POSTs an application job and optionally polls it to
-// completion, printing the id, content key, and terminal status. With
-// wait set it also fetches and pretty-prints the result summary.
+// submitJob POSTs an application job, printing the id, content key, and
+// status. With wait set it waits for the job to finish, then fetches and
+// pretty-prints the result summary.
 func submitJob(ctx context.Context, base, app string, rounds int, lambda float64, near, seed int64, wait bool) error {
 	spec := submitSpec{App: app, Rounds: rounds, Lambda: lambda, Near: near, Seed: seed}
 	return postJobSpec(ctx, base, spec, wait)
@@ -102,26 +100,9 @@ func createWatchJob(ctx context.Context, base, app string) (string, error) {
 // terminates or ctx is canceled.
 func watchJob(ctx context.Context, base, id string, after uint64) error {
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		url := fmt.Sprintf("%s/v1/jobs/%s/watch?after=%d&timeout=30", base, id, after)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+		v, err := longPoll(ctx, base, id, after)
 		if err != nil {
 			return err
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return err
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return apiError("watch "+id, resp.Status, body)
-		}
-		var v jobView
-		if err := json.Unmarshal(body, &v); err != nil {
-			return fmt.Errorf("watch %s: bad response: %w", id, err)
 		}
 		if v.Version > after {
 			after = v.Version
@@ -130,8 +111,7 @@ func watchJob(ctx context.Context, base, id string, after uint64) error {
 				return err
 			}
 		}
-		switch v.Status {
-		case "done", "failed", "canceled":
+		if terminal(v.Status) {
 			fmt.Printf("job %s  status %s\n", v.ID, v.Status)
 			if v.Status == "failed" {
 				return fmt.Errorf("job %s failed: %s", v.ID, v.Error)
@@ -139,6 +119,36 @@ func watchJob(ctx context.Context, base, id string, after uint64) error {
 			return nil
 		}
 	}
+}
+
+// longPoll makes one GET /v1/jobs/{id}/watch request: the server answers
+// once the job publishes a version past after or terminates, or with the
+// current view after 30 s, so callers loop until they see what they want.
+func longPoll(ctx context.Context, base, id string, after uint64) (*jobView, error) {
+	url := fmt.Sprintf("%s/v1/jobs/%s/watch?after=%d&timeout=30", base, id, after)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, apiError("watch "+id, resp.Status, body)
+	}
+	var v jobView
+	if err := json.Unmarshal(body, &v); err != nil {
+		return nil, fmt.Errorf("watch %s: bad response: %w", id, err)
+	}
+	return &v, nil
+}
+
+// terminal reports whether a job status is final.
+func terminal(status string) bool {
+	return status == "done" || status == "failed" || status == "canceled"
 }
 
 // listJobs prints GET /v1/jobs, following pagination cursors, optionally
@@ -207,7 +217,7 @@ func postSpec(ctx context.Context, base string, spec submitSpec) (*jobView, erro
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errConnect, err)
+		return nil, err
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
@@ -221,22 +231,11 @@ func postSpec(ctx context.Context, base string, spec submitSpec) (*jobView, erro
 	return &v, nil
 }
 
-// postJobSpec is the shared submit/poll/print path behind -submit and
-// -submit-keys. Against a cluster it submits straight to the content key's
-// ring owner (route.go); if that owner dies between the info fetch and the
-// POST, it falls back to the URL the user gave — the server-side proxy
-// layer makes any node correct, routing only saves the extra hop.
+// postJobSpec is the shared submit/wait/print path behind every one-shot
+// submission. Any node of a cluster accepts it: the server proxies the job
+// to its content key's ring owner.
 func postJobSpec(ctx context.Context, base string, spec submitSpec, wait bool) error {
-	target, routed := routeSubmit(ctx, base, spec)
-	if routed && target != base {
-		fmt.Printf("routing to key owner %s\n", target)
-	}
-	v, err := postSpec(ctx, target, spec)
-	if err != nil && routed && errors.Is(err, errConnect) {
-		fmt.Printf("owner unreachable, falling back to %s\n", base)
-		target = base
-		v, err = postSpec(ctx, base, spec)
-	}
+	v, err := postSpec(ctx, base, spec)
 	if err != nil {
 		return err
 	}
@@ -244,33 +243,15 @@ func postJobSpec(ctx context.Context, base string, spec submitSpec, wait bool) e
 	if !wait {
 		return nil
 	}
-	final, err := pollJob(ctx, target, v.ID)
-	if err != nil {
-		return err
-	}
-	if final.Status != "done" {
-		return fmt.Errorf("job %s ended %s: %s", final.ID, final.Status, final.Error)
-	}
-	return printServerResult(ctx, target, final.Key)
-}
-
-// pollJob polls GET /v1/jobs/{id} until the job is terminal.
-func pollJob(ctx context.Context, base, id string) (*jobView, error) {
-	for {
-		v, err := jobStatus(ctx, base, id)
-		if err != nil {
-			return nil, err
-		}
-		switch v.Status {
-		case "done", "failed", "canceled":
-			return v, nil
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(100 * time.Millisecond):
+	for !terminal(v.Status) {
+		if v, err = longPoll(ctx, base, v.ID, v.Version); err != nil {
+			return err
 		}
 	}
+	if v.Status != "done" {
+		return fmt.Errorf("job %s ended %s: %s", v.ID, v.Status, v.Error)
+	}
+	return printServerResult(ctx, base, v.Key)
 }
 
 func jobStatus(ctx context.Context, base, id string) (*jobView, error) {

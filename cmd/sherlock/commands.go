@@ -248,7 +248,7 @@ func cmdSubmit(ctx context.Context, args []string) {
 	lambda := fs.Float64("lambda", 0, "lambda override (0 = server default)")
 	near := fs.Int64("near", 0, "near-window override (0 = server default)")
 	seed := fs.Int64("seed", 0, "seed override (0 = server default)")
-	wait := fs.Bool("wait", false, "poll the job to completion and print its result")
+	wait := fs.Bool("wait", false, "wait for the job to finish and print its result")
 	fs.Parse(args)
 	if *server == "" {
 		die(fmt.Errorf("submit: -server is required"))

@@ -137,7 +137,7 @@ func main() {
 		defer cancel()
 	}
 	// Flip the drain signal before the HTTP listener closes so parked
-	// long-polls and SSE streams return immediately instead of holding
+	// watch long-polls return immediately instead of holding
 	// hs.Shutdown until their own timeouts; then stop accepting HTTP,
 	// let admitted jobs finish, and finally stop the cluster loops.
 	srv.BeginDrain()

@@ -59,12 +59,7 @@ func (c *Cluster) handleInfo(w http.ResponseWriter, r *http.Request) {
 		Replicas int        `json:"replicas"`
 		Vnodes   int        `json:"vnodes_per_node"`
 		Peers    []infoPeer `json:"peers"`
-		// JobConfig is the node's base inference config in the canonical
-		// key encoding: with it a client can compute any submission's
-		// content key (server.JobKeyFromConfigText) and hash its ring
-		// owner locally, skipping the proxy hop.
-		JobConfig string `json:"job_config"`
-	}{c.self, c.cfg.Replicas, vnodesPerNode, peers, c.srv.BaseConfigText()})
+	}{c.self, c.cfg.Replicas, vnodesPerNode, peers})
 }
 
 // handleManifest lists the local corpus key set for anti-entropy diffs.

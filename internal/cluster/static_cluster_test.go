@@ -70,31 +70,3 @@ func TestClusterStaticReportShared(t *testing.T) {
 		t.Errorf("static report computed %g times across the cluster, want 1", computes)
 	}
 }
-
-// TestClusterInfoJobConfig: /v1/cluster/info publishes the node's base
-// config in the canonical key encoding, and every member publishes the
-// same text (a precondition for client-side key computation).
-func TestClusterInfoJobConfig(t *testing.T) {
-	nodes := startCluster(t, 2, 1)
-	var texts []string
-	for _, nd := range nodes {
-		resp, err := http.Get(nd.url + "/v1/cluster/info")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var info struct {
-			JobConfig string `json:"job_config"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if info.JobConfig == "" {
-			t.Fatalf("%s: empty job_config", nd.id)
-		}
-		texts = append(texts, info.JobConfig)
-	}
-	if texts[0] != texts[1] {
-		t.Fatalf("nodes publish different config texts:\n%q\nvs\n%q", texts[0], texts[1])
-	}
-}

@@ -86,17 +86,11 @@ func ExtractTrace(key string, t *trace.Trace, cfg window.Config) TraceExtract {
 	}
 }
 
-// fold replays the extract into an accumulator, mirroring what
-// InferFromSource does with the live trace.
-func (x *TraceExtract) fold(acc *window.Observations) {
-	acc.AddWindows(x.Windows)
-	acc.AddStats(x.Durations, x.LibAPIs)
-}
-
 // foldCanonical folds the extract under canonical window admission, so
 // the accumulator state depends only on the set of extracts folded, not
 // their arrival order. Over extracts offered in sorted-key order the
-// result is bit-identical to fold.
+// result is bit-identical to the plain AddWindows/AddTraceStats replay
+// InferFromSource performs on the live traces.
 func (x *TraceExtract) foldCanonical(acc *window.Observations) {
 	acc.AddWindowsCanonical(x.Windows)
 	acc.AddStats(x.Durations, x.LibAPIs)

@@ -19,7 +19,6 @@
 package lp
 
 import (
-	"fmt"
 	"math"
 	"slices"
 )
@@ -117,24 +116,4 @@ func (r *revised) dualIterate() Status {
 		r.dualIters++
 		r.pivot(leave, enter, r.t, acols)
 	}
-}
-
-// ReoptimizeDual re-optimizes this problem from the optimal basis of a
-// previous, related solve — the entry point for cross-round row additions
-// and excisions. The carried basis is mapped by row/column names and
-// refactorized; if the mapped vertex is primal infeasible (the usual case
-// after appending rows) it is repaired by dual simplex pivots rather than
-// a primal restart, and Solution.DualIters reports how many were spent.
-//
-// Unlike SolveWarm — which this shares all machinery with — ReoptimizeDual
-// insists on a basis: passing nil (or an empty basis) is an error rather
-// than a silent cold start, so callers re-optimizing in a loop notice when
-// they lose their warm-start chain. The result is still exact: if the
-// basis cannot be applied the solve falls back to the cold two-phase path
-// and reports WarmStarted=false.
-func (p *Problem) ReoptimizeDual(warm *Basis) (*Solution, error) {
-	if warm.Size() == 0 {
-		return nil, fmt.Errorf("lp: ReoptimizeDual requires the basis of a previous solve")
-	}
-	return p.SolveWarm(warm)
 }

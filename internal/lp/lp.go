@@ -6,7 +6,7 @@
 //	            0 ≤ xⱼ ≤ uⱼ          for every variable j
 //
 // It stands in for the external solver (Flipy/CBC) used by the SherLock
-// paper. Solve / SolveWarm / ReoptimizeDual run a sparse revised simplex
+// paper. Solve / SolveWarm run a sparse revised simplex
 // over an LU-factorized basis (lu.go): constraint columns are stored
 // sparsely (the synchronization-inference encodings are >95% zeros), the
 // basis factors are updated in place by sparse eta updates and
@@ -288,7 +288,7 @@ type Solution struct {
 
 	// DualIters counts the subset of Iters performed by the dual simplex
 	// (warm re-optimizations after cross-round row changes; see
-	// ReoptimizeDual). Zero on cold solves.
+	// SolveWarm). Zero on cold solves.
 	DualIters int
 	// Components is the number of independent blocks the problem split
 	// into (1 when it did not decompose; 0 when presolve solved it whole).
@@ -343,13 +343,6 @@ func (p *Problem) SolveWarm(warm *Basis) (*Solution, error) {
 	}
 	span.End()
 	return sol, err
-}
-
-// Solve runs the sparse revised simplex on prob, warm-started from the
-// previous round's optimal basis when warmStart is non-nil (see
-// Problem.SolveWarm).
-func Solve(prob *Problem, warmStart *Basis) (*Solution, error) {
-	return prob.SolveWarm(warmStart)
 }
 
 // statusErr converts a non-optimal terminal status into the error Solve

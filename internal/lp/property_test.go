@@ -176,7 +176,7 @@ func (s *mutableLP) excise(rng *rand.Rand) {
 }
 
 // TestDualReoptimizeVsCold carries a basis through random add/excise
-// sequences: after every mutation, ReoptimizeDual from the previous
+// sequences: after every mutation, SolveWarm from the previous
 // optimal basis must agree with a cold solve of the identical problem.
 // The sequence includes ε-free cutting rows, so the test also asserts the
 // dual simplex actually engaged (DualIters > 0 overall) rather than every
@@ -203,7 +203,7 @@ func TestDualReoptimizeVsCold(t *testing.T) {
 			}
 			next := spec.build()
 			coldSol, coldErr := next.Solve()
-			warmSol, warmErr := next.ReoptimizeDual(basis)
+			warmSol, warmErr := next.SolveWarm(basis)
 			if (coldErr == nil) != (warmErr == nil) {
 				t.Fatalf("trial %d step %d: cold err=%v warm err=%v", trial, step, coldErr, warmErr)
 			}
@@ -237,23 +237,6 @@ func TestDualReoptimizeVsCold(t *testing.T) {
 	}
 	if dualPivots == 0 {
 		t.Fatal("the dual simplex never pivoted: cutting rows should be repaired dually, not by cold restarts")
-	}
-}
-
-// TestReoptimizeDualRequiresBasis pins the contract that losing the
-// warm-start chain is an error, not a silent cold start.
-func TestReoptimizeDualRequiresBasis(t *testing.T) {
-	p := NewProblem()
-	v := p.AddVariable("x")
-	p.AddCost(v, 1)
-	if _, err := p.ReoptimizeDual(nil); err == nil {
-		t.Fatal("ReoptimizeDual(nil) must error")
-	}
-	if _, err := p.ReoptimizeDual(&Basis{}); err == nil {
-		t.Fatal("ReoptimizeDual(empty) must error")
-	}
-	if _, err := p.Solve(); err != nil {
-		t.Fatalf("plain solve: %v", err)
 	}
 }
 

@@ -30,9 +30,9 @@ func goroutinesStable(limit int, deadline time.Duration) int {
 }
 
 // TestShutdownLeavesNoGoroutines exercises the full goroutine surface —
-// watch subscriptions with armed retry backoff, long-poll watchers,
-// an SSE stream, workers with completed jobs — then shuts down and
-// asserts the goroutine count returns to its pre-server baseline.
+// watch subscriptions with armed retry backoff, long-poll watchers and
+// workers with completed jobs — then shuts down and asserts the goroutine
+// count returns to its pre-server baseline.
 func TestShutdownLeavesNoGoroutines(t *testing.T) {
 	baseline := goroutinesStable(0, time.Second)
 
@@ -74,8 +74,8 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	// Park long-poll and SSE watchers on the idle subscription; they must
-	// be released by drain, not by their own 60s timeouts.
+	// Park long-poll watchers on the idle subscription; they must be
+	// released by drain, not by their own 60s timeouts.
 	pollDone := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
@@ -86,22 +86,6 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 			pollDone <- err
 		}()
 	}
-	sseDone := make(chan error, 1)
-	go func() {
-		req, _ := http.NewRequest("GET", ts.URL+"/v1/jobs/"+watchIDs[1]+"/watch", nil)
-		req.Header.Set("Accept", "text/event-stream")
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
-			buf := make([]byte, 1024)
-			for {
-				if _, rerr := resp.Body.Read(buf); rerr != nil {
-					break
-				}
-			}
-			resp.Body.Close()
-		}
-		sseDone <- err
-	}()
 	time.Sleep(100 * time.Millisecond) // let the watchers park
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
@@ -122,11 +106,6 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("long-poll watcher still parked after shutdown")
 		}
-	}
-	select {
-	case <-sseDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("SSE watcher still parked after shutdown")
 	}
 	ts.Close()
 

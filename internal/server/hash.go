@@ -24,7 +24,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"strings"
 
 	"sherlock/internal/core"
 	"sherlock/internal/prog"
@@ -38,16 +37,6 @@ const keyEncodingV1 = "sherlock-job-v1"
 // (App, StaticApp, or Traces) plus the effective, fully resolved inference
 // config.
 func JobKey(spec JobSpec, cfg core.Config) string {
-	return JobKeyFromConfigText(spec, ConfigText(cfg))
-}
-
-// JobKeyFromConfigText is JobKey over a pre-rendered canonical config text
-// (ConfigText of the executing server's BASE config) with the spec's
-// overrides patched in textually. It exists for clients: a node publishes
-// its base config text on /v1/cluster/info, and any client holding it can
-// compute the exact content key a submission will get — and therefore
-// which ring member owns it — without re-implementing config resolution.
-func JobKeyFromConfigText(spec JobSpec, cfgText string) string {
 	h := sha256.New()
 	io.WriteString(h, keyEncodingV1+"\n")
 	switch {
@@ -72,50 +61,8 @@ func JobKeyFromConfigText(spec JobSpec, cfgText string) string {
 			io.WriteString(h, "\n")
 		}
 	}
-	io.WriteString(h, applyOverrides(spec, cfgText))
+	writeConfig(h, cfg)
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// applyOverrides patches a canonical config text with the spec's override
-// fields, line for line — the textual mirror of JobSpec.effectiveConfig.
-// Every override corresponds to exactly one tagged line of writeConfig, so
-// patching the text and re-rendering the patched config are equivalent.
-func applyOverrides(spec JobSpec, cfgText string) string {
-	if spec.Rounds != 0 {
-		cfgText = replaceLine(cfgText, "rounds=", fmt.Sprintf("rounds=%d", spec.Rounds))
-	}
-	if spec.Lambda != 0 {
-		cfgText = replaceLine(cfgText, "solver.lambda=", fmt.Sprintf("solver.lambda=%g", spec.Lambda))
-	}
-	if spec.Near != 0 {
-		cfgText = replaceLine(cfgText, "window.near=", fmt.Sprintf("window.near=%d", spec.Near))
-	}
-	if spec.Seed != 0 {
-		cfgText = replaceLine(cfgText, "seed=", fmt.Sprintf("seed=%d", spec.Seed))
-	}
-	if spec.MaxSteps != 0 {
-		cfgText = replaceLine(cfgText, "maxsteps=", fmt.Sprintf("maxsteps=%d", spec.MaxSteps))
-	}
-	return cfgText
-}
-
-// replaceLine swaps the one line starting with prefix for repl.
-func replaceLine(text, prefix, repl string) string {
-	lines := strings.Split(text, "\n")
-	for i, l := range lines {
-		if strings.HasPrefix(l, prefix) {
-			lines[i] = repl
-		}
-	}
-	return strings.Join(lines, "\n")
-}
-
-// ConfigText renders every result-relevant Config field in the canonical
-// key encoding — the text JobKey hashes and /v1/cluster/info publishes.
-func ConfigText(cfg core.Config) string {
-	var b strings.Builder
-	writeConfig(&b, cfg)
-	return b.String()
 }
 
 // staticKeyEncodingV1 versions static-report content addresses.

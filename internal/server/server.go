@@ -17,8 +17,7 @@
 //	GET    /v1/jobs/{id}/watch
 //	                         long-poll until the job publishes a version
 //	                         > ?after or terminates (?timeout seconds,
-//	                         default 30); SSE state events with
-//	                         Accept: text/event-stream
+//	                         default 30)
 //	GET    /v1/jobs/{id}/spans
 //	                         the job's campaign span tree (deterministic
 //	                         IDs/attrs; wall durations vary per run)
@@ -92,7 +91,7 @@ type Server struct {
 	baseCancel context.CancelFunc
 
 	// drainCh closes the moment drain begins, before the queue empties,
-	// so long-poll and SSE watch handlers return promptly instead of
+	// so long-poll watch handlers return promptly instead of
 	// holding http.Server.Shutdown hostage for their full timeout.
 	drainCh   chan struct{}
 	drainOnce sync.Once
@@ -249,7 +248,7 @@ func (s *Server) Cache() *ResultCache { return s.cache }
 func (s *Server) Corpus() *store.Corpus { return s.corpus }
 
 // BeginDrain flips the server into draining mode without waiting:
-// submissions start getting 503 and every long-poll/SSE watch handler
+// submissions start getting 503 and every long-poll watch handler
 // returns its current view, so an enclosing http.Server.Shutdown
 // completes on request timescales. Shutdown and Close call it
 // implicitly; cmd/sherlockd calls it first so the HTTP listener can
@@ -849,12 +848,4 @@ func serveResultBody(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
-}
-
-// BaseConfigText renders the server's base inference config in the
-// canonical key encoding. Published on /v1/cluster/info so clients can
-// compute job content keys — and route submissions to their ring owners —
-// without re-implementing config resolution.
-func (s *Server) BaseConfigText() string {
-	return ConfigText(JobSpec{}.effectiveConfig(s.cfg.Inference))
 }

@@ -90,29 +90,6 @@ func TestStaticJob(t *testing.T) {
 	}
 }
 
-// TestJobKeyFromConfigText: the client-side key computation (canonical
-// config text + textual override patching) must agree with the server's
-// JobKey for every override field — the property ring-aware client routing
-// stands on.
-func TestJobKeyFromConfigText(t *testing.T) {
-	base := DefaultConfig().Inference
-	text := ConfigText(JobSpec{}.effectiveConfig(base))
-	specs := []JobSpec{
-		{App: "App-1"},
-		{App: "App-1", Rounds: 5},
-		{App: "App-2", Lambda: 0.7, Seed: 42},
-		{App: "App-2", Near: 9000, MaxSteps: 1234},
-		{TraceKeys: []string{"k1", "k2"}, Rounds: 2},
-	}
-	for _, spec := range specs {
-		server := JobKey(spec, spec.effectiveConfig(base))
-		client := JobKeyFromConfigText(spec, text)
-		if server != client {
-			t.Errorf("spec %+v: client key %s != server key %s", spec, client, server)
-		}
-	}
-}
-
 // TestStaticReportKeyStability: the report key moves with the program and
 // the static-relevant config, and ignores execution-only knobs.
 func TestStaticReportKeyStability(t *testing.T) {

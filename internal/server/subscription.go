@@ -15,7 +15,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"regexp"
@@ -303,9 +302,7 @@ func (s *Server) subDone(sub *subscription) {
 // handleJobWatch long-polls a job until it publishes a version greater
 // than ?after or reaches a terminal state, whichever comes first; at
 // ?timeout (default 30s, capped at 60s) it returns the current view so
-// clients loop. With Accept: text/event-stream it switches to SSE and
-// pushes a state event per update until the job terminates or the client
-// goes away.
+// clients loop. It is the API's only way to wait on a job.
 func (s *Server) handleJobWatch(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
@@ -315,10 +312,6 @@ func (s *Server) handleJobWatch(w http.ResponseWriter, r *http.Request) {
 	after, err := parseUintParam(r, "after", 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
-		return
-	}
-	if acceptsEventStream(r) {
-		s.watchSSE(w, r, j, after)
 		return
 	}
 	timeoutSec, err := parseUintParam(r, "timeout", 30)
@@ -355,71 +348,6 @@ func (s *Server) handleJobWatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// watchSSE streams job state as server-sent events: one "state" event
-// immediately, one per publish or terminal transition, and comment
-// heartbeats to keep intermediaries from timing the stream out.
-func (s *Server) watchSSE(w http.ResponseWriter, r *http.Request, j *Job, after uint64) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, "streaming unsupported by this connection")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	send := func() (terminal bool) {
-		v := j.view()
-		body, err := json.Marshal(v)
-		if err != nil {
-			return true
-		}
-		fmt.Fprintf(w, "event: state\ndata: %s\n\n", body)
-		flusher.Flush()
-		return JobStatus(v.Status).terminal()
-	}
-	// Initial state, unless the client is resuming past it.
-	if version, status, _ := j.watchState(); version > after || status.terminal() || version == 0 {
-		if send() {
-			return
-		}
-	}
-	heartbeat := time.NewTicker(15 * time.Second)
-	defer heartbeat.Stop()
-	for {
-		_, _, updated := j.watchState()
-		var updateCh <-chan struct{}
-		if updated != nil {
-			updateCh = updated
-		}
-		select {
-		case <-updateCh:
-			if send() {
-				return
-			}
-		case <-j.Done():
-			send()
-			return
-		case <-heartbeat.C:
-			fmt.Fprint(w, ": heartbeat\n\n")
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		case <-s.drainCh:
-			send()
-			return
-		case <-s.baseCtx.Done():
-			send()
-			return
-		}
-	}
-}
-
-// acceptsEventStream reports whether the client asked for SSE.
-func acceptsEventStream(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 }
 
 // parseUintParam reads an unsigned integer query parameter with a default.

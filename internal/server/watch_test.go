@@ -1,17 +1,15 @@
 // Integration tests for watch subscriptions: upload-while-watching version
-// bumps, cache coherence with one-shot corpus jobs, long-poll and SSE
-// delivery, cancelation, checkpoint resume across server restarts, and the
+// bumps, cache coherence with one-shot corpus jobs, long-poll delivery,
+// cancelation, checkpoint resume across server restarts, and the
 // GET /v1/jobs listing.
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -272,51 +270,6 @@ func TestWatchResumesFromCheckpoint(t *testing.T) {
 	}
 	if covered := ck.Covered(); len(covered) != 1 {
 		t.Errorf("checkpoint covers %d traces %v, want only the App-1 trace", len(covered), covered)
-	}
-}
-
-func TestWatchSSE(t *testing.T) {
-	cfg := fastConfig()
-	cfg.CorpusDir = t.TempDir()
-	_, ts := startTestServer(t, cfg)
-	traces := captureApp1Traces(t, 1)
-	_, watch := postJob(t, ts.URL, map[string]any{"watch_app": "App-1"})
-
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/jobs/"+watch.ID+"/watch", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type %q, want text/event-stream", ct)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	readEvent := func() jobView {
-		t.Helper()
-		for sc.Scan() {
-			line := sc.Text()
-			if strings.HasPrefix(line, "data: ") {
-				var v jobView
-				if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &v); err != nil {
-					t.Fatal(err)
-				}
-				return v
-			}
-		}
-		t.Fatalf("stream ended early: %v", sc.Err())
-		return jobView{}
-	}
-	if v := readEvent(); v.Version != 0 || v.Status != string(StatusWatching) {
-		t.Fatalf("initial SSE state: status %s version %d", v.Status, v.Version)
-	}
-	uploadTraceT(t, ts.URL, traces[0])
-	if v := readEvent(); v.Version != 1 {
-		t.Fatalf("SSE update: version %d, want 1", v.Version)
 	}
 }
 

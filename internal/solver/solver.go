@@ -346,17 +346,13 @@ func (e *Encoder) SolveSpan(obs *window.Observations, warm *lp.Basis, parent *ob
 
 	// A carried basis means the problem is an incremental revision of the
 	// one that produced it: rows were appended (new windows) or excised
-	// (pairs turned racy). That is the dual simplex's home turf, so route
-	// through ReoptimizeDual; a cold round takes the two-phase primal path.
-	var (
-		sol *lp.Solution
-		err error
-	)
-	if warm != nil && warm.Size() > 0 {
-		sol, err = b.prob.ReoptimizeDual(warm)
-	} else {
-		sol, err = b.prob.Solve()
+	// (pairs turned racy), which SolveWarm repairs with dual simplex
+	// pivots. An empty basis is passed as nil so the round is recorded as
+	// a cold two-phase solve.
+	if warm.Size() == 0 {
+		warm = nil
 	}
+	sol, err := b.prob.SolveWarm(warm)
 	if err != nil {
 		return nil, nil, fmt.Errorf("solver: lp with %d vars, %d constraints over %d windows: %w",
 			b.prob.NumVars(), b.prob.NumConstraints(), len(obs.Windows), err)
