@@ -1,11 +1,18 @@
 // Cross-solve warm starting. A Basis carries a solve's optimal basis as
-// (row name, basic column name) pairs — nothing numerical. Because the
-// SherLock encodings grow incrementally (each Perturber round mostly
-// appends windows, i.e. new rows and columns, to the previous round's
-// program), most of a carried basis maps straight onto the next problem:
-// applyWarm re-resolves the names against the new standard form, gives
-// every uncovered row a crash column, and refactorizes the result from the
-// *current* problem data (lu.go).
+// (row, basic column) identity pairs — nothing numerical. An identity is
+// a (kind, name) value: a constraint row or a variable's upper-bound row,
+// and a structural, slack or artificial column, each named by the
+// variable or constraint it stands for. No identity string is ever built
+// during a solve; serialize.go renders them ("ub(x)", "v:x", "s:row",
+// "a:row") only at the JSON boundary.
+//
+// Because the SherLock encodings grow incrementally (each Perturber round
+// mostly appends windows, i.e. new rows and columns, to the previous
+// round's program), most of a carried basis maps straight onto the next
+// problem: warmIndex resolves the identities once per solve against the
+// reduced problem, applyWarm gives every uncovered row of a component a
+// crash column, and the result is refactorized from the *current*
+// problem data (lu.go).
 //
 // Refactorizing — rather than carrying an inverse — is what makes the warm
 // start robust: coefficient changes, right-hand-side changes, renamed or
@@ -18,13 +25,62 @@
 // feasible because it was optimal.
 package lp
 
+import "strings"
+
+// idKind says what a row or column identity names.
+type idKind uint8
+
+const (
+	idRow     idKind = iota // constraint row name
+	idUB                    // upper-bound row of variable name
+	idVar                   // structural column of variable name
+	idSlack                 // slack/surplus column of constraint row name
+	idSlackUB               // slack column of variable name's upper-bound row
+	idArt                   // artificial column of constraint row name
+	idArtUB                 // artificial column of variable name's upper-bound row
+	idOther                 // a decoded string no solve produces: matches nothing
+)
+
+// ident identifies a standard-form row or column across problems. Two
+// identities are equal exactly when their rendered strings are, because
+// rowIdent normalizes a constraint named like an upper-bound row.
+type ident struct {
+	kind idKind
+	name string
+}
+
+// rowIdent is the identity of the constraint row named name.
+func rowIdent(name string) ident {
+	if inner, ok := strings.CutPrefix(name, "ub("); ok {
+		if inner, ok := strings.CutSuffix(inner, ")"); ok {
+			return ident{idUB, inner}
+		}
+	}
+	return ident{idRow, name}
+}
+
+// slackOf and artOf name the slack and artificial columns of a row.
+func slackOf(row ident) ident {
+	if row.kind == idUB {
+		return ident{idSlackUB, row.name}
+	}
+	return ident{idSlack, row.name}
+}
+
+func artOf(row ident) ident {
+	if row.kind == idUB {
+		return ident{idArtUB, row.name}
+	}
+	return ident{idArt, row.name}
+}
+
 // Basis is the warm-start state of a previous Solve, opaque to callers. It
 // is immutable once returned and safe to share across goroutines; applying
 // it to an unrelated problem is harmless (the solve falls back to a cold
 // start).
 type Basis struct {
-	rows []string // row names, in the solved problem's row order
-	bcol []string // basic column name per row position
+	rows []ident // row identities, in the solved problem's row order
+	bcol []ident // basic column identity per row position
 }
 
 // Size returns the number of rows the basis covers.
@@ -35,74 +91,163 @@ func (b *Basis) Size() int {
 	return len(b.rows)
 }
 
-// merge appends another basis (a separately solved component) onto b.
-// Row and column names are globally unique across components, so
-// concatenation order only affects slot numbering, which applyWarm never
-// relies on.
-func (b *Basis) merge(o *Basis) {
-	if o == nil {
-		return
-	}
-	b.rows = append(b.rows, o.rows...)
-	b.bcol = append(b.bcol, o.bcol...)
+// Warm targets: what warmIndex resolved a reduced-problem row's carried
+// basic column to.
+const (
+	warmNone  = iota // row not covered by the basis
+	warmLost         // covered, but its column does not exist here
+	warmVar          // structural column of variable ref
+	warmSlack        // slack column of row ref
+	warmArt          // artificial column of row ref
+)
+
+// warmCol is one resolved carried column. Row refs are constraint indices
+// (≥ 0) or −(v+1) for variable v's upper-bound row.
+type warmCol struct {
+	kind int8
+	ref  int32
 }
 
-// index builds the row-name → basic-column-name lookup applyWarm consumes.
-// Built once per solve and shared read-only across the per-component
-// solves (earlier revisions re-scanned the whole carried basis inside
-// every component, which went quadratic in the component count).
-// Duplicate row names — impossible in well-formed encodings — resolve
-// first-wins, matching the old scan order.
-func (b *Basis) index() map[string]string {
+// warmIndex is a carried basis resolved against one reduced problem: the
+// carried basic column of every constraint row and every upper-bound row.
+// It is built once per solve and read by every component's applyWarm.
+type warmIndex struct {
+	cons []warmCol // per constraint
+	ub   []warmCol // per variable: its upper-bound row
+}
+
+// at returns the resolved column of row ref.
+func (w *warmIndex) at(ref int32) warmCol {
+	if ref >= 0 {
+		return w.cons[ref]
+	}
+	return w.ub[-ref-1]
+}
+
+// newWarmIndex resolves b against p in one pass over p's rows and
+// variables and one over the basis. Identities are assumed unique, as
+// the encoders keep them; duplicates resolve first-wins.
+func newWarmIndex(p *Problem, b *Basis) *warmIndex {
 	if b.Size() == 0 {
 		return nil
 	}
-	idx := make(map[string]string, len(b.rows))
-	for i, name := range b.rows {
-		if _, dup := idx[name]; !dup {
-			idx[name] = b.bcol[i]
+	claim := func(m map[string]int32, name string, ref int32) {
+		if _, dup := m[name]; !dup {
+			m[name] = ref
 		}
 	}
-	return idx
+	vars := make(map[string]int32, len(p.names))
+	for v, name := range p.names {
+		claim(vars, name, int32(v))
+	}
+	rows := make(map[string]int32, len(p.constraints))
+	var ubNamed map[string]int32 // constraints named like an upper-bound row, by variable
+	for ri := range p.constraints {
+		switch id := rowIdent(p.constraints[ri].name); id.kind {
+		case idRow:
+			claim(rows, id.name, int32(ri))
+		case idUB:
+			if ubNamed == nil {
+				ubNamed = map[string]int32{}
+			}
+			claim(ubNamed, id.name, int32(ri))
+		}
+	}
+	// rowRef resolves a row identity to a row ref.
+	rowRef := func(kind idKind, name string) (int32, bool) {
+		if kind == idRow {
+			ref, ok := rows[name]
+			return ref, ok
+		}
+		if ref, ok := ubNamed[name]; ok {
+			return ref, true
+		}
+		if v, ok := vars[name]; ok && p.upper[v] < infUB {
+			return -v - 1, true
+		}
+		return 0, false
+	}
+	w := &warmIndex{
+		cons: make([]warmCol, len(p.constraints)),
+		ub:   make([]warmCol, len(p.names)),
+	}
+	for k, row := range b.rows {
+		if row.kind != idRow && row.kind != idUB {
+			continue
+		}
+		ref, ok := rowRef(row.kind, row.name)
+		if !ok {
+			continue
+		}
+		slot := &w.cons[max(ref, 0)]
+		if ref < 0 {
+			slot = &w.ub[-ref-1]
+		}
+		if slot.kind != warmNone {
+			continue // first entry for a row wins
+		}
+		col := b.bcol[k]
+		res := warmCol{kind: warmLost}
+		switch col.kind {
+		case idVar:
+			if v, ok := vars[col.name]; ok {
+				res = warmCol{warmVar, v}
+			}
+		case idSlack, idArt, idSlackUB, idArtUB:
+			kind := idRow
+			if col.kind == idSlackUB || col.kind == idArtUB {
+				kind = idUB
+			}
+			if ref, ok := rowRef(kind, col.name); ok {
+				res = warmCol{warmSlack, ref}
+				if col.kind == idArt || col.kind == idArtUB {
+					res.kind = warmArt
+				}
+			}
+		}
+		*slot = res
+	}
+	return w
 }
 
-// applyWarm installs a carried basis — pre-indexed by Basis.index — as
-// this problem's starting basis. Rows are matched by name and re-enter on
-// their recorded basic column when that column still exists and is
+// applyWarm installs the carried basis — resolved by newWarmIndex — as
+// this component's starting basis. Rows re-enter on their carried basic
+// column when that column belongs to this component, exists here and is
 // unclaimed; rows not covered — newly appended ones — get a crash column
 // (slack, positive singleton, surplus, or artificial, first available).
 // The assembled basis is then refactorized against the current problem
 // data.
 //
 // Reports whether the warm basis was installed; on false the caller must
-// rebuild from the crash basis. The receiver must come from newBare.
-func (r *revised) applyWarm(warmIdx map[string]string) bool {
+// reset and install the crash basis. The receiver must be freshly reset
+// and the component must have rows.
+func (r *revised) applyWarm(w *warmIndex, d *decomposition) bool {
 	sf := r.sf
 	m := sf.m
-	if len(warmIdx) == 0 || m == 0 {
-		return false
-	}
-	colIdx := make(map[string]int, sf.total)
-	for j, name := range sf.colName {
-		if _, dup := colIdx[name]; !dup {
-			colIdx[name] = j
-		}
-	}
-
-	basis := make([]int, m)
+	basis, inBasis := r.basis, r.inBasis
 	for i := range basis {
 		basis[i] = -1
 	}
-	inBasis := make([]bool, sf.total)
 	mapped := 0
-	for i, name := range sf.rowName {
-		cn, ok := warmIdx[name]
-		if !ok {
-			continue // row not covered by the snapshot (newly appended)
+	for i := 0; i < m; i++ {
+		wc := w.at(sf.rowRef[i])
+		j := -1
+		switch wc.kind {
+		case warmVar:
+			if d.compOf[wc.ref] == sf.comp {
+				j = int(d.local[wc.ref])
+			}
+		case warmSlack, warmArt:
+			if li := d.rowAt(wc.ref, sf.comp); li >= 0 {
+				if wc.kind == warmSlack {
+					j = int(sf.slackCol[li])
+				} else {
+					j = int(sf.artCol[li])
+				}
+			}
 		}
-		j, ok := colIdx[cn]
-		if !ok || inBasis[j] {
-			continue // basic column vanished, or claimed by an earlier row
+		if j < 0 || inBasis[j] {
+			continue // not covered, column vanished, or claimed by an earlier row
 		}
 		basis[i] = j
 		inBasis[j] = true
@@ -117,27 +262,27 @@ func (r *revised) applyWarm(warmIdx map[string]string) bool {
 	// Mostly-Protected rows start on their natural column), GE surplus
 	// (possibly at a negative value the dual simplex will repair), then the
 	// artificial. Everything here is a deterministic function of the
-	// problem and the carried names.
+	// problem and the carried identities.
 	for i := 0; i < m; i++ {
 		if basis[i] >= 0 {
 			continue
 		}
 		col := -1
-		if c := sf.slackCol[i]; c >= 0 && sf.slackSign[i] > 0 && !inBasis[c] {
+		if c := int(sf.slackCol[i]); c >= 0 && sf.slackSign[i] > 0 && !inBasis[c] {
 			col = c
 		}
 		if col < 0 {
-			if c := sf.posSingleton[i]; c >= 0 && !inBasis[c] {
+			if c := int(sf.posSingleton[i]); c >= 0 && !inBasis[c] {
 				col = c
 			}
 		}
 		if col < 0 {
-			if c := sf.slackCol[i]; c >= 0 && !inBasis[c] {
+			if c := int(sf.slackCol[i]); c >= 0 && !inBasis[c] {
 				col = c
 			}
 		}
 		if col < 0 {
-			if c := sf.artCol[i]; c >= 0 && !inBasis[c] {
+			if c := int(sf.artCol[i]); c >= 0 && !inBasis[c] {
 				col = c
 			}
 		}
@@ -148,14 +293,10 @@ func (r *revised) applyWarm(warmIdx map[string]string) bool {
 		inBasis[col] = true
 	}
 
-	lu, ok := factorizeBasis(sf.cols, basis, m)
-	if !ok {
+	if !r.factorize() {
 		return false // singular against the current data: cold start
 	}
-	r.basis = basis
-	r.inBasis = inBasis
-	r.lu = lu
-	r.etas, r.etaNNZ = nil, 0
+	r.etas.reset()
 	r.computeXB()
 	return true
 }

@@ -5,6 +5,13 @@
 // those blocks and solves them separately — concurrently when
 // Problem.Parallel allows — then merges the results deterministically.
 //
+// A component is never copied out as a Problem of its own: its standard
+// form is built straight from the parent's rows through one solve-wide
+// local-index slice, and its arrays are carved from four buffers sized by
+// a counting pass over all components (carver): one share per worker,
+// large enough for the largest component, reused from component to
+// component.
+//
 // Determinism at any parallelism follows the same policy as the core
 // engine's worker pool (PR 1): components are discovered in ascending
 // variable order, each is solved independently with no shared mutable
@@ -21,178 +28,325 @@ import (
 // component is one independent block: variable and constraint indices into
 // the parent problem, both ascending.
 type component struct {
-	vars []int
-	rows []int
+	vars []int32
+	rows []int32
 }
 
-// splitComponents partitions p's variables and constraints into connected
-// components via union-find over shared variables. Variables with no
-// constraints form singleton components (their solve is trivial).
-func splitComponents(p *Problem) []component {
-	n := len(p.names)
-	parent := make([]int, n)
-	for v := range parent {
-		parent[v] = v
+// decomposition is a problem split into components, with the solve-wide
+// maps from the problem's variables and rows to their place in them.
+type decomposition struct {
+	comps    []component
+	compOf   []int32 // per variable: its component
+	local    []int32 // per variable: its structural column in the component
+	ubLocal  []int32 // per variable: its upper-bound row in the component, -1 if none
+	rowComp  []int32 // per constraint: its component, -1 if in none
+	rowLocal []int32 // per constraint: its row in the component
+}
+
+// rowAt returns the row of component ci that row ref (a constraint, or
+// −(v+1) for variable v's upper-bound row) is, or -1 if it lies elsewhere.
+func (d *decomposition) rowAt(ref, ci int32) int {
+	if ref >= 0 {
+		if d.rowComp[ref] != ci {
+			return -1
+		}
+		return int(d.rowLocal[ref])
 	}
-	var find func(int) int
-	find = func(v int) int {
+	v := -ref - 1
+	if d.compOf[v] != ci {
+		return -1
+	}
+	return int(d.ubLocal[v])
+}
+
+// decompose partitions p's variables and constraints into connected
+// components via union-find over shared variables. Variables with no
+// constraints form singleton components (their solve is trivial). A
+// problem that does not split stays one component holding every row,
+// empty ones included.
+func decompose(p *Problem) *decomposition {
+	n, nr := len(p.names), len(p.constraints)
+	buf := carver{i32: make([]int32, 5*n+3*nr)}
+	d := &decomposition{
+		compOf: buf.int32s(n), local: buf.int32s(n), ubLocal: buf.int32s(n),
+		rowComp: buf.int32s(nr), rowLocal: buf.int32s(nr),
+	}
+	parent, vars, rows := buf.int32s(n), buf.int32s(n), buf.int32s(nr)
+	for v := range parent {
+		parent[v] = int32(v)
+	}
+	find := func(v int32) int32 {
 		for parent[v] != v {
 			parent[v] = parent[parent[v]]
 			v = parent[v]
 		}
 		return v
 	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			if rb < ra {
-				ra, rb = rb, ra
-			}
-			parent[rb] = ra // smaller index wins: stable component roots
-		}
-	}
 	for ci := range p.constraints {
 		idx := p.constraints[ci].idx
 		for k := 1; k < len(idx); k++ {
-			union(idx[0], idx[k])
+			ra, rb := find(int32(idx[0])), find(int32(idx[k]))
+			if ra != rb {
+				if rb < ra {
+					ra, rb = rb, ra
+				}
+				parent[rb] = ra // smaller index wins: a root is its set's smallest variable
+			}
 		}
 	}
-	// Number components in ascending order of their smallest variable.
-	compOf := make([]int, n)
-	var comps []component
-	seen := make(map[int]int, 8)
-	for v := 0; v < n; v++ {
-		root := find(v)
-		ci, ok := seen[root]
-		if !ok {
-			ci = len(comps)
-			seen[root] = ci
-			comps = append(comps, component{})
+	// Number components in ascending order of their smallest variable,
+	// which is their root, so a root is always numbered before its set's
+	// other members.
+	nComps := 0
+	for v := range parent {
+		if root := find(int32(v)); root == int32(v) {
+			d.compOf[v] = int32(nComps)
+			nComps++
+		} else {
+			d.compOf[v] = d.compOf[root]
 		}
-		compOf[v] = ci
-		comps[ci].vars = append(comps[ci].vars, v)
 	}
+	whole := nComps <= 1
+	if whole {
+		nComps = 1
+		clear(d.compOf)
+	}
+	d.comps = make([]component, nComps)
 	for ri := range p.constraints {
-		c := &p.constraints[ri]
-		if len(c.idx) == 0 {
+		d.rowComp[ri] = -1
+		if idx := p.constraints[ri].idx; len(idx) > 0 {
+			d.rowComp[ri] = d.compOf[idx[0]]
+		} else if whole {
+			d.rowComp[ri] = 0
+		}
+	}
+	// Carve each component's variable and row lists from vars and rows,
+	// sized by a count, then fill them in ascending order.
+	counts := make([]int32, 2*nComps)
+	for _, c := range d.compOf {
+		counts[c]++
+	}
+	for _, c := range d.rowComp {
+		if c >= 0 {
+			counts[nComps+int(c)]++
+		}
+	}
+	for ci := range d.comps {
+		k := int(counts[ci])
+		d.comps[ci].vars, vars = vars[:0:k], vars[k:]
+		k = int(counts[nComps+ci])
+		d.comps[ci].rows, rows = rows[:0:k], rows[k:]
+	}
+	for v, ci := range d.compOf {
+		c := &d.comps[ci]
+		d.local[v] = int32(len(c.vars))
+		c.vars = append(c.vars, int32(v))
+	}
+	for ri, ci := range d.rowComp {
+		if ci < 0 {
 			continue // empty rows cannot appear post-presolve; defensive
 		}
-		ci := compOf[c.idx[0]]
-		comps[ci].rows = append(comps[ci].rows, ri)
+		c := &d.comps[ci]
+		d.rowLocal[ri] = int32(len(c.rows))
+		c.rows = append(c.rows, int32(ri))
 	}
-	return comps
+	// Upper-bound rows follow each component's constraints.
+	next := counts[:nComps]
+	for ci := range d.comps {
+		next[ci] = int32(len(d.comps[ci].rows))
+	}
+	for v, ci := range d.compOf {
+		d.ubLocal[v] = -1
+		if p.upper[v] < infUB {
+			d.ubLocal[v] = next[ci]
+			next[ci]++
+		}
+	}
+	return d
 }
 
-// subProblem extracts one component as a standalone Problem. Names, costs
-// and bounds carry over verbatim, so the component's standard form is the
-// row/column submatrix of the parent's and basis names remain globally
-// valid.
-func subProblem(p *Problem, comp *component) *Problem {
-	sub := &Problem{
-		MaxIters:        p.MaxIters,
-		DisablePresolve: true, // already presolved at the parent level
+// carver hands out consecutive slices of a solve's counted buffers. With
+// counting set it hands out nothing and only adds up the lengths asked
+// for, which is how the buffers get their sizes.
+type carver struct {
+	counting bool
+	i32      []int32
+	f64      []float64
+	is       []int
+	bs       []bool
+	n        [4]int // lengths asked for, per buffer
+}
+
+func (c *carver) int32s(k int) []int32   { return carve(c.counting, &c.i32, &c.n[0], k) }
+func (c *carver) floats(k int) []float64 { return carve(c.counting, &c.f64, &c.n[1], k) }
+func (c *carver) ints(k int) []int       { return carve(c.counting, &c.is, &c.n[2], k) }
+func (c *carver) bools(k int) []bool     { return carve(c.counting, &c.bs, &c.n[3], k) }
+
+// carve takes the next k elements of *buf, capped so an append cannot
+// reach the next slice, and adds k to *asked.
+func carve[T any](counting bool, buf *[]T, asked *int, k int) []T {
+	*asked += k
+	if counting {
+		return nil
 	}
-	local := make(map[int]int, len(comp.vars))
-	for _, v := range comp.vars {
-		local[v] = len(sub.names)
-		sub.names = append(sub.names, p.names[v])
-		sub.cost = append(sub.cost, p.cost[v])
-		sub.upper = append(sub.upper, p.upper[v])
+	s := (*buf)[:k:k]
+	*buf = (*buf)[k:]
+	return s
+}
+
+// worker is one solving goroutine's scratch: a standard form, simplex
+// state and the two factorizations the state alternates between. It is
+// re-carved for each component the worker solves from raw buffers sized
+// for the largest component, and the growing LU and eta arrays carry
+// over from one component to the next.
+type worker struct {
+	raw carver
+	sf  standardForm
+	r   revised
+	lus [2]luFactors
+}
+
+// carve lays out the worker's arrays for a component of shape sh.
+func (wk *worker) carve(c *carver, sh shape) {
+	wk.sf.carve(c, sh)
+	wk.r.carve(c, sh, &wk.lus)
+}
+
+// reserve gives the factorizations' triangles room for m entries each
+// before they first grow.
+func (wk *worker) reserve(c *carver, m int) {
+	for k := range wk.lus {
+		f := &wk.lus[k]
+		f.lRows, f.uRows = c.int32s(m)[:0], c.int32s(m)[:0]
+		f.lVals, f.uVals = c.floats(m)[:0], c.floats(m)[:0]
 	}
-	for _, ri := range comp.rows {
-		c := &p.constraints[ri]
-		rc := constraint{name: c.name, sense: c.sense, rhs: c.rhs, coeffs: c.coeffs}
-		rc.idx = make([]int, len(c.idx))
-		for k, v := range c.idx {
-			rc.idx[k] = local[v]
-		}
-		sub.constraints = append(sub.constraints, rc)
-	}
-	return sub
+}
+
+// outcome is what a component's solve reports back to the merge.
+type outcome struct {
+	status           Status
+	iters, dualIters int
+	warm             bool
 }
 
 // solveDecomposed splits p into components and solves them, fanning the
-// solves across up to p.Parallel workers. The full warm basis is offered
-// to every component — row/column names are globally unique, so each
-// component picks up exactly its own slice of the carried basis.
+// solves across up to p.Parallel workers. The carried basis is resolved
+// once against p, and each component picks up exactly its own slice of it.
 //
 // The merged solution sums pivot counts, ORs warm-start engagement, and
-// concatenates the per-component bases. A non-optimal component makes the
-// whole solve non-optimal, with Infeasible taking precedence over
-// Unbounded over IterLimit. Note MaxIters bounds pivots per component, not
-// globally — the budget is a runaway guard, not a fairness mechanism.
+// concatenates the per-component bases in component order. A non-optimal
+// component makes the whole solve non-optimal, with Infeasible taking
+// precedence over Unbounded over IterLimit. Note MaxIters bounds pivots
+// per component, not globally — the budget is a runaway guard, not a
+// fairness mechanism. The Objective is left to the caller.
 func solveDecomposed(p *Problem, warm *Basis) *Solution {
-	warmIdx := warm.index() // one shared read-only index for every component
-	comps := splitComponents(p)
-	if len(comps) <= 1 {
-		sol := solveComponent(p, buildStandardForm(p), warmIdx)
-		sol.Components = 1
-		return sol
+	d := decompose(p)
+	w := newWarmIndex(p, warm)
+	nc := len(d.comps)
+
+	// Counting pass: every component's shape, its basis rows' offset, and
+	// the largest shape, which sizes each worker's buffers.
+	shapes := make([]shape, nc)
+	offset := make([]int, nc+1)
+	var largest shape
+	for i := range d.comps {
+		sh := measure(p, &d.comps[i])
+		shapes[i] = sh
+		offset[i+1] = offset[i] + sh.m
+		largest = shape{
+			m: max(largest.m, sh.m), n: max(largest.n, sh.n),
+			nSlack: max(largest.nSlack, sh.nSlack), nArt: max(largest.nArt, sh.nArt),
+			nnz: max(largest.nnz, sh.nnz),
+		}
 	}
-	results := make([]*Solution, len(comps))
-	solve := func(i int) {
-		sub := subProblem(p, &comps[i])
-		results[i] = solveComponent(sub, buildStandardForm(sub), warmIdx)
+	workers := min(max(p.Parallel, 1), nc)
+	count := carver{counting: true}
+	(&worker{}).carve(&count, largest)
+	each := count.n
+	(&worker{}).reserve(&count, largest.m)
+	raw := carver{
+		i32: make([]int32, workers*count.n[0]),
+		f64: make([]float64, workers*count.n[1]),
+		is:  make([]int, workers*count.n[2]),
+		bs:  make([]bool, workers*count.n[3]),
 	}
-	workers := p.Parallel
-	if workers > len(comps) {
-		workers = len(comps)
+	pool := make([]worker, workers)
+	for k := range pool {
+		wk := &pool[k]
+		wk.raw = carver{
+			i32: raw.int32s(each[0]), f64: raw.floats(each[1]),
+			is: raw.ints(each[2]), bs: raw.bools(each[3]),
+		}
+		wk.reserve(&raw, largest.m)
 	}
-	if workers <= 1 {
-		for i := range comps {
-			solve(i)
+
+	sol := &Solution{
+		Status:     Optimal,
+		X:          make([]float64, len(p.names)),
+		Basis:      &Basis{},
+		Components: nc,
+	}
+	// A whole-problem basis is never nil, a split one is nil when empty:
+	// their documents read "rows":[] and "rows":null respectively.
+	if rows := offset[nc]; nc == 1 || rows > 0 {
+		sol.Basis.rows = make([]ident, rows)
+		sol.Basis.bcol = make([]ident, rows)
+	}
+	outs := make([]outcome, nc)
+	solve := func(wk *worker, i int) {
+		sh := shapes[i]
+		c := wk.raw
+		wk.carve(&c, sh)
+		wk.sf.build(p, d, i, sh)
+		r := &wk.r
+		st, warmed := r.solve(p, &wk.sf, w, d)
+		outs[i] = outcome{st, r.iters, r.dualIters, warmed}
+		if st == Optimal {
+			r.extract(sol.X)
+			r.snapshot(sol.Basis.rows[offset[i]:offset[i+1]], sol.Basis.bcol[offset[i]:offset[i+1]])
+		}
+	}
+	if workers == 1 {
+		for i := range d.comps {
+			solve(&pool[0], i)
 		}
 	} else {
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
+		for k := range pool {
+			go func(wk *worker) {
 				defer wg.Done()
 				for {
 					i := int(next.Add(1)) - 1
-					if i >= len(comps) {
+					if i >= nc {
 						return
 					}
-					solve(i)
+					solve(wk, i)
 				}
-			}()
+			}(&pool[k])
 		}
 		wg.Wait()
 	}
 
-	merged := &Solution{
-		Status:     Optimal,
-		X:          make([]float64, len(p.names)),
-		Basis:      &Basis{},
-		Components: len(comps),
-	}
 	worst := Optimal
-	for ci, res := range results {
-		merged.Iters += res.Iters
-		merged.DualIters += res.DualIters
-		if res.WarmStarted {
-			merged.WarmStarted = true
+	for _, o := range outs {
+		sol.Iters += o.iters
+		sol.DualIters += o.dualIters
+		if o.warm {
+			sol.WarmStarted = true
 		}
-		if res.Status != Optimal {
-			if statusRank(res.Status) > statusRank(worst) {
-				worst = res.Status
-			}
-			continue
+		if o.status != Optimal && statusRank(o.status) > statusRank(worst) {
+			worst = o.status
 		}
-		for li, v := range comps[ci].vars {
-			merged.X[v] = res.X[li]
-		}
-		merged.Basis.merge(res.Basis)
-		merged.Objective += res.Objective
 	}
 	if worst != Optimal {
 		return &Solution{
-			Status: worst, Iters: merged.Iters, DualIters: merged.DualIters,
-			WarmStarted: merged.WarmStarted, Components: len(comps),
+			Status: worst, Iters: sol.Iters, DualIters: sol.DualIters,
+			WarmStarted: sol.WarmStarted, Components: nc,
 		}
 	}
-	return merged
+	return sol
 }
 
 // statusRank orders non-optimal statuses by precedence for the merge.

@@ -108,7 +108,7 @@ func (r *revised) dualIterate() Status {
 			// the eta file has drifted. Refactorize and retry the iteration
 			// on clean numbers; if that is not available, restart cold.
 			r.clearAlpha(acols)
-			if r.noRefactor || len(r.etas) == 0 || !r.refactor() {
+			if r.noRefactor || r.etas.len() == 0 || !r.refactor() {
 				return fallbackStatus
 			}
 			continue

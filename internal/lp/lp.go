@@ -97,6 +97,9 @@ const (
 	defaultMaxIter = 200000
 )
 
+// constraint is one row. Its idx and coeffs are windows into the owning
+// Problem's flat entry buffers, capped so an append never reaches a
+// neighbouring row.
 type constraint struct {
 	name   string
 	idx    []int
@@ -112,6 +115,12 @@ type Problem struct {
 	cost        []float64
 	upper       []float64
 	constraints []constraint
+
+	// entIdx/entCoef hold every row's entries back to back; a row is added
+	// by appending to them, so a problem costs a few growing buffers rather
+	// than two small slices per row.
+	entIdx  []int
+	entCoef []float64
 
 	// MaxIters bounds the simplex pivots across both phases (0 means the
 	// 200000 default). When the problem decomposes into independent
@@ -155,14 +164,17 @@ func NewProblem() *Problem {
 	return &Problem{}
 }
 
-// Grow pre-allocates capacity for about vars more variables and rows more
-// constraints. Purely a performance hint for encoders that know their
-// problem size up front; the problem behaves identically without it.
-func (p *Problem) Grow(vars, rows int) {
+// Grow pre-allocates capacity for about vars more variables, rows more
+// constraints and entries more nonzero row entries. Purely a performance
+// hint for encoders that know their problem size up front; the problem
+// behaves identically without it.
+func (p *Problem) Grow(vars, rows, entries int) {
 	p.names = slices.Grow(p.names, vars)
 	p.cost = slices.Grow(p.cost, vars)
 	p.upper = slices.Grow(p.upper, vars)
 	p.constraints = slices.Grow(p.constraints, rows)
+	p.entIdx = slices.Grow(p.entIdx, entries)
+	p.entCoef = slices.Grow(p.entCoef, entries)
 }
 
 // NumVars returns the number of variables added so far.
@@ -212,7 +224,7 @@ func (p *Problem) AddConstraint(coeffs map[int]float64, sense Sense, rhs float64
 // Basis from a previous solve is mapped onto this problem, so warm-starting
 // callers should keep them unique and stable across rounds.
 func (p *Problem) AddNamedConstraint(name string, coeffs map[int]float64, sense Sense, rhs float64) {
-	c := constraint{name: name, sense: sense, rhs: rhs}
+	start := len(p.entIdx)
 	for v, a := range coeffs {
 		if a == 0 {
 			continue
@@ -220,23 +232,23 @@ func (p *Problem) AddNamedConstraint(name string, coeffs map[int]float64, sense 
 		if v < 0 || v >= len(p.names) {
 			panic(fmt.Sprintf("lp: constraint references unknown variable %d", v))
 		}
-		c.idx = append(c.idx, v)
-		c.coeffs = append(c.coeffs, a)
+		p.entIdx = append(p.entIdx, v)
+		p.entCoef = append(p.entCoef, a)
 	}
 	// Canonicalize entry order: map iteration is nondeterministic, and
 	// presolve's activity sums (and any future row-order arithmetic) must
 	// be a pure function of the problem.
-	sortConstraint(c.idx, c.coeffs)
-	p.constraints = append(p.constraints, c)
+	sortConstraint(p.entIdx[start:], p.entCoef[start:])
+	p.appendRow(name, start, sense, rhs)
 }
 
 // AddRow is AddNamedConstraint for callers that already hold the row's
 // entries sorted by strictly ascending variable index with no zero
 // coefficients — the encoder's hot path, which builds thousands of
-// window rows whose entries are naturally index-ordered. It installs the
-// slices without the map detour and takes ownership of them. The order is
-// verified (panic on violation), so misuse can never silently break the
-// index-sorted-rows invariant presolve's arithmetic depends on.
+// window rows whose entries are naturally index-ordered. It copies the
+// entries without the map detour, so callers may reuse the slices. The
+// order is verified (panic on violation), so misuse can never silently
+// break the index-sorted-rows invariant presolve's arithmetic depends on.
 func (p *Problem) AddRow(name string, idx []int, coeffs []float64, sense Sense, rhs float64) {
 	if len(idx) != len(coeffs) {
 		panic("lp: AddRow index/coefficient length mismatch")
@@ -252,8 +264,20 @@ func (p *Problem) AddRow(name string, idx []int, coeffs []float64, sense Sense, 
 			panic("lp: AddRow zero coefficient")
 		}
 	}
+	start := len(p.entIdx)
+	p.entIdx = append(p.entIdx, idx...)
+	p.entCoef = append(p.entCoef, coeffs...)
+	p.appendRow(name, start, sense, rhs)
+}
+
+// appendRow adds the constraint whose entries occupy the entry buffers
+// from start to their end.
+func (p *Problem) appendRow(name string, start int, sense Sense, rhs float64) {
+	end := len(p.entIdx)
 	p.constraints = append(p.constraints, constraint{
-		name: name, idx: idx, coeffs: coeffs, sense: sense, rhs: rhs,
+		name: name, sense: sense, rhs: rhs,
+		idx:    p.entIdx[start:end:end],
+		coeffs: p.entCoef[start:end:end],
 	})
 }
 

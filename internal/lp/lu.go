@@ -23,7 +23,7 @@
 // deterministic function of the matrix, which keeps warm- and cold-started
 // solves byte-reproducible.
 //
-// Refactorization policy (see revised.maybeRefactor): the eta file is
+// Refactorization policy (see revised.pivot): the eta file is
 // rebuilt into a fresh factorization when it grows past etaRefactorEvery
 // updates, when its fill-in exceeds the factor size by etaFillSlack·m, or
 // when a pivot magnitude falls under stabTol — whichever comes first. On
@@ -52,19 +52,47 @@ const (
 // permutation. L is unit lower triangular with the implicit diagonal
 // dropped; its column k stores below-diagonal entries by original row
 // (all of which pivot at positions > k). U's column k stores its
-// above-diagonal entries by pivot position j < k, plus the diagonal.
+// above-diagonal entries by pivot position j < k; the diagonal is apart.
+//
+// Both triangles are flat compressed-column arrays: column k of L is
+// lRows/lVals[lStart[k]:lStart[k+1]], and likewise for U. A solver keeps
+// two factorizations and refactorizes into the idle one, so the arrays
+// are reused across refactorizations.
 type luFactors struct {
 	m      int
 	pivrow []int32
 	pinv   []int32
+	diag   []float64
 
-	lrow [][]int32
-	lval [][]float64
-	urow [][]int32
-	uval [][]float64
-	diag []float64
+	lStart []int32
+	lRows  []int32
+	lVals  []float64
+	uStart []int32
+	uRows  []int32
+	uVals  []float64
 
 	nnz int // total stored entries across L, U and the diagonal
+}
+
+// lCol and uCol return column k of L and of U.
+func (f *luFactors) lCol(k int) ([]int32, []float64) {
+	a, b := f.lStart[k], f.lStart[k+1]
+	return f.lRows[a:b], f.lVals[a:b]
+}
+
+func (f *luFactors) uCol(k int) ([]int32, []float64) {
+	a, b := f.uStart[k], f.uStart[k+1]
+	return f.uRows[a:b], f.uVals[a:b]
+}
+
+// luWork is the factorization's scratch, kept across refactorizations.
+// Between calls w is all zero and inCol and queued all false.
+type luWork struct {
+	w       []float64 // dense work column, by original row
+	touched []int32   // rows scattered or filled this column
+	inCol   []bool    // membership in touched
+	queued  []bool    // position already in the heap
+	heap    posHeap
 }
 
 // posHeap is a minimal int32 min-heap used to apply eliminations in
@@ -108,55 +136,47 @@ func (h *posHeap) pop() int32 {
 	return top
 }
 
-// factorizeBasis computes the LU factorization of the m columns selected by
-// basis out of cols. It reports ok=false when the matrix is numerically
-// singular (no pivot above tinyPivot in some column), in which case the
-// caller must fall back to a different basis.
-func factorizeBasis(cols []spCol, basis []int, m int) (*luFactors, bool) {
-	f := &luFactors{
-		m:      m,
-		pivrow: make([]int32, m),
-		pinv:   make([]int32, m),
-		lrow:   make([][]int32, m),
-		lval:   make([][]float64, m),
-		urow:   make([][]int32, m),
-		uval:   make([][]float64, m),
-		diag:   make([]float64, m),
-	}
+// factor computes the LU factorization of the m columns of sf selected
+// by basis into f, reusing f's arrays. It reports false when the matrix is
+// numerically singular (no pivot above tinyPivot in some column), in which
+// case f holds garbage and the caller must fall back to a different basis.
+func (f *luFactors) factor(sf *standardForm, basis []int, ws *luWork) bool {
+	m := sf.m
+	f.m = m
+	f.nnz = 0
 	for i := range f.pinv {
 		f.pinv[i] = -1
 	}
+	f.lRows, f.lVals = f.lRows[:0], f.lVals[:0]
+	f.uRows, f.uVals = f.uRows[:0], f.uVals[:0]
+	f.lStart[0], f.uStart[0] = 0, 0
 
-	w := make([]float64, m)        // dense work column, by original row
-	touched := make([]int32, 0, m) // rows scattered or filled this column
-	inCol := make([]bool, m)       // membership in touched
-	queued := make([]bool, m)      // position already in the heap
-	var heap posHeap
-
+	w, inCol, queued := ws.w, ws.inCol, ws.queued
+	touched := ws.touched[:0] // never outgrows its capacity m: rows are distinct
 	for k := 0; k < m; k++ {
-		c := &cols[basis[k]]
-		for idx, r := range c.rows {
-			w[r] = c.vals[idx]
+		rows, vals := sf.col(basis[k])
+		for idx, r := range rows {
+			w[r] = vals[idx]
 			touched = append(touched, r)
 			inCol[r] = true
 			if p := f.pinv[r]; p >= 0 && !queued[p] {
 				queued[p] = true
-				heap.push(p)
+				ws.heap.push(p)
 			}
 		}
 		// Eliminate with already-pivoted columns in ascending position
 		// order; new fill can only appear at later positions or unpivoted
 		// rows, so the heap order is an elimination order.
-		for len(heap) > 0 {
-			j := heap.pop()
+		for len(ws.heap) > 0 {
+			j := ws.heap.pop()
 			queued[j] = false
 			v := w[f.pivrow[j]]
 			if v == 0 {
 				continue
 			}
-			f.urow[k] = append(f.urow[k], j)
-			f.uval[k] = append(f.uval[k], v)
-			lr, lv := f.lrow[j], f.lval[j]
+			f.uRows = append(f.uRows, j)
+			f.uVals = append(f.uVals, v)
+			lr, lv := f.lCol(int(j))
 			for idx, r := range lr {
 				if !inCol[r] {
 					w[r] = 0
@@ -164,7 +184,7 @@ func factorizeBasis(cols []spCol, basis []int, m int) (*luFactors, bool) {
 					inCol[r] = true
 					if p := f.pinv[r]; p >= 0 && !queued[p] {
 						queued[p] = true
-						heap.push(p)
+						ws.heap.push(p)
 					}
 				}
 				w[r] -= v * lv[idx]
@@ -182,28 +202,35 @@ func factorizeBasis(cols []spCol, basis []int, m int) (*luFactors, bool) {
 			}
 		}
 		if piv < 0 || best <= tinyPivot {
-			return nil, false
+			for _, r := range touched {
+				w[r] = 0
+				inCol[r] = false
+			}
+			return false
 		}
 		d := w[piv]
 		f.diag[k] = d
 		f.pivrow[k] = piv
 		f.pinv[piv] = int32(k)
+		lFrom := len(f.lRows)
 		for _, r := range touched {
 			if f.pinv[r] >= 0 || w[r] == 0 {
 				continue
 			}
-			f.lrow[k] = append(f.lrow[k], r)
-			f.lval[k] = append(f.lval[k], w[r]/d)
+			f.lRows = append(f.lRows, r)
+			f.lVals = append(f.lVals, w[r]/d)
 		}
-		sortLCol(f.lrow[k], f.lval[k])
-		f.nnz += len(f.lrow[k]) + len(f.urow[k]) + 1
+		sortLCol(f.lRows[lFrom:], f.lVals[lFrom:])
+		f.lStart[k+1] = int32(len(f.lRows))
+		f.uStart[k+1] = int32(len(f.uRows))
 		for _, r := range touched {
 			w[r] = 0
 			inCol[r] = false
 		}
 		touched = touched[:0]
 	}
-	return f, true
+	f.nnz = len(f.lRows) + len(f.uRows) + m
+	return true
 }
 
 // sortLCol orders an L column by original row index (insertion sort — the
@@ -228,7 +255,7 @@ func (f *luFactors) ftran(w, out []float64) {
 	for k := 0; k < m; k++ {
 		v := w[f.pivrow[k]]
 		if v != 0 {
-			lr, lv := f.lrow[k], f.lval[k]
+			lr, lv := f.lCol(k)
 			for idx, r := range lr {
 				w[r] -= v * lv[idx]
 			}
@@ -243,7 +270,7 @@ func (f *luFactors) ftran(w, out []float64) {
 		t := out[k] / f.diag[k]
 		out[k] = t
 		if t != 0 {
-			ur, uv := f.urow[k], f.uval[k]
+			ur, uv := f.uCol(k)
 			for idx, j := range ur {
 				out[j] -= t * uv[idx]
 			}
@@ -258,7 +285,7 @@ func (f *luFactors) btran(c, out []float64) {
 	m := f.m
 	for k := 0; k < m; k++ {
 		s := c[k]
-		ur, uv := f.urow[k], f.uval[k]
+		ur, uv := f.uCol(k)
 		for idx, j := range ur {
 			s -= uv[idx] * c[j]
 		}
@@ -266,7 +293,7 @@ func (f *luFactors) btran(c, out []float64) {
 	}
 	for k := m - 1; k >= 0; k-- {
 		s := c[k]
-		lr, lv := f.lrow[k], f.lval[k]
+		lr, lv := f.lCol(k)
 		for idx, r := range lr {
 			s -= lv[idx] * c[f.pinv[r]]
 		}
@@ -278,32 +305,64 @@ func (f *luFactors) btran(c, out []float64) {
 	}
 }
 
-// eta is one basis update: at pivot time, position pos of the basis was
-// replaced by a column whose FTRAN image had diagonal diag at pos and the
-// stored off-diagonal entries (by position).
-type eta struct {
-	pos  int32
-	diag float64
-	rows []int32
-	vals []float64
+// The eta file: eta q replaced basis position etaPos[q], whose FTRAN image
+// at pivot time had diagonal etaDiag[q] and the off-diagonal entries (by
+// position) etaRows/etaVals[etaStart[q]:etaStart[q+1]]. The arrays are
+// flat and truncated, not freed, at each refactorization.
+type etaFile struct {
+	pos   []int32
+	diag  []float64
+	start []int32
+	rows  []int32
+	vals  []float64
+	nnz   int
 }
 
-// applyFtran applies E⁻¹ to the position-indexed vector x in place.
-func (e *eta) applyFtran(x []float64) {
-	xp := x[e.pos] / e.diag
-	x[e.pos] = xp
-	if xp != 0 {
-		for idx, i := range e.rows {
-			x[i] -= e.vals[idx] * xp
+// len returns the number of etas.
+func (e *etaFile) len() int { return len(e.pos) }
+
+// reset empties the file.
+func (e *etaFile) reset() {
+	e.pos, e.diag = e.pos[:0], e.diag[:0]
+	e.start = append(e.start[:0], 0)
+	e.rows, e.vals = e.rows[:0], e.vals[:0]
+	e.nnz = 0
+}
+
+// push closes the eta whose entries were appended to rows/vals since the
+// last push.
+func (e *etaFile) push(pos int32, diag float64) {
+	e.pos = append(e.pos, pos)
+	e.diag = append(e.diag, diag)
+	e.start = append(e.start, int32(len(e.rows)))
+	e.nnz += int(e.start[len(e.start)-1]-e.start[len(e.start)-2]) + 1
+}
+
+// ftran applies E⁻¹ for every eta, oldest first, to the position-indexed
+// vector x in place.
+func (e *etaFile) ftran(x []float64) {
+	for q, p := range e.pos {
+		xp := x[p] / e.diag[q]
+		x[p] = xp
+		if xp != 0 {
+			a, b := e.start[q], e.start[q+1]
+			for idx, i := range e.rows[a:b] {
+				x[i] -= e.vals[int(a)+idx] * xp
+			}
 		}
 	}
 }
 
-// applyBtran applies E⁻ᵀ to the position-indexed vector y in place.
-func (e *eta) applyBtran(y []float64) {
-	s := y[e.pos]
-	for idx, i := range e.rows {
-		s -= e.vals[idx] * y[i]
+// btran applies E⁻ᵀ for every eta, newest first, to the position-indexed
+// vector y in place.
+func (e *etaFile) btran(y []float64) {
+	for q := len(e.pos) - 1; q >= 0; q-- {
+		p := e.pos[q]
+		s := y[p]
+		a, b := e.start[q], e.start[q+1]
+		for idx, i := range e.rows[a:b] {
+			s -= e.vals[int(a)+idx] * y[i]
+		}
+		y[p] = s / e.diag[q]
 	}
-	y[e.pos] = s / e.diag
 }

@@ -382,41 +382,55 @@ func presolve(p *Problem) *presolved {
 
 	ps.mergeDuplicates(u, cost, effRhs, live, dropRow, colLive, drop)
 
-	// Emit the reduced problem, pre-sized to its known dimensions.
+	// Emit the reduced problem, pre-sized to its known dimensions: a
+	// counting pass over the kept variables and rows sizes every buffer
+	// exactly, so the rows are carved from one entry buffer.
 	ps.origIdx = make([]int, n)
 	kept := 0
-	for v := 0; v < n; v++ {
-		if !ps.fixed[v] && ps.dupOf[v] < 0 {
-			kept++
-		}
-	}
-	red := NewProblem()
-	red.Grow(kept, nRows-ps.rowsOut)
 	for v := 0; v < n; v++ {
 		if ps.fixed[v] || ps.dupOf[v] >= 0 {
 			ps.origIdx[v] = -1
 			ps.colsOut++
 			continue
 		}
-		idx := red.AddVariable(p.names[v])
-		red.cost[idx] = cost[v]
-		red.upper[idx] = u[v]
-		ps.origIdx[v] = idx
+		ps.origIdx[v] = kept
+		kept++
+	}
+	entries := 0
+	for ri := range p.constraints {
+		if dropRow[ri] {
+			continue
+		}
+		for _, v := range p.constraints[ri].idx {
+			if ps.origIdx[v] >= 0 {
+				entries++
+			}
+		}
+	}
+	red := NewProblem()
+	red.Grow(kept, nRows-ps.rowsOut, entries)
+	for v := 0; v < n; v++ {
+		if ps.origIdx[v] < 0 {
+			continue
+		}
+		red.names = append(red.names, p.names[v])
+		red.cost = append(red.cost, cost[v])
+		red.upper = append(red.upper, u[v])
 	}
 	for ri := range p.constraints {
 		if dropRow[ri] {
 			continue
 		}
 		c := &p.constraints[ri]
-		rc := constraint{name: c.name, sense: c.sense, rhs: effRhs[ri]}
+		start := len(red.entIdx)
 		for k, v := range c.idx {
 			if ps.origIdx[v] < 0 {
 				continue
 			}
-			rc.idx = append(rc.idx, ps.origIdx[v])
-			rc.coeffs = append(rc.coeffs, c.coeffs[k])
+			red.entIdx = append(red.entIdx, ps.origIdx[v])
+			red.entCoef = append(red.entCoef, c.coeffs[k])
 		}
-		red.constraints = append(red.constraints, rc)
+		red.appendRow(c.name, start, c.sense, effRhs[ri])
 	}
 	red.MaxIters = p.MaxIters
 	red.Parallel = p.Parallel
@@ -435,21 +449,32 @@ func presolve(p *Problem) *presolved {
 // exact duplicates (no private part) simply drop. Signatures are exact
 // (float bits), so a merge never changes the feasible set or the optimum.
 //
-// Rows bucket by an FNV-64 hash of their shared content and are verified
+// Rows bucket by a 64-bit hash of their shared content and are verified
 // entry for entry against the bucket's representatives (each frozen as it
 // was when first scanned), so a hash collision can never cause a wrong
-// merge and the hot path allocates only once per distinct representative.
+// merge. Representatives' shared entries live back to back in two flat
+// buffers sized up front, and a bucket is a chain through them.
 func (ps *presolved) mergeDuplicates(u, cost, effRhs []float64, live []int, dropRow []bool, colLive []int, drop func(int)) {
 	p := ps.p
 	type repInfo struct {
-		eps   int // representative's private ε, -1 for exact-duplicate rows
-		sense Sense
-		rhs   uint64
-		vars  []int32  // shared entries, frozen at scan time
-		bits  []uint64 // matching coefficient float bits
+		eps      int // representative's private ε, -1 for exact-duplicate rows
+		sense    Sense
+		rhs      uint64
+		from, to int   // shared entries in repV/repB, frozen at scan time
+		next     int32 // next representative with the same hash, -1 at the end
 	}
-	var reps []repInfo
-	seen := make(map[uint64][]int32) // shared-content hash → indices into reps
+	// Sized for the worst case: every live row its own representative.
+	rows, entries := 0, 0
+	for ri := range p.constraints {
+		if !dropRow[ri] && live[ri] > 0 {
+			rows++
+			entries += len(p.constraints[ri].idx)
+		}
+	}
+	reps := make([]repInfo, 0, rows)
+	repV := make([]int32, 0, entries)    // representatives' shared variables
+	repB := make([]uint64, 0, entries)   // and their coefficient float bits
+	seen := make(map[uint64]int32, rows) // shared-content hash → first rep in its chain
 	var sharedV []int32
 	var sharedB []uint64
 	for ri := range p.constraints {
@@ -464,12 +489,11 @@ func (ps *presolved) mergeDuplicates(u, cost, effRhs []float64, live []int, drop
 		nEps := 0
 		sharedV, sharedB = sharedV[:0], sharedB[:0]
 		rhs := math.Float64bits(effRhs[ri])
-		h := uint64(14695981039346656037) // FNV-1a offset basis
+		// The hash only picks a bucket; matches are verified exactly.
+		h := uint64(14695981039346656037)
 		mix := func(x uint64) {
-			for s := 0; s < 64; s += 8 {
-				h ^= (x >> s) & 0xff
-				h *= 1099511628211
-			}
+			h = (h ^ x) * 0x9e3779b97f4a7c15
+			h ^= h >> 29
 		}
 		mix(uint64(c.sense))
 		mix(rhs)
@@ -496,15 +520,19 @@ func (ps *presolved) mergeDuplicates(u, cost, effRhs []float64, live []int, drop
 		}
 		mix(uint64(nEps)) // the E/P kind: ε-pattern and exact rows never merge
 		matched := false
-		for _, pi := range seen[h] {
+		head, chained := seen[h]
+		if !chained {
+			head = -1
+		}
+		for pi := head; pi >= 0; pi = reps[pi].next {
 			r := &reps[pi]
 			if r.sense != c.sense || r.rhs != rhs ||
-				(r.eps >= 0) != (epsVar >= 0) || len(r.vars) != len(sharedV) {
+				(r.eps >= 0) != (epsVar >= 0) || r.to-r.from != len(sharedV) {
 				continue
 			}
 			same := true
 			for i := range sharedV {
-				if r.vars[i] != sharedV[i] || r.bits[i] != sharedB[i] {
+				if repV[r.from+i] != sharedV[i] || repB[r.from+i] != sharedB[i] {
 					same = false
 					break
 				}
@@ -524,12 +552,14 @@ func (ps *presolved) mergeDuplicates(u, cost, effRhs []float64, live []int, drop
 			break
 		}
 		if !matched {
+			from := len(repV)
+			repV = append(repV, sharedV...)
+			repB = append(repB, sharedB...)
 			reps = append(reps, repInfo{
 				eps: epsVar, sense: c.sense, rhs: rhs,
-				vars: append([]int32(nil), sharedV...),
-				bits: append([]uint64(nil), sharedB...),
+				from: from, to: len(repV), next: head,
 			})
-			seen[h] = append(seen[h], int32(len(reps)-1))
+			seen[h] = int32(len(reps) - 1)
 		}
 	}
 }

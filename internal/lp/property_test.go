@@ -7,6 +7,8 @@ package lp
 // must match a cold solve after arbitrary row additions and excisions.
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -33,6 +35,7 @@ func assertNoNegZero(t *testing.T, label string, x []float64) {
 // on optimal problems the same objective and the same thresholded vertex.
 func TestLUEtaDenseAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
+	decomposed := 0
 	for trial := 0; trial < 60; trial++ {
 		p := randProblem(rng)
 
@@ -48,6 +51,9 @@ func TestLUEtaDenseAgreement(t *testing.T) {
 		if luSol.Status != etaSol.Status || luSol.Status != denseSol.Status {
 			t.Fatalf("trial %d: status disagreement: lu=%v eta=%v dense=%v",
 				trial, luSol.Status, etaSol.Status, denseSol.Status)
+		}
+		if luSol.Components > 1 {
+			decomposed++
 		}
 		if luErr != nil {
 			continue
@@ -68,6 +74,10 @@ func TestLUEtaDenseAgreement(t *testing.T) {
 		}
 		assertNoNegZero(t, "lu", luSol.X)
 		assertNoNegZero(t, "eta", etaSol.X)
+	}
+	// The pure-LU arm must cover component solves, not only whole ones.
+	if decomposed == 0 {
+		t.Fatal("no trial decomposed into components; the pure-LU arm never reached a component solve")
 	}
 }
 
@@ -258,5 +268,51 @@ func TestIterLimitStillReported(t *testing.T) {
 	}
 	if !hit {
 		t.Skip("no generated problem exhausted a 1-pivot budget (generator changed?)")
+	}
+}
+
+// TestParallelComponentsIdentical solves decomposing problems cold and
+// warm with one worker and with four: the workers share the solution and
+// basis arrays (each writes only its components' parts), so the results
+// must match bit for bit, basis documents included.
+func TestParallelComponentsIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	split := 0
+	for trial := 0; trial < 40; trial++ {
+		p := randProblem(rng)
+		prior, err := p.Solve()
+		if err != nil {
+			continue
+		}
+		perturb(p, rng)
+		for _, warm := range []*Basis{nil, prior.Basis} {
+			p.Parallel = 1
+			one, err1 := p.SolveWarm(warm)
+			p.Parallel = 4
+			four, err4 := p.SolveWarm(warm)
+			if (err1 == nil) != (err4 == nil) || one.Status != four.Status ||
+				one.Iters != four.Iters || one.WarmStarted != four.WarmStarted {
+				t.Fatalf("trial %d: 1 worker %+v (%v) vs 4 workers %+v (%v)", trial, one, err1, four, err4)
+			}
+			if err1 != nil {
+				continue
+			}
+			if one.Components > 1 {
+				split++
+			}
+			for v := range one.X {
+				if math.Float64bits(one.X[v]) != math.Float64bits(four.X[v]) {
+					t.Fatalf("trial %d: x[%d] = %v with 1 worker, %v with 4", trial, v, one.X[v], four.X[v])
+				}
+			}
+			a, _ := json.Marshal(one.Basis)
+			b, _ := json.Marshal(four.Basis)
+			if !bytes.Equal(a, b) {
+				t.Fatalf("trial %d: basis differs:\n%s\n%s", trial, a, b)
+			}
+		}
+	}
+	if split == 0 {
+		t.Fatal("no solve split into components; the parallel path never ran")
 	}
 }

@@ -16,14 +16,22 @@
 //     (the revised analogue of the dense tableau's objective row), with
 //     Dantzig pricing and the same Bland's-rule anti-cycling switch as the
 //     dense backend.
-//   - Warm starts (basis.go) map a prior optimal basis by row/column name,
-//     refactorize it against the current problem data, and repair any
-//     primal infeasibility with dual simplex pivots (dual.go); anything
-//     unrepairable falls back to a cold start.
+//   - Warm starts (basis.go) map a prior optimal basis by (kind, name)
+//     row/column identity, refactorize it against the current problem
+//     data, and repair any primal infeasibility with dual simplex pivots
+//     (dual.go); anything unrepairable falls back to a cold start.
 //   - Before a solve, a presolve pass (presolve.go) fixes pinned variables
 //     and drops redundant rows; independent connected components of the
 //     reduced problem are solved separately, concurrently when
 //     Problem.Parallel allows (decompose.go).
+//
+// Memory: a solve allocates a handful of buffers, not an object per row
+// or column. Problem rows are windows into flat entry arrays (lp.go); a
+// counting pass sizes every component's standard form (compressed
+// column and row arrays), simplex scratch and factorization bookkeeping,
+// and one carver hands out disjoint slices of four solve-wide buffers
+// (decompose.go). Only the LU triangles and the eta file grow, and those
+// are reused across refactorizations.
 //
 // Determinism: every choice — pivot selection, refactorization points,
 // presolve order, component order — is a pure function of the problem, so
@@ -44,179 +52,303 @@ const feasTol = 1e-7
 // returned to users.
 const fallbackStatus Status = -1
 
-// spCol is one sparsely stored column of the standard-form matrix.
-type spCol struct {
-	rows []int32
-	vals []float64
-}
-
-// standardForm is the problem in computational standard form: constraints
-// plus materialized upper-bound rows, normalized to rhs ≥ 0, with slack,
-// surplus and artificial columns appended after the structural ones.
+// standardForm is one component of a problem in computational standard
+// form: its constraints, then the materialized upper-bound rows of its
+// variables, normalized to rhs ≥ 0, with slack, surplus and artificial
+// columns appended after the structural ones.
 //
-//	[0, n)            structural variables
+//	[0, n)            structural variables (the component's, in order)
 //	[n, artAt)        slack/surplus variables
 //	[artAt, total)    artificial variables
 //
-// Row and column names are the stable identities a Basis is keyed by.
+// The matrix is stored twice, as flat compressed columns (colPtr/colRows/
+// colVals) and compressed rows (rowPtr/rowCols/rowVals): the BTRAN-based
+// reduced-cost update and the dual ratio test walk rows, not columns.
+// Rows and columns keep no names; rowIdent and colIdent derive their
+// identities from the problem when a basis is snapshotted.
 type standardForm struct {
 	m, n  int
 	nArt  int
 	artAt int
 	total int
 
-	cols    []spCol
+	p    *Problem
+	comp int32   // component number in the decomposition
+	vars []int32 // the problem variable of each structural column
+
+	colPtr  []int32
+	colRows []int32
+	colVals []float64
 	rhs     []float64
-	rowName []string
-	colName []string
 
-	// Row-major adjacency over the same matrix: rowCols[i]/rowVals[i] list
-	// every column touching row i (ascending column order). The BTRAN-based
-	// reduced-cost update and the dual ratio test walk rows, not columns.
-	rowCols [][]int32
-	rowVals [][]float64
+	rowPtr  []int32 // row i's entries, in ascending column order
+	rowCols []int32
+	rowVals []float64
 
-	slackCol  []int     // per row: slack/surplus column, -1 if none
+	rowRef []int32 // per row: its constraint, or −(v+1) for variable v's upper-bound row
+	colRow []int32 // per slack/artificial column j: its row, at j−n
+
+	slackCol  []int32   // per row: slack/surplus column, -1 if none
 	slackSign []float64 // per row: +1 (LE slack) or -1 (GE surplus)
-	artCol    []int     // per row: artificial column, -1 if none
+	artCol    []int32   // per row: artificial column, -1 if none
 
 	// posSingleton is, per row, a structural column that appears only in
 	// this row with a positive coefficient (-1 if none) — the crash basis
 	// uses it to start feasible without an artificial. The SherLock
 	// encodings have one in every Mostly-Protected row (the ε variable).
-	posSingleton    []int
+	posSingleton    []int32
 	posSingletonVal []float64
 }
 
-// sfRow is a standard-form row under construction.
-type sfRow struct {
-	name   string
-	idx    []int
-	coeffs []float64
-	sense  Sense
-	rhs    float64
+// col returns column j's entries.
+func (sf *standardForm) col(j int) ([]int32, []float64) {
+	a, b := sf.colPtr[j], sf.colPtr[j+1]
+	return sf.colRows[a:b], sf.colVals[a:b]
 }
 
-func buildStandardForm(p *Problem) *standardForm {
-	n := len(p.names)
-	rows := make([]sfRow, 0, len(p.constraints)+n)
-	for _, c := range p.constraints {
-		rows = append(rows, sfRow{name: c.name, idx: c.idx, coeffs: c.coeffs, sense: c.sense, rhs: c.rhs})
-	}
-	// Materialize upper bounds as explicit ≤ rows, exactly like the dense
-	// backend, so both backends solve the identical standard form.
-	for v, u := range p.upper {
-		if u < infUB {
-			rows = append(rows, sfRow{name: "ub(" + p.names[v] + ")", idx: []int{v}, coeffs: []float64{1}, sense: LE, rhs: u})
-		}
-	}
-	// Normalize to rhs ≥ 0.
-	for i := range rows {
-		if rows[i].rhs < 0 {
-			neg := make([]float64, len(rows[i].coeffs))
-			for k, a := range rows[i].coeffs {
-				neg[k] = -a
-			}
-			rows[i].coeffs = neg
-			rows[i].rhs = -rows[i].rhs
-			switch rows[i].sense {
-			case LE:
-				rows[i].sense = GE
-			case GE:
-				rows[i].sense = LE
-			}
-		}
-	}
+// shape is a component's standard-form size, counted before anything is
+// allocated.
+type shape struct {
+	m, n         int
+	nSlack, nArt int
+	nnz          int // structural entries, upper-bound rows included
+}
 
-	nSlack, nArt := 0, 0
-	for _, r := range rows {
-		switch r.sense {
+func (sh shape) total() int { return sh.n + sh.nSlack + sh.nArt }
+
+// normSense is the sense of a row after normalization to rhs ≥ 0.
+func normSense(sense Sense, rhs float64) Sense {
+	if rhs < 0 {
+		switch sense {
 		case LE:
-			nSlack++
+			return GE
 		case GE:
-			nSlack++
-			nArt++
-		case EQ:
-			nArt++
+			return LE
 		}
 	}
-	m := len(rows)
-	total := n + nSlack + nArt
-	sf := &standardForm{
-		m: m, n: n, nArt: nArt, artAt: n + nSlack, total: total,
-		cols:    make([]spCol, total),
-		rhs:     make([]float64, m),
-		rowName: make([]string, m),
-		colName: make([]string, total),
+	return sense
+}
 
-		slackCol:  make([]int, m),
-		slackSign: make([]float64, m),
-		artCol:    make([]int, m),
+// add counts one row of the given normalized sense.
+func (sh *shape) add(sense Sense) {
+	sh.m++
+	switch sense {
+	case LE:
+		sh.nSlack++
+	case GE:
+		sh.nSlack++
+		sh.nArt++
+	case EQ:
+		sh.nArt++
+	}
+}
 
-		posSingleton:    make([]int, m),
-		posSingletonVal: make([]float64, m),
+// measure counts comp's standard form: its constraints, then one ≤ row
+// per finitely bounded variable, exactly like the dense backend, so both
+// backends solve the identical standard form.
+func measure(p *Problem, comp *component) shape {
+	sh := shape{n: len(comp.vars)}
+	for _, ri := range comp.rows {
+		c := &p.constraints[ri]
+		sh.nnz += len(c.idx)
+		sh.add(normSense(c.sense, c.rhs))
 	}
-	for v := 0; v < n; v++ {
-		sf.colName[v] = "v:" + p.names[v]
+	for _, v := range comp.vars {
+		if u := p.upper[v]; u < infUB {
+			sh.nnz++
+			sh.add(normSense(LE, u))
+		}
 	}
+	return sh
+}
+
+// carve takes the standard form's arrays from c.
+func (sf *standardForm) carve(c *carver, sh shape) {
+	m, total := sh.m, sh.total()
+	nnz := sh.nnz + sh.nSlack + sh.nArt
+	sf.colPtr = c.int32s(total + 1)
+	sf.colRows = c.int32s(nnz)
+	sf.rowPtr = c.int32s(m + 1)
+	sf.rowCols = c.int32s(nnz)
+	sf.rowRef = c.int32s(m)
+	sf.colRow = c.int32s(total - sh.n)
+	sf.slackCol = c.int32s(m)
+	sf.artCol = c.int32s(m)
+	sf.posSingleton = c.int32s(m)
+	sf.colVals = c.floats(nnz)
+	sf.rowVals = c.floats(nnz)
+	sf.rhs = c.floats(m)
+	sf.slackSign = c.floats(m)
+	sf.posSingletonVal = c.floats(m)
+}
+
+// build fills the carved standard form of component ci of d.
+func (sf *standardForm) build(p *Problem, d *decomposition, ci int, sh shape) {
+	comp := &d.comps[ci]
+	n, m := sh.n, sh.m
+	sf.p, sf.comp, sf.vars = p, int32(ci), comp.vars
+	sf.m, sf.n, sf.nArt = m, n, sh.nArt
+	sf.artAt = n + sh.nSlack
+	sf.total = sh.total()
+
+	// Rows: identity, normalized rhs, slack and artificial columns.
+	nc := len(comp.rows)
+	for i, ri := range comp.rows {
+		sf.rowRef[i] = ri
+	}
+	i := nc
+	for _, v := range comp.vars {
+		if p.upper[v] < infUB {
+			sf.rowRef[i] = -v - 1
+			i++
+		}
+	}
+	colPtr := sf.colPtr
+	clear(colPtr)
 	slack, art := n, sf.artAt
-	for i, r := range rows {
-		sf.rhs[i] = r.rhs
-		sf.rowName[i] = r.name
-		sf.slackCol[i], sf.artCol[i], sf.posSingleton[i] = -1, -1, -1
-		for k, v := range r.idx {
-			if a := r.coeffs[k]; a != 0 {
-				sf.cols[v].rows = append(sf.cols[v].rows, int32(i))
-				sf.cols[v].vals = append(sf.cols[v].vals, a)
-			}
+	for i := 0; i < m; i++ {
+		sense, rhs := sf.rawRow(i)
+		sense = normSense(sense, rhs)
+		if rhs < 0 {
+			rhs = -rhs
 		}
-		switch r.sense {
-		case LE:
-			sf.cols[slack] = spCol{rows: []int32{int32(i)}, vals: []float64{1}}
-			sf.colName[slack] = "s:" + r.name
-			sf.slackCol[i], sf.slackSign[i] = slack, 1
+		sf.rhs[i] = rhs
+		sf.slackCol[i], sf.artCol[i], sf.posSingleton[i] = -1, -1, -1
+		sf.slackSign[i], sf.posSingletonVal[i] = 0, 0
+		switch sense {
+		case LE, GE:
+			sf.slackCol[i] = int32(slack)
+			sf.slackSign[i] = 1
+			if sense == GE {
+				sf.slackSign[i] = -1
+			}
+			sf.colRow[slack-n] = int32(i)
+			colPtr[slack] = 1
 			slack++
-		case GE:
-			sf.cols[slack] = spCol{rows: []int32{int32(i)}, vals: []float64{-1}}
-			sf.colName[slack] = "s:" + r.name
-			sf.slackCol[i], sf.slackSign[i] = slack, -1
-			slack++
-			sf.cols[art] = spCol{rows: []int32{int32(i)}, vals: []float64{1}}
-			sf.colName[art] = "a:" + r.name
-			sf.artCol[i] = art
-			art++
-		case EQ:
-			sf.cols[art] = spCol{rows: []int32{int32(i)}, vals: []float64{1}}
-			sf.colName[art] = "a:" + r.name
-			sf.artCol[i] = art
+		}
+		switch sense {
+		case GE, EQ:
+			sf.artCol[i] = int32(art)
+			sf.colRow[art-n] = int32(i)
+			colPtr[art] = 1
 			art++
 		}
 	}
+
+	// Columns: count, prefix-sum into start offsets, then fill in row
+	// order, so each column lists its rows ascending. colPtr[j] serves as
+	// column j's fill cursor and is shifted back into place afterwards.
+	for i := 0; i < nc; i++ {
+		for _, v := range p.constraints[comp.rows[i]].idx {
+			colPtr[d.local[v]]++
+		}
+	}
+	for i := nc; i < m; i++ {
+		colPtr[d.local[-sf.rowRef[i]-1]]++
+	}
+	at := int32(0)
+	for j := 0; j < sf.total; j++ {
+		at, colPtr[j] = at+colPtr[j], at
+	}
+	put := func(j int32, i int, a float64) {
+		k := colPtr[j]
+		sf.colRows[k], sf.colVals[k] = int32(i), a
+		colPtr[j] = k + 1
+	}
+	for i := 0; i < nc; i++ {
+		c := &p.constraints[comp.rows[i]]
+		neg := c.rhs < 0
+		for k, v := range c.idx {
+			a := c.coeffs[k]
+			if neg {
+				a = -a
+			}
+			put(d.local[v], i, a)
+		}
+	}
+	for i := nc; i < m; i++ {
+		v := -sf.rowRef[i] - 1
+		a := 1.0
+		if p.upper[v] < 0 {
+			a = -1
+		}
+		put(d.local[v], i, a)
+	}
+	for i := 0; i < m; i++ {
+		if j := sf.slackCol[i]; j >= 0 {
+			put(j, i, sf.slackSign[i])
+		}
+		if j := sf.artCol[i]; j >= 0 {
+			put(j, i, 1)
+		}
+	}
+	copy(colPtr[1:], colPtr[:sf.total])
+	colPtr[0] = 0
+
 	// Positive structural singletons (crash-basis candidates), first by
 	// column order per row.
 	for j := 0; j < n; j++ {
-		c := &sf.cols[j]
-		if len(c.rows) != 1 || c.vals[0] <= eps {
+		rows, vals := sf.col(j)
+		if len(rows) != 1 || vals[0] <= eps {
 			continue
 		}
-		if i := int(c.rows[0]); sf.posSingleton[i] < 0 {
-			sf.posSingleton[i] = j
-			sf.posSingletonVal[i] = c.vals[0]
+		if i := rows[0]; sf.posSingleton[i] < 0 {
+			sf.posSingleton[i] = int32(j)
+			sf.posSingletonVal[i] = vals[0]
 		}
 	}
-	// Row-major adjacency, filled column-ascending so each row's list is in
+
+	// Row-major copy, filled column-ascending so each row's list is in
 	// ascending column order (a deterministic accumulation order for the
 	// pivot-row products).
-	sf.rowCols = make([][]int32, m)
-	sf.rowVals = make([][]float64, m)
-	for j := 0; j < total; j++ {
-		c := &sf.cols[j]
-		for k, ri := range c.rows {
-			sf.rowCols[ri] = append(sf.rowCols[ri], int32(j))
-			sf.rowVals[ri] = append(sf.rowVals[ri], c.vals[k])
+	rowPtr := sf.rowPtr
+	clear(rowPtr)
+	for _, i := range sf.colRows {
+		rowPtr[i]++
+	}
+	at = 0
+	for i := 0; i < m; i++ {
+		at, rowPtr[i] = at+rowPtr[i], at
+	}
+	for j := 0; j < sf.total; j++ {
+		rows, vals := sf.col(j)
+		for k, i := range rows {
+			q := rowPtr[i]
+			sf.rowCols[q], sf.rowVals[q] = int32(j), vals[k]
+			rowPtr[i] = q + 1
 		}
 	}
-	return sf
+	copy(rowPtr[1:], rowPtr[:m])
+	rowPtr[0] = 0
+}
+
+// rawRow returns row i's sense and rhs before normalization.
+func (sf *standardForm) rawRow(i int) (Sense, float64) {
+	if ref := sf.rowRef[i]; ref >= 0 {
+		c := &sf.p.constraints[ref]
+		return c.sense, c.rhs
+	}
+	return LE, sf.p.upper[-sf.rowRef[i]-1]
+}
+
+// rowIdent returns row i's identity.
+func (sf *standardForm) rowIdent(i int) ident {
+	if ref := sf.rowRef[i]; ref >= 0 {
+		return rowIdent(sf.p.constraints[ref].name)
+	}
+	return ident{idUB, sf.p.names[-sf.rowRef[i]-1]}
+}
+
+// colIdent returns column j's identity.
+func (sf *standardForm) colIdent(j int) ident {
+	if j < sf.n {
+		return ident{idVar, sf.p.names[sf.vars[j]]}
+	}
+	row := sf.rowIdent(int(sf.colRow[j-sf.n]))
+	if j < sf.artAt {
+		return slackOf(row)
+	}
+	return artOf(row)
 }
 
 // revised is the sparse revised-simplex working state. Basis slot i holds
@@ -229,12 +361,14 @@ type revised struct {
 	basis   []int  // basic column per basis position
 	inBasis []bool // per column
 	lu      *luFactors
-	etas    []eta
-	etaNNZ  int
+	spare   *luFactors // the idle factorization, refactorized into
+	work    luWork
+	etas    etaFile
 	xB      []float64 // basic values per position
 
 	cost []float64 // current phase's cost vector over all columns
 	d    []float64 // maintained reduced costs (nil outside iterate phases)
+	dBuf []float64 // d's storage
 
 	iters     int
 	dualIters int
@@ -242,7 +376,7 @@ type revised struct {
 	refactorEvery int
 	noRefactor    bool // a refactorization failed; ride the eta file out
 
-	// Scratch, allocated once per solve.
+	// Scratch, carved once per solve.
 	wr     []float64 // length m, original-row indexed (FTRAN in / BTRAN out)
 	t      []float64 // length m, position indexed (FTRAN result)
 	pz     []float64 // length m, position indexed (BTRAN input)
@@ -251,55 +385,98 @@ type revised struct {
 	atouch []int32
 }
 
-// newBare allocates the working state without choosing a basis; the caller
-// installs one via applyWarm or the crash construction.
-func newBare(p *Problem, sf *standardForm) *revised {
-	m := sf.m
-	return &revised{
-		p: p, sf: sf,
-		refactorEvery: p.etaEveryOrDefault(),
-		xB:            make([]float64, m),
-		wr:            make([]float64, m),
-		t:             make([]float64, m),
-		pz:            make([]float64, m),
-		alpha:         make([]float64, sf.total),
-		ainCol:        make([]bool, sf.total),
+// carve takes the working state's arrays, and those of the two
+// factorizations it alternates between, from c.
+func (r *revised) carve(c *carver, sh shape, lus *[2]luFactors) {
+	m, total := sh.m, sh.total()
+	r.basis = c.ints(m)
+	r.inBasis = c.bools(total)
+	r.ainCol = c.bools(total)
+	r.work.inCol = c.bools(m)
+	r.work.queued = c.bools(m)
+	r.xB = c.floats(m)
+	r.wr = c.floats(m)
+	r.t = c.floats(m)
+	r.pz = c.floats(m)
+	r.alpha = c.floats(total)
+	r.cost = c.floats(total)
+	r.dBuf = c.floats(total)
+	r.work.w = c.floats(m)
+	clear(r.work.w) // the work arrays are all zero at rest
+	clear(r.work.inCol)
+	clear(r.work.queued)
+	r.atouch = c.int32s(total)[:0]
+	r.work.touched = c.int32s(m)[:0]
+	r.work.heap = c.int32s(m)[:0]
+	for k := range lus {
+		f := &lus[k]
+		f.pivrow = c.int32s(m)
+		f.pinv = c.int32s(m)
+		f.lStart = c.int32s(m + 1)
+		f.uStart = c.int32s(m + 1)
+		f.diag = c.floats(m)
 	}
+	r.lu, r.spare = &lus[0], &lus[1]
 }
 
-// newRevised builds the crash basis: per row a positive structural
-// singleton (GE/EQ), the slack (LE, or GE with zero rhs), or the
-// artificial. B is diagonal, so the factorization is trivial and every
-// basic value is ≥ 0 by construction.
-func newRevised(p *Problem, sf *standardForm) *revised {
-	m := sf.m
-	r := newBare(p, sf)
-	r.basis = make([]int, m)
-	r.inBasis = make([]bool, sf.total)
-	for i := 0; i < m; i++ {
+// reset returns the working state to that of a fresh solve, with no basis
+// chosen: the caller installs one via applyWarm or crash.
+func (r *revised) reset(p *Problem, sf *standardForm) {
+	r.p, r.sf = p, sf
+	r.refactorEvery = p.etaEveryOrDefault()
+	r.noRefactor = false
+	r.iters, r.dualIters = 0, 0
+	r.d = nil
+	r.etas.reset()
+	clear(r.inBasis)
+	clear(r.xB)
+	clear(r.wr)
+	clear(r.t)
+	clear(r.pz)
+	clear(r.alpha)
+	clear(r.ainCol)
+	r.atouch = r.atouch[:0]
+}
+
+// crash installs the crash basis: per row a positive structural singleton
+// (GE/EQ), the slack (LE, or GE with zero rhs), or the artificial. B is
+// diagonal, so the factorization is trivial and every basic value is ≥ 0
+// by construction.
+func (r *revised) crash() {
+	sf := r.sf
+	for i := 0; i < sf.m; i++ {
 		col, _ := sf.crashCol(i)
 		r.basis[i] = col
 		r.inBasis[col] = true
 	}
 	// A diagonal basis cannot be singular (every crash coefficient is ±1 or
 	// a nonzero singleton), so the factorization always succeeds.
-	r.lu, _ = factorizeBasis(sf.cols, r.basis, m)
+	r.factorize()
 	r.computeXB()
-	return r
+}
+
+// factorize factors the current basis into the idle factorization and,
+// on success, makes it the live one. On failure the live one is kept.
+func (r *revised) factorize() bool {
+	if !r.spare.factor(r.sf, r.basis, &r.work) {
+		return false
+	}
+	r.lu, r.spare = r.spare, r.lu
+	return true
 }
 
 // crashCol picks row i's starting basic column and its coefficient.
 func (sf *standardForm) crashCol(i int) (int, float64) {
 	if sf.slackCol[i] >= 0 && sf.slackSign[i] > 0 { // LE
-		return sf.slackCol[i], 1
+		return int(sf.slackCol[i]), 1
 	}
 	if j := sf.posSingleton[i]; j >= 0 {
-		return j, sf.posSingletonVal[i]
+		return int(j), sf.posSingletonVal[i]
 	}
 	if sf.slackCol[i] >= 0 && sf.rhs[i] <= feasTol { // GE with rhs 0: surplus at 0
-		return sf.slackCol[i], -1
+		return int(sf.slackCol[i]), -1
 	}
-	return sf.artCol[i], 1 // GE/EQ rows always have one
+	return int(sf.artCol[i]), 1 // GE/EQ rows always have one
 }
 
 // computeXB recomputes the basic values xB = B⁻¹·b through the current
@@ -307,22 +484,18 @@ func (sf *standardForm) crashCol(i int) (int, float64) {
 func (r *revised) computeXB() {
 	copy(r.wr, r.sf.rhs)
 	r.lu.ftran(r.wr, r.xB)
-	for q := range r.etas {
-		r.etas[q].applyFtran(r.xB)
-	}
+	r.etas.ftran(r.xB)
 }
 
 // ftranCol computes t = B⁻¹·A_j for column j into out (length m,
 // position indexed).
 func (r *revised) ftranCol(j int, out []float64) {
-	c := &r.sf.cols[j]
-	for k, ri := range c.rows {
-		r.wr[ri] = c.vals[k]
+	rows, vals := r.sf.col(j)
+	for k, ri := range rows {
+		r.wr[ri] = vals[k]
 	}
 	r.lu.ftran(r.wr, out)
-	for q := range r.etas {
-		r.etas[q].applyFtran(out)
-	}
+	r.etas.ftran(out)
 }
 
 // pivotRow computes the leave-th row of B⁻¹A into r.alpha and returns the
@@ -334,9 +507,7 @@ func (r *revised) pivotRow(leave int) []int32 {
 	sf := r.sf
 	pz := r.pz
 	pz[leave] = 1
-	for q := len(r.etas) - 1; q >= 0; q-- {
-		r.etas[q].applyBtran(pz)
-	}
+	r.etas.btran(pz)
 	r.lu.btran(pz, r.wr)
 	cols := r.atouch[:0]
 	for ri := 0; ri < sf.m; ri++ {
@@ -345,8 +516,9 @@ func (r *revised) pivotRow(leave int) []int32 {
 		if br == 0 {
 			continue
 		}
-		rc, rv := sf.rowCols[ri], sf.rowVals[ri]
-		for idx, j := range rc {
+		a, b := sf.rowPtr[ri], sf.rowPtr[ri+1]
+		rv := sf.rowVals[a:b]
+		for idx, j := range sf.rowCols[a:b] {
 			if !r.ainCol[j] {
 				r.ainCol[j] = true
 				r.alpha[j] = 0
@@ -375,22 +547,18 @@ func (r *revised) computeD() {
 	for i := 0; i < sf.m; i++ {
 		r.pz[i] = r.cost[r.basis[i]]
 	}
-	for q := len(r.etas) - 1; q >= 0; q-- {
-		r.etas[q].applyBtran(r.pz)
-	}
+	r.etas.btran(r.pz)
 	r.lu.btran(r.pz, r.wr) // wr = y, the simplex multipliers by original row
-	if r.d == nil {
-		r.d = make([]float64, sf.total)
-	}
+	r.d = r.dBuf
 	for j := 0; j < sf.total; j++ {
 		if r.inBasis[j] {
 			r.d[j] = 0
 			continue
 		}
 		s := r.cost[j]
-		c := &sf.cols[j]
-		for k, ri := range c.rows {
-			s -= r.wr[ri] * c.vals[k]
+		rows, vals := sf.col(j)
+		for k, ri := range rows {
+			s -= r.wr[ri] * vals[k]
 		}
 		r.d[j] = s
 	}
@@ -424,14 +592,11 @@ func (r *revised) price(colLimit int, bland bool) int {
 // false if the factorization failed, in which case the old representation
 // stays live and refactorization is disabled for the rest of the solve.
 func (r *revised) refactor() bool {
-	lu, ok := factorizeBasis(r.sf.cols, r.basis, r.sf.m)
-	if !ok {
+	if !r.factorize() {
 		r.noRefactor = true
 		return false
 	}
-	r.lu = lu
-	r.etas = r.etas[:0]
-	r.etaNNZ = 0
+	r.etas.reset()
 	r.computeXB()
 	if r.d != nil {
 		r.computeD()
@@ -472,7 +637,7 @@ func (r *revised) pivot(leave, enter int, t []float64, acols []int32) {
 		r.clearAlpha(acols)
 	}
 	theta := r.xB[leave] / pv
-	e := eta{pos: int32(leave), diag: pv}
+	e := &r.etas
 	for i := 0; i < m; i++ {
 		if i == leave {
 			continue
@@ -486,14 +651,13 @@ func (r *revised) pivot(leave, enter int, t []float64, acols []int32) {
 		r.xB[i] -= ti * theta
 	}
 	r.xB[leave] = theta
-	r.etas = append(r.etas, e)
-	r.etaNNZ += len(e.rows) + 1
+	e.push(int32(leave), pv)
 	r.inBasis[r.basis[leave]] = false
 	r.inBasis[enter] = true
 	r.basis[leave] = enter
 	r.iters++
 	if !r.noRefactor &&
-		(len(r.etas) >= r.refactorEvery || r.etaNNZ > r.lu.nnz+etaFillSlack*m) {
+		(e.len() >= r.refactorEvery || e.nnz > r.lu.nnz+etaFillSlack*m) {
 		r.refactor()
 	}
 }
@@ -536,7 +700,7 @@ func (r *revised) iterate(colLimit int) Status {
 		t := r.t
 		r.ftranCol(enter, t)
 		leave, minRatio := r.chooseLeave(t)
-		if leave >= 0 && math.Abs(t[leave]) < stabTol && len(r.etas) > 0 && !r.noRefactor {
+		if leave >= 0 && math.Abs(t[leave]) < stabTol && r.etas.len() > 0 && !r.noRefactor {
 			// Suspiciously small pivot through a long eta file: refactorize
 			// and redo the ratio test on clean numbers.
 			if r.refactor() {
@@ -564,7 +728,7 @@ func (r *revised) iterate(colLimit int) Status {
 // real problem exists.
 func (r *revised) phase1() Status {
 	sf := r.sf
-	r.cost = make([]float64, sf.total)
+	clear(r.cost[:sf.artAt])
 	for j := sf.artAt; j < sf.total; j++ {
 		r.cost[j] = 1
 	}
@@ -624,9 +788,9 @@ func (r *revised) purgeArtificials() {
 // setPhase2Costs installs the real objective as the working cost vector.
 func (r *revised) setPhase2Costs() {
 	sf := r.sf
-	r.cost = make([]float64, sf.total)
-	for v, c := range r.p.cost {
-		r.cost[v] = c
+	clear(r.cost)
+	for j, v := range sf.vars {
+		r.cost[j] = r.p.cost[v]
 	}
 }
 
@@ -687,7 +851,7 @@ func (r *revised) optimize(warm bool) Status {
 // the final basis alone — identical whether the solve was warm or cold,
 // primal or dual, one eta file or another.
 func (r *revised) finalize() {
-	if len(r.etas) > 0 {
+	if r.etas.len() > 0 {
 		if !r.refactor() {
 			return // singular final refactorization: keep the maintained xB
 		}
@@ -696,57 +860,50 @@ func (r *revised) finalize() {
 	}
 }
 
-// extract reads structural variable values out of the basis. Adding +0
-// canonicalizes IEEE negative zero (−0 + 0 = +0; every other value is
-// unchanged): pivot arithmetic can produce either zero depending on the
-// pivot path, and warm- and cold-started solves of the same problem must
-// serialize identically.
-func (r *revised) extract() []float64 {
-	x := make([]float64, r.sf.n)
+// extract writes the component's structural variable values into x, the
+// solution over the whole problem. Adding +0 canonicalizes IEEE negative
+// zero (−0 + 0 = +0; every other value is unchanged): pivot arithmetic can
+// produce either zero depending on the pivot path, and warm- and
+// cold-started solves of the same problem must serialize identically.
+// Nonbasic variables keep x's zero.
+func (r *revised) extract(x []float64) {
 	for i, b := range r.basis {
 		if b < r.sf.n {
 			v := r.xB[i]
 			if v < 0 && v > -eps {
 				v = 0
 			}
-			x[b] = v + 0
+			x[r.sf.vars[b]] = v + 0
 		}
 	}
-	return x
 }
 
-// snapshot captures the solve's final basis as (row name, basic column
-// name) pairs — the identities a warm start on a related problem maps onto
-// its own standard form before refactorizing. Numerical state is never
-// carried: the next solve rebuilds it from its own problem data, which is
-// what makes the snapshot trivially serializable and immune to coefficient
-// changes (see applyWarm).
-func (r *revised) snapshot() *Basis {
-	sf := r.sf
-	b := &Basis{
-		rows: sf.rowName,
-		bcol: make([]string, sf.m),
-	}
+// snapshot writes the solve's final basis as (row, basic column) identity
+// pairs into rows and bcol — the identities a warm start on a related
+// problem maps onto its own standard form before refactorizing.
+// Numerical state is never carried: the next solve rebuilds it from its
+// own problem data, which is what makes the snapshot trivially
+// serializable and immune to coefficient changes (see applyWarm).
+func (r *revised) snapshot(rows, bcol []ident) {
 	for i, c := range r.basis {
-		b.bcol[i] = sf.colName[c]
+		rows[i] = r.sf.rowIdent(i)
+		bcol[i] = r.sf.colIdent(c)
 	}
-	return b
 }
 
-// solveComponent runs the revised simplex on one (sub)problem's standard
-// form, warm-started when warmIdx (a Basis.index) is non-empty and maps
-// onto it.
-func solveComponent(p *Problem, sf *standardForm, warmIdx map[string]string) *Solution {
-	var r *revised
+// solve runs the revised simplex on the built standard form sf,
+// warm-started when w maps onto it. It reports the terminal status and
+// whether the warm basis was applied.
+func (r *revised) solve(p *Problem, sf *standardForm, w *warmIndex, d *decomposition) (Status, bool) {
+	r.reset(p, sf)
 	warmApplied := false
-	if sf.m > 0 && len(warmIdx) > 0 {
-		rw := newBare(p, sf)
-		if rw.applyWarm(warmIdx) {
-			r, warmApplied = rw, true
+	if sf.m > 0 && w != nil {
+		if warmApplied = r.applyWarm(w, d); !warmApplied {
+			r.reset(p, sf)
 		}
 	}
-	if r == nil {
-		r = newRevised(p, sf)
+	if !warmApplied {
+		r.crash()
 	}
 	st := r.optimize(warmApplied)
 	if st == fallbackStatus {
@@ -754,25 +911,16 @@ func solveComponent(p *Problem, sf *standardForm, warmIdx map[string]string) *So
 		// infeasible, or a singular refactorization mid-flight): restart
 		// cold, preserving the pivots already spent in the iteration count.
 		spent, spentDual := r.iters, r.dualIters
-		r = newRevised(p, sf)
+		r.reset(p, sf)
+		r.crash()
 		r.iters, r.dualIters = spent, spentDual
 		warmApplied = false
 		st = r.optimize(false)
 	}
-	if st != Optimal {
-		return &Solution{Status: st, Iters: r.iters, DualIters: r.dualIters, WarmStarted: warmApplied}
+	if st == Optimal {
+		r.finalize()
 	}
-	r.finalize()
-	x := r.extract()
-	obj := 0.0
-	for v, c := range p.cost {
-		obj += c * x[v]
-	}
-	return &Solution{
-		Status: Optimal, X: x, Objective: obj,
-		Iters: r.iters, DualIters: r.dualIters,
-		Basis: r.snapshot(), WarmStarted: warmApplied,
-	}
+	return st, warmApplied
 }
 
 // solveSparse is the sparse-backend entry: presolve, decompose, solve the
@@ -804,10 +952,10 @@ func solveSparse(p *Problem, warm *Basis) (*Solution, error) {
 		return sol, statusErr(sol.Status)
 	}
 	sol.X = ps.postsolve(sol.X)
-	// Recompute the objective on the original cost vector and full solution:
-	// presolve's cost folding (duplicate-row merges) changes summation
-	// grouping, and the reported objective must not depend on whether
-	// presolve fired.
+	// The objective is computed here, on the original cost vector and full
+	// solution: presolve's cost folding (duplicate-row merges) changes
+	// summation grouping, and the reported objective must not depend on
+	// whether presolve fired.
 	obj := 0.0
 	for v, c := range p.cost {
 		obj += c * sol.X[v]

@@ -35,7 +35,8 @@ package solver
 import (
 	"fmt"
 	"slices"
-	"sort"
+	"strconv"
+	"strings"
 
 	"sherlock/internal/lp"
 	obslib "sherlock/internal/obs" // aliased: "obs" names Observations locals here
@@ -198,11 +199,13 @@ type varPair struct {
 }
 
 // Encoder incrementally encodes a growing Observations accumulator across
-// Perturber rounds. It caches the per-window derived data (sorted unique
-// candidate key lists) keyed by the window's absolute index in
-// obs.Windows — valid because the accumulator only ever appends windows —
-// and the global candidate key set, ingesting only the delta since the
-// previous round. Racy-pair rows are retired at emit time, so a pair
+// Perturber rounds. It caches the per-window derived data (the sorted
+// distinct candidates and the term names) keyed by the window's absolute
+// index in obs.Windows — valid because the accumulator only ever appends
+// windows — and the global candidate key set with each key's variable
+// names, ingesting only the delta since the previous round. The pairing
+// and single-role terms, which depend on the key set alone, are planned
+// once per key set. Racy-pair rows are retired at emit time, so a pair
 // turning racy in a later round drops its Mostly-Protected rows without
 // disturbing the cache.
 //
@@ -221,15 +224,53 @@ type Encoder struct {
 	lastObs *window.Observations // accumulator the cache was built from
 	nCached int                  // windows ingested so far
 
-	winRel [][]trace.Key // per absolute window index: sorted unique rel keys
-	winAcq [][]trace.Key
-	keys   []trace.Key // all candidate keys, sorted
-	keySet map[trace.Key]bool
+	winRel  [][]*keyInfo  // per absolute window index: distinct rel candidates, in key order
+	winAcq  [][]*keyInfo  // likewise for acq candidates
+	winName []windowNames // per absolute window index: its row names
+	keys    []trace.Key   // all candidate keys, sorted
+	info    map[trace.Key]*keyInfo
+	terms   *termPlan // terms over keys; nil until planned for the current key set
+}
+
+// windowNames are one window's Mostly-Protected row names, mp_rel(id) and
+// mp_acq(id); their ε variables rel(id) and acq(id) are the suffixes
+// after "mp_".
+type windowNames struct {
+	mpRel, mpAcq string
+}
+
+// keyInfo is what the Encoder keeps per candidate key: its position in
+// keys, the names of its role variables ("" for a role it cannot serve)
+// and of its exclusivity row (when it has both), and the variables'
+// tie-break weights.
+type keyInfo struct {
+	pos            int32
+	acq, rel, excl string
+	acqW, relW     float64
+}
+
+func (e *Encoder) newKeyInfo(k trace.Key) *keyInfo {
+	in := &keyInfo{}
+	// Under the Read-Acquire & Write-Release ablation every op may serve
+	// either role, but never both.
+	all := !e.cfg.Hyp.ReadAcqWriteRel
+	if all || trace.AcquireCapable(k.Kind()) {
+		in.acq = string(k) + "^acq"
+		in.acqW = nameWeight(in.acq)
+	}
+	if all || trace.ReleaseCapable(k.Kind()) {
+		in.rel = string(k) + "^rel"
+		in.relW = nameWeight(in.rel)
+	}
+	if in.acq != "" && in.rel != "" {
+		in.excl = "excl(" + string(k) + ")"
+	}
+	return in
 }
 
 // NewEncoder returns an empty Encoder for cfg.
 func NewEncoder(cfg Config) *Encoder {
-	return &Encoder{cfg: cfg, keySet: map[trace.Key]bool{}}
+	return &Encoder{cfg: cfg, info: map[trace.Key]*keyInfo{}}
 }
 
 // Reset drops all cached state, as after construction. The engine calls it
@@ -240,8 +281,10 @@ func (e *Encoder) Reset() {
 	e.nCached = 0
 	e.winRel = e.winRel[:0]
 	e.winAcq = e.winAcq[:0]
+	e.winName = e.winName[:0]
 	e.keys = e.keys[:0]
-	e.keySet = map[trace.Key]bool{}
+	e.info = map[trace.Key]*keyInfo{}
+	e.terms = nil
 }
 
 // sync ingests windows appended to obs since the previous round. A
@@ -252,31 +295,52 @@ func (e *Encoder) sync(obs *window.Observations) {
 		e.Reset()
 	}
 	e.lastObs = obs
+	// The new windows' candidate lists are carved from one buffer, sized
+	// by their event counts (an upper bound on the distinct candidates).
+	n := 0
+	for wi := e.nCached; wi < len(obs.Windows); wi++ {
+		n += len(obs.Windows[wi].RelEvents) + len(obs.Windows[wi].AcqEvents)
+	}
+	buf := make([]*keyInfo, 0, n)
 	newKeys := false
+	candidates := func(evs []window.CandEvent) []*keyInfo {
+		keys := sortedUniqueKeys(evs)
+		if len(keys) == 0 {
+			return nil
+		}
+		from := len(buf)
+		for _, k := range keys {
+			in := e.info[k]
+			if in == nil {
+				in = e.newKeyInfo(k)
+				e.info[k] = in
+				e.keys = append(e.keys, k)
+				newKeys = true
+			}
+			buf = append(buf, in)
+		}
+		return buf[from:len(buf):len(buf)]
+	}
 	for wi := e.nCached; wi < len(obs.Windows); wi++ {
 		w := &obs.Windows[wi]
-		rel := sortedUniqueKeys(w.RelEvents)
-		acq := sortedUniqueKeys(w.AcqEvents)
-		e.winRel = append(e.winRel, rel)
-		e.winAcq = append(e.winAcq, acq)
-		for _, k := range rel {
-			if !e.keySet[k] {
-				e.keySet[k] = true
-				e.keys = append(e.keys, k)
-				newKeys = true
-			}
+		e.winRel = append(e.winRel, candidates(w.RelEvents))
+		e.winAcq = append(e.winAcq, candidates(w.AcqEvents))
+		// Windows are named by UID when they carry one (checkpointed windows
+		// named by owning trace), otherwise by their absolute index in the
+		// accumulator — which this cache is keyed by, so both are stable.
+		id := w.UID
+		if id == "" {
+			id = "w" + strconv.Itoa(wi)
 		}
-		for _, k := range acq {
-			if !e.keySet[k] {
-				e.keySet[k] = true
-				e.keys = append(e.keys, k)
-				newKeys = true
-			}
-		}
+		e.winName = append(e.winName, windowNames{mpRel: "mp_rel(" + id + ")", mpAcq: "mp_acq(" + id + ")"})
 	}
 	e.nCached = len(obs.Windows)
 	if newKeys {
 		slices.Sort(e.keys)
+		for i, k := range e.keys {
+			e.info[k].pos = int32(i)
+		}
+		e.terms = nil
 	}
 }
 
@@ -321,23 +385,35 @@ func (e *Encoder) SolveSpan(obs *window.Observations, warm *lp.Basis, parent *ob
 		obslib.Int("windows", len(obs.Windows)),
 		obslib.Int("cached", cached))
 	e.sync(obs)
-	b := &builder{cfg: e.cfg, priors: e.priors, obs: obs, prob: lp.NewProblem(), vars: map[trace.Key]varPair{}}
+	if e.terms == nil {
+		e.terms = e.planTerms()
+	}
+	b := &builder{cfg: e.cfg, priors: e.priors, obs: obs, prob: lp.NewProblem(),
+		vars: make([]varPair, 0, len(e.keys))}
 	// Rough dimension hint: two role variables per key, two ε per window,
-	// and change for the pairing/single-role auxiliaries.
+	// and change for the pairing/single-role auxiliaries. A window row holds
+	// its candidates and its ε; a key sits in its exclusivity row and in
+	// both rows of its pairing term.
+	entries := 2*len(obs.Windows) + 6*len(e.keys) + 64
+	for wi := range e.winRel {
+		entries += len(e.winRel[wi]) + len(e.winAcq[wi])
+	}
 	b.prob.Grow(2*len(e.keys)+2*len(obs.Windows)+64,
-		2*len(obs.Windows)+len(e.keys)+64)
+		2*len(obs.Windows)+len(e.keys)+64, entries)
 	b.prob.MaxIters = e.cfg.MaxLPIters
 	b.prob.Parallel = e.cfg.Parallelism
 	b.prob.Trace = parent
 
 	for _, k := range e.keys {
-		b.addVars(k)
+		b.addVars(e.info[k])
 	}
 	b.addMostlyProtected(e)
 	b.addRareness(e.keys)
 	b.addAcqTimeVaries(e.keys)
-	b.addMostlyPaired(e.keys)
-	b.addSingleRole(e.keys)
+	for i := range e.terms.pairs {
+		b.addAbsTerm(&e.terms.pairs[i])
+	}
+	b.addSingleRole(e.terms.singleRole)
 	span.Annotate(
 		obslib.Int("keys", len(e.keys)),
 		obslib.Int("vars", b.prob.NumVars()),
@@ -359,8 +435,8 @@ func (e *Encoder) SolveSpan(obs *window.Observations, warm *lp.Basis, parent *ob
 	}
 
 	res := &Result{
-		Acquires:      map[trace.Key]float64{},
-		Releases:      map[trace.Key]float64{},
+		Acquires:      make(map[trace.Key]float64, len(e.keys)),
+		Releases:      make(map[trace.Key]float64, len(e.keys)),
 		Objective:     sol.Objective,
 		Vars:          b.prob.NumVars(),
 		Constraints:   b.prob.NumConstraints(),
@@ -371,8 +447,8 @@ func (e *Encoder) SolveSpan(obs *window.Observations, warm *lp.Basis, parent *ob
 		ColsPresolved: sol.ColsPresolved,
 		WarmStarted:   sol.WarmStarted,
 	}
-	for _, k := range e.keys {
-		vp := b.vars[k]
+	for i, k := range e.keys {
+		vp := b.vars[i]
 		if vp.acq >= 0 {
 			p := sol.Value(vp.acq)
 			res.Acquires[k] = p
@@ -399,13 +475,195 @@ func Solve(obs *window.Observations, cfg Config) (*Result, error) {
 	return res, err
 }
 
+// termPlan is the Mostly-Paired and Single-Role terms over one key set,
+// by key position, in emission order.
+type termPlan struct {
+	pairs      []absTerm
+	singleRole []singleRoleTerm
+}
+
+// absTerm is one |Σ acq − Σ rel| pairing term: its variable name, its two
+// row names, and the keys whose acquire and release variables it sums.
+type absTerm struct {
+	name, plus, minus string
+	acqs, rels        []int32
+}
+
+// newAbsTerm names a pairing term kind(group) with rows kind(group)+ and
+// kind(group)-.
+func newAbsTerm(kind, group string, acqs, rels []int32) absTerm {
+	plus := kind + "(" + group + ")+"
+	name := plus[:len(plus)-1]
+	return absTerm{name: name, plus: plus, minus: name + "-", acqs: acqs, rels: rels}
+}
+
+// singleRoleTerm is one library API's begin/end pair: the row (and, under
+// SoftSingleRole, the penalty variable) that keeps the API in one role
+// whenever the API is observed as a library call.
+type singleRoleTerm struct {
+	api        string
+	begin, end int32
+	row, eps   string
+}
+
+// member is a key (by position) filed under a pairing group: its class
+// for method keys, its field name for field keys.
+type member struct {
+	group string
+	pos   int32
+}
+
+// planTerms plans the terms that depend only on the key set: Eq. 6
+// (class-level method pairing), Eq. 7 (field read/write pairing) and the
+// Single-Role candidates. Groups are emitted in name order, and a
+// group's keys in key order.
+func (e *Encoder) planTerms() *termPlan {
+	tp := &termPlan{}
+	if e.cfg.Hyp.MostlyPaired {
+		var methods, fields []member
+		for i, k := range e.keys {
+			switch {
+			case k.IsField():
+				fields = append(fields, member{k.Name(), int32(i)})
+			case k.Class() != "":
+				methods = append(methods, member{k.Class(), int32(i)})
+			}
+		}
+		byGroup := func(a, b member) int { return strings.Compare(a.group, b.group) }
+		slices.SortStableFunc(methods, byGroup)
+		slices.SortStableFunc(fields, byGroup)
+		// Every group's acquire and release positions are carved from one
+		// buffer; a method key may sit in both lists (ablation).
+		buf := make([]int32, 0, 2*len(methods)+len(fields))
+		carve := func(from int) []int32 {
+			if len(buf) == from {
+				return nil
+			}
+			return buf[from:len(buf):len(buf)]
+		}
+		// Eq. 6: per class, |Σ method acq − Σ method rel|.
+		for lo := 0; lo < len(methods); {
+			hi := lo + 1
+			for hi < len(methods) && methods[hi].group == methods[lo].group {
+				hi++
+			}
+			from := len(buf)
+			for _, m := range methods[lo:hi] {
+				if e.info[e.keys[m.pos]].acq != "" {
+					buf = append(buf, m.pos)
+				}
+			}
+			acqs := carve(from)
+			from = len(buf)
+			for _, m := range methods[lo:hi] {
+				if e.info[e.keys[m.pos]].rel != "" {
+					buf = append(buf, m.pos)
+				}
+			}
+			rels := carve(from)
+			if len(acqs)+len(rels) > 0 {
+				tp.pairs = append(tp.pairs, newAbsTerm("pair_c", methods[lo].group, acqs, rels))
+			}
+			lo = hi
+		}
+		// Eq. 7: per field, |read^acq − write^rel|.
+		for lo := 0; lo < len(fields); {
+			hi := lo + 1
+			for hi < len(fields) && fields[hi].group == fields[lo].group {
+				hi++
+			}
+			var acqs, rels []int32
+			for _, m := range fields[lo:hi] {
+				k := e.keys[m.pos]
+				in := e.info[k]
+				from := len(buf)
+				switch {
+				case k.Kind() == trace.KindRead && in.acq != "":
+					buf = append(buf, m.pos)
+					acqs = carve(from)
+				case k.Kind() == trace.KindWrite && in.rel != "":
+					buf = append(buf, m.pos)
+					rels = carve(from)
+				}
+			}
+			if len(acqs)+len(rels) > 0 {
+				tp.pairs = append(tp.pairs, newAbsTerm("pair_f", fields[lo].group, acqs, rels))
+			}
+			lo = hi
+		}
+	}
+	if e.cfg.Hyp.SingleRole {
+		ends := map[string]*keyInfo{}
+		for _, k := range e.keys {
+			if k.Kind() == trace.KindEnd {
+				ends[k.Name()] = e.info[k]
+			}
+		}
+		for i, k := range e.keys {
+			if k.Kind() != trace.KindBegin {
+				continue
+			}
+			begin, end := e.info[k], ends[k.Name()]
+			if end == nil || begin.acq == "" || end.rel == "" {
+				continue
+			}
+			t := singleRoleTerm{api: k.Name(), begin: int32(i), end: end.pos}
+			if e.cfg.SoftSingleRole {
+				t.row, t.eps = "srs("+t.api+")", "singlerole("+t.api+")"
+			} else {
+				t.row = "sr(" + t.api + ")"
+			}
+			tp.singleRole = append(tp.singleRole, t)
+		}
+	}
+	return tp
+}
+
 // builder assembles one round's lp.Problem.
 type builder struct {
 	cfg    Config
 	priors *Priors
 	obs    *window.Observations
 	prob   *lp.Problem
-	vars   map[trace.Key]varPair
+	vars   []varPair // per key position
+
+	// The row under construction, reused from row to row (lp.AddRow
+	// copies it into the problem).
+	idx    []int
+	coeffs []float64
+}
+
+// term adds a·x_v to the row under construction.
+func (b *builder) term(v int, a float64) {
+	b.idx = append(b.idx, v)
+	b.coeffs = append(b.coeffs, a)
+}
+
+// addRow adds the row under construction and clears it. Like
+// lp.AddNamedConstraint with a coefficient map, it sums repeated
+// variables in the order their terms were added, drops zero sums and
+// orders the entries by variable.
+func (b *builder) addRow(name string, sense lp.Sense, rhs float64) {
+	idx, coeffs := b.idx, b.coeffs
+	for i := 1; i < len(idx); i++ { // stable insertion sort: rows are short
+		for j := i; j > 0 && idx[j-1] > idx[j]; j-- {
+			idx[j], idx[j-1] = idx[j-1], idx[j]
+			coeffs[j], coeffs[j-1] = coeffs[j-1], coeffs[j]
+		}
+	}
+	out := 0
+	for i := 0; i < len(idx); {
+		v, a := idx[i], coeffs[i]
+		for i++; i < len(idx) && idx[i] == v; i++ {
+			a += coeffs[i]
+		}
+		if a != 0 {
+			idx[out], coeffs[out] = v, a
+			out++
+		}
+	}
+	b.prob.AddRow(name, idx[:out], coeffs[:out], sense, rhs)
+	b.idx, b.coeffs = idx[:0], coeffs[:0]
 }
 
 // tieBreakEps scales the deterministic tie-breaker costs on role
@@ -441,32 +699,25 @@ func nameWeight(s string) float64 {
 // addVars creates the role variables of one candidate under the
 // Read-Acquire & Write-Release property (or both roles under its ablation,
 // with the role-exclusivity constraint instead).
-func (b *builder) addVars(k trace.Key) {
+func (b *builder) addVars(in *keyInfo) {
 	vp := varPair{acq: -1, rel: -1}
-	acqCapable := trace.AcquireCapable(k.Kind())
-	relCapable := trace.ReleaseCapable(k.Kind())
-	if !b.cfg.Hyp.ReadAcqWriteRel {
-		// Ablation: every op may serve either role, but never both.
-		acqCapable, relCapable = true, true
-	}
-	if acqCapable {
-		name := string(k) + "^acq"
-		vp.acq = b.prob.AddVariable(name)
+	if in.acq != "" {
+		vp.acq = b.prob.AddVariable(in.acq)
 		b.prob.SetUpperBound(vp.acq, 1)
-		b.prob.AddCost(vp.acq, tieBreakEps*nameWeight(name))
+		b.prob.AddCost(vp.acq, tieBreakEps*in.acqW)
 	}
-	if relCapable {
-		name := string(k) + "^rel"
-		vp.rel = b.prob.AddVariable(name)
+	if in.rel != "" {
+		vp.rel = b.prob.AddVariable(in.rel)
 		b.prob.SetUpperBound(vp.rel, 1)
-		b.prob.AddCost(vp.rel, tieBreakEps*nameWeight(name))
+		b.prob.AddCost(vp.rel, tieBreakEps*in.relW)
 	}
-	if vp.acq >= 0 && vp.rel >= 0 {
+	if in.excl != "" {
 		// A release cannot be an acquire and vice versa.
-		b.prob.AddNamedConstraint("excl("+string(k)+")",
-			map[int]float64{vp.acq: 1, vp.rel: 1}, lp.LE, 1)
+		b.term(vp.acq, 1)
+		b.term(vp.rel, 1)
+		b.addRow(in.excl, lp.LE, 1)
 	}
-	b.vars[k] = vp
+	b.vars = append(b.vars, vp)
 }
 
 // addMostlyProtected adds Eq. 2's rel(w) and acq(w) terms for every
@@ -478,7 +729,8 @@ func (b *builder) addVars(k trace.Key) {
 // further: it survives windows from other traces being inserted ahead,
 // which is what lets an incremental re-solve carry its basis across
 // arbitrary upload orders. Names never influence pivoting, so the two
-// schemes produce the identical program values either way.
+// schemes produce the identical program values either way. The Encoder
+// builds each window's names once (windowNames).
 func (b *builder) addMostlyProtected(e *Encoder) {
 	if !b.cfg.Hyp.MostlyProtected {
 		return
@@ -488,41 +740,35 @@ func (b *builder) addMostlyProtected(e *Encoder) {
 		if !b.cfg.KeepRacyWindows && b.obs.RacyPairs[w.Pair] {
 			continue
 		}
-		id := w.UID
-		if id == "" {
-			id = fmt.Sprintf("w%d", wi)
-		}
-		b.addWindowTerm("rel("+id+")", e.winRel[wi], trace.RoleRelease)
-		b.addWindowTerm("acq("+id+")", e.winAcq[wi], trace.RoleAcquire)
+		names := &e.winName[wi]
+		b.addWindowTerm(names.mpRel, e.winRel[wi], trace.RoleRelease)
+		b.addWindowTerm(names.mpAcq, e.winAcq[wi], trace.RoleAcquire)
 	}
 }
 
 // addWindowTerm adds ε ≥ 1 − Σ var over the distinct role-capable
 // candidates of one window side, with cost 1 on ε. Each distinct operation
 // contributes its variable once regardless of dynamic occurrences (paper
-// Section 4.2). cands is sorted and unique, and role variables are created
-// in key order, so the row's entries come out index-ascending by
+// Section 4.2). cands is in key order, and role variables are created in
+// key order, so the row's entries come out index-ascending by
 // construction — the precondition for the allocation-light lp.AddRow path.
-func (b *builder) addWindowTerm(name string, cands []trace.Key, role trace.Role) {
-	idx := make([]int, 0, len(cands)+1)
-	for _, k := range cands {
-		vp := b.vars[k]
+// rowName is the row's name, mp_<ε name>.
+func (b *builder) addWindowTerm(rowName string, cands []*keyInfo, role trace.Role) {
+	for _, in := range cands {
+		vp := b.vars[in.pos]
 		v := vp.rel
 		if role == trace.RoleAcquire {
 			v = vp.acq
 		}
 		if v >= 0 {
-			idx = append(idx, v)
+			b.term(v, 1)
 		}
 	}
-	eps := b.prob.AddVariable(name)
+	eps := b.prob.AddVariable(strings.TrimPrefix(rowName, "mp_"))
 	b.prob.AddCost(eps, 1)
-	idx = append(idx, eps) // just created: largest index, keeps the order
-	coeffs := make([]float64, len(idx))
-	for i := range coeffs {
-		coeffs[i] = 1
-	}
-	b.prob.AddRow("mp_"+name, idx, coeffs, lp.GE, 1)
+	b.term(eps, 1) // just created: largest index, keeps the order
+	b.prob.AddRow(rowName, b.idx, b.coeffs, lp.GE, 1)
+	b.idx, b.coeffs = b.idx[:0], b.coeffs[:0]
 }
 
 // addRareness adds Eq. 3's regularization and Eq. 4's occurrence penalty,
@@ -533,14 +779,14 @@ func (b *builder) addRareness(keys []trace.Key) {
 		return
 	}
 	w := b.cfg.Weights.Resolved()
-	for _, k := range keys {
+	for i, k := range keys {
 		pen := b.cfg.Lambda * (1 + b.cfg.RareCoef*b.obs.AvgOccurrence(k))
 		acqPen, relPen := w.Acquire*pen, w.Release*pen
 		if b.priors != nil {
 			acqPen *= b.priors.discount(b.priors.Acquires[k])
 			relPen *= b.priors.discount(b.priors.Releases[k])
 		}
-		vp := b.vars[k]
+		vp := b.vars[i]
 		if vp.acq >= 0 {
 			b.prob.AddCost(vp.acq, acqPen)
 		}
@@ -558,11 +804,11 @@ func (b *builder) addAcqTimeVaries(keys []trace.Key) {
 	}
 	pct := b.obs.CVPercentiles()
 	wAcq := b.cfg.Weights.Resolved().Acquire
-	for _, k := range keys {
+	for i, k := range keys {
 		if k.Kind() != trace.KindBegin {
 			continue
 		}
-		vp := b.vars[k]
+		vp := b.vars[i]
 		if vp.acq < 0 {
 			continue
 		}
@@ -571,112 +817,48 @@ func (b *builder) addAcqTimeVaries(keys []trace.Key) {
 	}
 }
 
-// addMostlyPaired adds Eq. 6 (class-level method pairing) and Eq. 7
-// (field read/write pairing).
-func (b *builder) addMostlyPaired(keys []trace.Key) {
-	if !b.cfg.Hyp.MostlyPaired {
-		return
-	}
-	// Eq. 6: per class, |Σ method acq − Σ method rel|.
-	classAcq := map[string][]int{}
-	classRel := map[string][]int{}
-	for _, k := range keys {
-		if k.IsField() || k.Class() == "" {
-			continue
-		}
-		vp := b.vars[k]
-		if vp.acq >= 0 {
-			classAcq[k.Class()] = append(classAcq[k.Class()], vp.acq)
-		}
-		if vp.rel >= 0 {
-			classRel[k.Class()] = append(classRel[k.Class()], vp.rel)
-		}
-	}
-	classes := map[string]bool{}
-	for c := range classAcq {
-		classes[c] = true
-	}
-	for c := range classRel {
-		classes[c] = true
-	}
-	ordered := make([]string, 0, len(classes))
-	for c := range classes {
-		ordered = append(ordered, c)
-	}
-	sort.Strings(ordered)
-	for _, c := range ordered {
-		b.addAbsTerm("pair_c("+c+")", classAcq[c], classRel[c])
-	}
-
-	// Eq. 7: per field, |read^acq − write^rel|.
-	fields := map[string]bool{}
-	for _, k := range keys {
-		if k.IsField() {
-			fields[k.Name()] = true
-		}
-	}
-	orderedF := make([]string, 0, len(fields))
-	for f := range fields {
-		orderedF = append(orderedF, f)
-	}
-	sort.Strings(orderedF)
-	for _, f := range orderedF {
-		var acqs, rels []int
-		if vp, ok := b.vars[trace.KeyFor(trace.KindRead, f)]; ok && vp.acq >= 0 {
-			acqs = append(acqs, vp.acq)
-		}
-		if vp, ok := b.vars[trace.KeyFor(trace.KindWrite, f)]; ok && vp.rel >= 0 {
-			rels = append(rels, vp.rel)
-		}
-		if len(acqs)+len(rels) > 0 {
-			b.addAbsTerm("pair_f("+f+")", acqs, rels)
-		}
-	}
-}
-
-// addAbsTerm adds t ≥ ±(Σ acqs − Σ rels) with cost λ·t.
-func (b *builder) addAbsTerm(name string, acqs, rels []int) {
-	t := b.prob.AddVariable(name)
+// addAbsTerm adds one Mostly-Paired term (Eq. 6 or 7):
+// t ≥ ±(Σ acqs − Σ rels) with cost λ·t.
+func (b *builder) addAbsTerm(at *absTerm) {
+	t := b.prob.AddVariable(at.name)
 	b.prob.AddCost(t, b.cfg.Lambda)
-	pos := map[int]float64{t: 1}
-	neg := map[int]float64{t: 1}
-	for _, v := range acqs {
-		pos[v] -= 1
-		neg[v] += 1
+	for _, sign := range [2]float64{1, -1} {
+		b.term(t, 1)
+		for _, pos := range at.acqs {
+			b.term(b.vars[pos].acq, -sign)
+		}
+		for _, pos := range at.rels {
+			b.term(b.vars[pos].rel, sign)
+		}
+		if sign > 0 {
+			b.addRow(at.plus, lp.GE, 0)
+		} else {
+			b.addRow(at.minus, lp.GE, 0)
+		}
 	}
-	for _, v := range rels {
-		pos[v] += 1
-		neg[v] -= 1
-	}
-	b.prob.AddNamedConstraint(name+"+", pos, lp.GE, 0)
-	b.prob.AddNamedConstraint(name+"-", neg, lp.GE, 0)
 }
 
 // addSingleRole adds begin(l)^acq + end(l)^rel ≤ 1 for every library API —
 // or, under SoftSingleRole, the relaxed penalty λ·max(0, begin+end−1) that
 // lets strong evidence overrule the assumption (double-role APIs).
-func (b *builder) addSingleRole(keys []trace.Key) {
-	if !b.cfg.Hyp.SingleRole {
-		return
-	}
-	for _, k := range keys {
-		if k.Kind() != trace.KindBegin || !b.obs.LibAPIs[k.Name()] {
+func (b *builder) addSingleRole(terms []singleRoleTerm) {
+	for i := range terms {
+		t := &terms[i]
+		if !b.obs.LibAPIs[t.api] {
 			continue
 		}
-		beginVP := b.vars[k]
-		endVP, ok := b.vars[trace.KeyFor(trace.KindEnd, k.Name())]
-		if !ok || beginVP.acq < 0 || endVP.rel < 0 {
-			continue
-		}
-		if b.cfg.SoftSingleRole {
-			eps := b.prob.AddVariable("singlerole(" + k.Name() + ")")
+		acq, rel := b.vars[t.begin].acq, b.vars[t.end].rel
+		if t.eps != "" {
+			eps := b.prob.AddVariable(t.eps)
 			b.prob.AddCost(eps, b.cfg.Lambda)
-			b.prob.AddNamedConstraint("srs("+k.Name()+")", map[int]float64{
-				eps: 1, beginVP.acq: -1, endVP.rel: -1,
-			}, lp.GE, -1)
+			b.term(eps, 1)
+			b.term(acq, -1)
+			b.term(rel, -1)
+			b.addRow(t.row, lp.GE, -1)
 			continue
 		}
-		b.prob.AddNamedConstraint("sr("+k.Name()+")",
-			map[int]float64{beginVP.acq: 1, endVP.rel: 1}, lp.LE, 1)
+		b.term(acq, 1)
+		b.term(rel, 1)
+		b.addRow(t.row, lp.LE, 1)
 	}
 }

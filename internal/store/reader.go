@@ -14,9 +14,16 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"sherlock/internal/trace"
 )
+
+// flateReaders pools block decompressors (io.ReadClosers implementing
+// flate.Resetter) across Readers; a Reader takes one at its first block,
+// resets it per block, and returns it once the stream ends, cleanly or
+// not.
+var flateReaders = sync.Pool{New: func() any { return flate.NewReader(bytes.NewReader(nil)) }}
 
 // Reader decodes one binary trace stream incrementally. Use NewReader to
 // parse the header, then Next until io.EOF. The trailer's event count is
@@ -40,7 +47,7 @@ type Reader struct {
 	done  bool
 	err   error
 
-	comp io.ReadCloser // reused flate reader
+	comp io.ReadCloser // from flateReaders
 }
 
 // NewReader parses the magic, version, and header.
@@ -95,26 +102,33 @@ func (rd *Reader) Next() (trace.Event, error) {
 	}
 	if rd.left == 0 {
 		if err := rd.nextBlock(); err != nil {
-			rd.err = err
-			return trace.Event{}, err
+			return trace.Event{}, rd.end(err)
 		}
 		if rd.done {
-			rd.err = io.EOF
-			return trace.Event{}, io.EOF
+			return trace.Event{}, rd.end(io.EOF)
 		}
 	}
 	e, err := rd.decodeEvent()
 	if err != nil {
-		rd.err = err
-		return trace.Event{}, err
+		return trace.Event{}, rd.end(err)
 	}
 	rd.left--
 	rd.count++
 	if rd.left == 0 && rd.off != len(rd.raw) {
-		rd.err = formatErr("block has %d undecoded payload bytes", len(rd.raw)-rd.off)
-		return trace.Event{}, rd.err
+		return trace.Event{}, rd.end(formatErr("block has %d undecoded payload bytes", len(rd.raw)-rd.off))
 	}
 	return e, nil
+}
+
+// end records the stream's terminal error (io.EOF on success) and returns
+// the decompressor to the pool.
+func (rd *Reader) end(err error) error {
+	rd.err = err
+	if rd.comp != nil {
+		flateReaders.Put(rd.comp)
+		rd.comp = nil
+	}
+	return err
 }
 
 // nextBlock reads, verifies, and decompresses the next block, or consumes
@@ -166,8 +180,9 @@ func (rd *Reader) nextBlock() error {
 	}
 
 	if rd.comp == nil {
-		rd.comp = flate.NewReader(bytes.NewReader(comp))
-	} else if err := rd.comp.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
+		rd.comp = flateReaders.Get().(io.ReadCloser)
+	}
+	if err := rd.comp.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
 		return formatErr("flate reset: %v", err)
 	}
 	if cap(rd.raw) < int(rawLen) {

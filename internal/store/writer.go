@@ -10,9 +10,21 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"sherlock/internal/trace"
 )
+
+// flateWriters pools block compressors across Writers. flate.NewWriter
+// allocates the compressor's large tables, and Reset is specified to
+// leave a writer equal to a fresh one, so pooling changes no output byte.
+var flateWriters = sync.Pool{New: func() any {
+	w, err := flate.NewWriter(io.Discard, flate.BestSpeed)
+	if err != nil {
+		panic(err) // only an invalid level fails
+	}
+	return w
+}}
 
 // Writer encodes one trace as a binary stream. Create with NewWriter, feed
 // events with Add (timestamps in any order; deltas are signed), and finish
@@ -37,7 +49,8 @@ type Writer struct {
 	closed bool
 	err    error
 
-	// Reused compression state.
+	// Compression state: comp comes from flateWriters and goes back in
+	// Close.
 	comp    *flate.Writer
 	compBuf []byte
 }
@@ -64,15 +77,11 @@ func NewWriter(w io.Writer, meta Meta, blockEvents int) (*Writer, error) {
 	if _, err := bw.Write(hdr); err != nil {
 		return nil, fmt.Errorf("store: write header: %w", err)
 	}
-	comp, err := flate.NewWriter(io.Discard, flate.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
 	return &Writer{
 		w:           bw,
 		blockEvents: blockEvents,
 		strings:     make(map[string]uint64),
-		comp:        comp,
+		comp:        flateWriters.Get().(*flate.Writer),
 	}, nil
 }
 
@@ -175,6 +184,9 @@ func (wr *Writer) Close() error {
 	if err := wr.flushBlock(); err != nil {
 		return err
 	}
+	wr.comp.Reset(io.Discard) // drop the reference to compBuf
+	flateWriters.Put(wr.comp)
+	wr.comp = nil
 	var tr []byte
 	tr = appendUvarint(tr, 0) // end-of-blocks marker
 	tr = appendUvarint(tr, uint64(wr.total))
