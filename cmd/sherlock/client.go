@@ -53,48 +53,6 @@ func apiError(op, status string, body []byte) error {
 	return fmt.Errorf("%s: %s: %s", op, status, strings.TrimSpace(string(body)))
 }
 
-// submitJob POSTs an application job, printing the id, content key, and
-// status. With wait set it waits for the job to finish, then fetches and
-// pretty-prints the result summary.
-func submitJob(ctx context.Context, base, app string, rounds int, lambda float64, near, seed int64, wait bool) error {
-	spec := submitSpec{App: app, Rounds: rounds, Lambda: lambda, Near: near, Seed: seed}
-	return postJobSpec(ctx, base, spec, wait)
-}
-
-// submitStaticJob POSTs a run-free static inference job. The result is
-// content-addressed by program hash, so across a cluster it is computed
-// at most once per program/config revision.
-func submitStaticJob(ctx context.Context, base, app string, lambda float64, near int64, wait bool) error {
-	spec := submitSpec{StaticApp: app, Lambda: lambda, Near: near}
-	return postJobSpec(ctx, base, spec, wait)
-}
-
-// submitWatchJob creates a streaming watch job; with wait set it follows
-// the published versions like `sherlock watch`.
-func submitWatchJob(ctx context.Context, base, app string, rounds int, lambda float64, near, seed int64, wait bool) error {
-	spec := submitSpec{WatchApp: app, Rounds: rounds, Lambda: lambda, Near: near, Seed: seed}
-	v, err := postSpec(ctx, base, spec)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("job %s  status %s  watching app %s\n", v.ID, v.Status, app)
-	if !wait {
-		return nil
-	}
-	return watchJob(ctx, base, v.ID, 0)
-}
-
-// createWatchJob creates a watch job and returns its id (the `sherlock
-// watch -app X` entrypoint).
-func createWatchJob(ctx context.Context, base, app string) (string, error) {
-	v, err := postSpec(ctx, base, submitSpec{WatchApp: app})
-	if err != nil {
-		return "", err
-	}
-	fmt.Printf("job %s  status %s  watching app %s\n", v.ID, v.Status, app)
-	return v.ID, nil
-}
-
 // watchJob follows a job's published versions via the long-poll endpoint,
 // printing a line (and the result summary) per version until the job
 // terminates or ctx is canceled.
@@ -231,13 +189,22 @@ func postSpec(ctx context.Context, base string, spec submitSpec) (*jobView, erro
 	return &v, nil
 }
 
-// postJobSpec is the shared submit/wait/print path behind every one-shot
-// submission. Any node of a cluster accepts it: the server proxies the job
-// to its content key's ring owner.
+// postJobSpec is the submit/wait/print path behind `sherlock submit`. Any
+// node of a cluster accepts it: the server proxies the job to its content
+// key's ring owner. With wait set, a one-shot job is waited on and its
+// result printed; a watch job is followed version by version like
+// `sherlock watch`.
 func postJobSpec(ctx context.Context, base string, spec submitSpec, wait bool) error {
 	v, err := postSpec(ctx, base, spec)
 	if err != nil {
 		return err
+	}
+	if spec.WatchApp != "" {
+		fmt.Printf("job %s  status %s  watching app %s\n", v.ID, v.Status, spec.WatchApp)
+		if !wait {
+			return nil
+		}
+		return watchJob(ctx, base, v.ID, 0)
 	}
 	fmt.Printf("job %s  key %s  status %s  cached %v\n", v.ID, v.Key, v.Status, v.Cached)
 	if !wait {
@@ -337,25 +304,6 @@ func printResultEnvelope(body []byte) error {
 		fmt.Printf("  %-8s %-60s p=%.2f\n", role, s.Key, s.Prob)
 	}
 	return nil
-}
-
-// fetchStaticReport GETs /v1/apps/{id}/static and prints the report (the
-// `sherlock static -server` entrypoint).
-func fetchStaticReport(ctx context.Context, base, app string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/apps/"+app+"/static", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiError("static "+app, resp.Status, body)
-	}
-	return printResultEnvelope(body)
 }
 
 // printClusterInfo renders GET /v1/cluster/info: membership, liveness,

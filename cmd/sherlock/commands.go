@@ -3,11 +3,11 @@
 //	sherlock capture [-corpus DIR | -traces DIR -app App-4] [-seed 1]
 //	sherlock infer   [-app App-4 | -corpus DIR | -traces DIR | -all | -list]
 //	                 [-refine -corpus DIR]
-//	sherlock static  [-app App-4 | -all] [-server URL]
+//	sherlock static  [-app App-4 | -all]
 //	sherlock upload  -server URL FILE...
 //	sherlock submit  -server URL [-app X | -keys k1,k2 |
 //	                 -watch-app X | -static-app X] [-wait]
-//	sherlock watch   -server URL [-job job-000001 | -app X]
+//	sherlock watch   -server URL -job job-000001
 //	sherlock status  -server URL [JOB-ID | -result KEY | -list [-filter done]]
 package main
 
@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"sherlock/internal/apps"
 	"sherlock/internal/core"
@@ -92,13 +93,11 @@ Against a sherlockd daemon:
       one-shot inference jobs (campaign / corpus offline solve)
   sherlock submit -server URL -static-app App-4 [-wait]
       run-free static inference job, cached by program hash
-  sherlock static -server URL -app App-4
-      fetch (computing if needed) the daemon's static report
-  sherlock submit -server URL -watch-app App-4
+  sherlock submit -server URL -watch-app App-4 [-wait]
       streaming job: binds to the corpus prefix, re-solves per upload
-  sherlock watch -server URL -job JOB-ID
-  sherlock watch -server URL -app App-4
-      follow a job's published versions (creates the watch job with -app)
+      (-wait follows its published versions)
+  sherlock watch -server URL -job JOB-ID [-after N]
+      follow an existing job's published versions
   sherlock status -server URL JOB-ID
   sherlock status -server URL -result KEY
   sherlock status -server URL -list [-filter done]
@@ -199,22 +198,19 @@ func campaignConfig(rounds int, lambda float64, near, seed int64, parallel int, 
 	return cfg
 }
 
-// cmdStatic runs static (run-free) inference: locally against the built-in
-// apps, or against a daemon's content-addressed report endpoint.
+// cmdStatic runs static (run-free) inference locally. A daemon computes
+// the same report as a job: `sherlock submit -static-app X -wait`.
 func cmdStatic(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("static", flag.ExitOnError)
 	appName := fs.String("app", "", "application id (App-1..App-8 or gen:<seed>[,profile=...][,size=...])")
 	all := fs.Bool("all", false, "static-only sweep over everything the program registry exposes")
-	server := fs.String("server", "", "fetch the report from this sherlockd daemon instead of computing locally")
-	lambda := fs.Float64("lambda", 0.2, "Mostly-Protected trade-off knob (local mode)")
-	near := fs.Int64("near", 1_000_000, "conflict window in virtual ns (local mode)")
+	lambda := fs.Float64("lambda", 0.2, "Mostly-Protected trade-off knob")
+	near := fs.Int64("near", 1_000_000, "conflict window in virtual ns")
 	verbose := fs.Bool("v", false, "print solver overhead")
 	fs.Parse(args)
 	switch {
 	case *all:
 		die(runStaticAll(ctx))
-	case *appName != "" && *server != "":
-		die(fetchStaticReport(ctx, *server, *appName))
 	case *appName != "":
 		die(runStaticLocal(ctx, *appName, *lambda, *near, *verbose))
 	default:
@@ -253,40 +249,32 @@ func cmdSubmit(ctx context.Context, args []string) {
 	if *server == "" {
 		die(fmt.Errorf("submit: -server is required"))
 	}
-	switch {
-	case *watchApp != "":
-		die(submitWatchJob(ctx, *server, *watchApp, *rounds, *lambda, *near, *seed, *wait))
-	case *staticApp != "":
-		die(submitStaticJob(ctx, *server, *staticApp, *lambda, *near, *wait))
-	case *appName != "":
-		die(submitJob(ctx, *server, *appName, *rounds, *lambda, *near, *seed, *wait))
-	case *keys != "":
-		die(submitKeysJob(ctx, *server, *keys, *rounds, *lambda, *near, *seed, *wait))
-	default:
+	spec := submitSpec{App: *appName, WatchApp: *watchApp, StaticApp: *staticApp,
+		Rounds: *rounds, Lambda: *lambda, Near: *near, Seed: *seed}
+	for _, k := range strings.Split(*keys, ",") {
+		if k = strings.TrimSpace(k); k != "" {
+			spec.TraceKeys = append(spec.TraceKeys, k)
+		}
+	}
+	if spec.App == "" && spec.TraceKeys == nil && spec.WatchApp == "" && spec.StaticApp == "" {
 		die(fmt.Errorf("submit: one of -app, -keys, -watch-app, or -static-app is required"))
 	}
+	die(postJobSpec(ctx, *server, spec, *wait))
 }
 
 func cmdWatch(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	server := fs.String("server", "", "sherlockd base URL (required)")
-	jobID := fs.String("job", "", "follow an existing job id")
-	appName := fs.String("app", "", "create a watch job bound to this corpus app, then follow it")
+	jobID := fs.String("job", "", "follow this job id (required)")
 	after := fs.Uint64("after", 0, "resume from this published version")
 	fs.Parse(args)
 	if *server == "" {
 		die(fmt.Errorf("watch: -server is required"))
 	}
-	switch {
-	case *jobID != "":
-		die(watchJob(ctx, *server, *jobID, *after))
-	case *appName != "":
-		id, err := createWatchJob(ctx, *server, *appName)
-		die(err)
-		die(watchJob(ctx, *server, id, *after))
-	default:
-		die(fmt.Errorf("watch: one of -job or -app is required"))
+	if *jobID == "" {
+		die(fmt.Errorf("watch: -job is required (create a watch job with 'submit -watch-app X')"))
 	}
+	die(watchJob(ctx, *server, *jobID, *after))
 }
 
 func cmdStatus(ctx context.Context, args []string) {

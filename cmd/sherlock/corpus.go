@@ -1,7 +1,6 @@
 // Corpus mode for the sherlock CLI: capture benchmark runs into a
 // content-addressed trace corpus on disk, run offline inference straight
-// from a corpus, and talk to sherlockd's corpus endpoints (upload a trace
-// file, submit jobs by corpus key).
+// from a corpus, and upload trace files into sherlockd's corpus.
 package main
 
 import (
@@ -12,7 +11,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strings"
 
 	"sherlock/internal/apps"
 	"sherlock/internal/core"
@@ -152,20 +150,4 @@ func uploadTrace(ctx context.Context, base, path string) error {
 	}
 	fmt.Printf("%s %s  %s (%d events) from %s\n", verb, v.Key, v.App, v.Events, path)
 	return nil
-}
-
-// submitKeysJob submits an inference job over traces already in the
-// daemon's corpus, addressed by their content keys (comma-separated).
-func submitKeysJob(ctx context.Context, base, keysCSV string, rounds int, lambda float64, near, seed int64, wait bool) error {
-	var keys []string
-	for _, k := range strings.Split(keysCSV, ",") {
-		if k = strings.TrimSpace(k); k != "" {
-			keys = append(keys, k)
-		}
-	}
-	if len(keys) == 0 {
-		return fmt.Errorf("-submit-keys: no keys given")
-	}
-	spec := submitSpec{TraceKeys: keys, Rounds: rounds, Lambda: lambda, Near: near, Seed: seed}
-	return postJobSpec(ctx, base, spec, wait)
 }

@@ -9,8 +9,9 @@
 //	sherlock upload  -server http://localhost:8419 trace.bin ...
 //	sherlock submit  -server URL -app App-4 [-wait]
 //	sherlock submit  -server URL -keys key1,key2 [-wait]
-//	sherlock submit  -server URL -watch-app App-4
-//	sherlock watch   -server URL -job job-000001 | -app App-4
+//	sherlock submit  -server URL -static-app App-4 [-wait]
+//	sherlock submit  -server URL -watch-app App-4 [-wait]
+//	sherlock watch   -server URL -job job-000001
 //	sherlock status  -server URL job-000001 | -result KEY | -list
 package main
 

@@ -106,7 +106,7 @@ func refineCampaign(ctx context.Context, app *prog.Program, corpusDir string, cf
 	if err != nil {
 		return err
 	}
-	name := core.PosteriorName(app.Name)
+	name := core.CheckpointName("posterior", app.Name)
 	warm := false
 	if data, err := c.LoadCheckpoint(name); err == nil {
 		post, derr := core.DecodePosterior(data)

@@ -9,7 +9,7 @@ import (
 )
 
 // TestClusterStaticReportShared: a static report computed anywhere in the
-// cluster is served from every node's /v1/apps/{id}/static byte-for-byte,
+// cluster is served from every node's /v1/results/{key} byte-for-byte,
 // and the whole cluster computes it exactly once (non-owner submissions
 // proxy to the key's owner, the GET fetches hit the owner's cache).
 func TestClusterStaticReportShared(t *testing.T) {
@@ -29,17 +29,17 @@ func TestClusterStaticReportShared(t *testing.T) {
 		t.Fatalf("bad static envelope from job %s: %s", v.ID, body)
 	}
 
-	// Every node's GET endpoint serves the identical body: locally where
-	// the owner cached it, via FastLookup elsewhere.
+	// Every node's result endpoint serves the identical body: locally
+	// where the owner cached it, via FastLookup elsewhere.
 	for _, nd := range nodes {
-		resp, err := http.Get(nd.url + "/v1/apps/App-1/static")
+		resp, err := http.Get(nd.url + "/v1/results/" + v.Key)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: static endpoint %d: %s", nd.id, resp.StatusCode, got)
+			t.Fatalf("%s: result endpoint %d: %s", nd.id, resp.StatusCode, got)
 		}
 		if string(got) != string(body) {
 			t.Errorf("%s: static report diverges from the job's result", nd.id)

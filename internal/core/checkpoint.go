@@ -187,13 +187,6 @@ func ConfigSignature(cfg Config) string {
 		hyp.MostlyPaired, hyp.ReadAcqWriteRel, hyp.SingleRole)
 	fmt.Fprintf(h, "solver.softsinglerole=%t\n", cfg.Solver.SoftSingleRole)
 	fmt.Fprintf(h, "solver.maxlpiters=%d\n", cfg.Solver.MaxLPIters)
-	// Non-default per-role weights change the LP objective, so they are part
-	// of the signature; the default weighting writes nothing, keeping every
-	// pre-weights signature (and with it every stored checkpoint) valid.
-	if w := cfg.Solver.Weights; !w.IsDefault() {
-		r := w.Resolved()
-		fmt.Fprintf(h, "solver.weights=%g,%g\n", r.Acquire, r.Release)
-	}
 	fmt.Fprintf(h, "removeracymp=%t\n", cfg.RemoveRacyMP)
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }

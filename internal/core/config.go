@@ -121,9 +121,6 @@ func (c Config) Validate() error {
 	if !sched.ValidDist(c.StepDist) {
 		errs = append(errs, fmt.Errorf("StepDist must be one of %q, got %q", sched.Dists, c.StepDist))
 	}
-	if w := c.Solver.Weights; w.Acquire < 0 || w.Release < 0 {
-		errs = append(errs, fmt.Errorf("Solver.Weights must be non-negative, got acquire=%g release=%g", w.Acquire, w.Release))
-	}
 	if len(errs) == 0 {
 		return nil
 	}
@@ -136,4 +133,17 @@ func (c Config) workers() int {
 		return c.Parallelism
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// solverConfig resolves the solver settings every entrypoint shares: racy
+// windows keep their Mostly-Protected terms unless RemoveRacyMP, and a
+// zero Parallelism takes the worker count (LP component fan-out is
+// bit-identical at any width).
+func (c Config) solverConfig() solver.Config {
+	scfg := c.Solver
+	scfg.KeepRacyWindows = !c.RemoveRacyMP
+	if scfg.Parallelism == 0 {
+		scfg.Parallelism = c.workers()
+	}
+	return scfg
 }

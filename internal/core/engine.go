@@ -99,6 +99,24 @@ func (r *Result) SyncKeys() trace.SyncSet {
 	return out
 }
 
+// setFinal fills res from the solve that ends an inference: the per-key
+// probabilities, the LP size, the number of solved windows, and the
+// inferred set sorted by key.
+func (r *Result) setFinal(sr *solver.Result, windows int) {
+	r.Acquires = sr.Acquires
+	r.Releases = sr.Releases
+	r.Overhead.Windows = windows
+	r.Overhead.Vars = sr.Vars
+	r.Overhead.Constraints = sr.Constraints
+	for _, k := range sr.AcquireSet {
+		r.Inferred = append(r.Inferred, InferredSync{Key: k, Role: trace.RoleAcquire, Prob: sr.Acquires[k]})
+	}
+	for _, k := range sr.ReleaseSet {
+		r.Inferred = append(r.Inferred, InferredSync{Key: k, Role: trace.RoleRelease, Prob: sr.Releases[k]})
+	}
+	sort.Slice(r.Inferred, func(i, j int) bool { return r.Inferred[i].Key < r.Inferred[j].Key })
+}
+
 // Infer runs the full SherLock loop on app. Each round's per-test
 // executions are dispatched across a worker pool of cfg.Parallelism
 // goroutines; ctx cancels the campaign between executions (a run already
@@ -114,12 +132,6 @@ func Infer(ctx context.Context, app *prog.Program, cfg Config) (*Result, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	scfg := cfg.Solver
-	scfg.KeepRacyWindows = !cfg.RemoveRacyMP
-	if scfg.Parallelism == 0 {
-		scfg.Parallelism = cfg.workers() // LP component fan-out; bit-identical at any width
-	}
-
 	res := &Result{App: app.Name}
 	acc := window.NewObservations(cfg.Window)
 	var plan perturb.Plan
@@ -140,7 +152,7 @@ func Infer(ctx context.Context, app *prog.Program, cfg Config) (*Result, error) 
 	// basis into the next round's solve (the problems differ only by the
 	// round's appended windows, so the warm solve re-optimizes in a few
 	// pivots). Both reset whenever the accumulator does.
-	enc := solver.NewEncoder(scfg)
+	enc := solver.NewEncoder(cfg.solverConfig())
 	var basis *lp.Basis
 
 	for round := 0; round < cfg.Rounds; round++ {
@@ -223,19 +235,8 @@ func Infer(ctx context.Context, app *prog.Program, cfg Config) (*Result, error) 
 		cfg.notifyRound(snap, acc)
 	}
 
-	res.Acquires = last.Acquires
-	res.Releases = last.Releases
-	res.Overhead.Windows = len(acc.Windows)
-	res.Overhead.Vars = last.Vars
-	res.Overhead.Constraints = last.Constraints
+	res.setFinal(last, len(acc.Windows))
 	res.Overhead.Objective = last.Objective
-	for _, k := range last.AcquireSet {
-		res.Inferred = append(res.Inferred, InferredSync{Key: k, Role: trace.RoleAcquire, Prob: last.Acquires[k]})
-	}
-	for _, k := range last.ReleaseSet {
-		res.Inferred = append(res.Inferred, InferredSync{Key: k, Role: trace.RoleRelease, Prob: last.Releases[k]})
-	}
-	sort.Slice(res.Inferred, func(i, j int) bool { return res.Inferred[i].Key < res.Inferred[j].Key })
 	campaign.Annotate(
 		obs.Int("windows", res.Overhead.Windows),
 		obs.Int("vars", res.Overhead.Vars),

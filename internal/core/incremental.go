@@ -159,22 +159,13 @@ func InferIncremental(ctx context.Context, ck *Checkpoint, src KeyedSource, cfg 
 		obs.Int("fresh", len(fresh)),
 		obs.Int("windows", len(acc.Windows)))
 
-	scfg := cfg.Solver
-	scfg.KeepRacyWindows = !cfg.RemoveRacyMP
-	if scfg.Parallelism == 0 {
-		scfg.Parallelism = cfg.workers()
-	}
 	t0 := time.Now()
-	sr, basis, err := solver.NewEncoder(scfg).SolveSpan(acc, ck.Basis, root)
+	sr, basis, err := solver.NewEncoder(cfg.solverConfig()).SolveSpan(acc, ck.Basis, root)
 	res.Overhead.SolveWall = time.Since(t0)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: incremental solve: %w", err)
 	}
-	res.Acquires = sr.Acquires
-	res.Releases = sr.Releases
-	res.Overhead.Windows = len(acc.Windows)
-	res.Overhead.Vars = sr.Vars
-	res.Overhead.Constraints = sr.Constraints
+	res.setFinal(sr, len(acc.Windows))
 	res.Rounds = []RoundSnapshot{{
 		Round:    1,
 		Acquires: append([]trace.Key(nil), sr.AcquireSet...),
@@ -182,13 +173,6 @@ func InferIncremental(ctx context.Context, ck *Checkpoint, src KeyedSource, cfg 
 		Windows:  len(acc.Windows),
 	}}
 	cfg.notifyRound(res.Rounds[0], acc)
-	for _, k := range sr.AcquireSet {
-		res.Inferred = append(res.Inferred, InferredSync{Key: k, Role: trace.RoleAcquire, Prob: sr.Acquires[k]})
-	}
-	for _, k := range sr.ReleaseSet {
-		res.Inferred = append(res.Inferred, InferredSync{Key: k, Role: trace.RoleRelease, Prob: sr.Releases[k]})
-	}
-	sort.Slice(res.Inferred, func(i, j int) bool { return res.Inferred[i].Key < res.Inferred[j].Key })
 
 	next.App = res.App
 	next.Basis = basis

@@ -9,9 +9,9 @@
 //     report (every key statically reachable, probabilities from structure
 //     alone), bit-identical across runs of the same program.
 //   - Refine: PosteriorFromResult persists a solved campaign's
-//     probabilities (via store.SaveCheckpoint under PosteriorName), and
-//     Posterior.Priors feeds them back as the next campaign's
-//     Config.StaticPriors seed.
+//     probabilities (via store.SaveCheckpoint under
+//     CheckpointName("posterior", app)), and Posterior.Priors feeds them
+//     back as the next campaign's Config.StaticPriors seed.
 package core
 
 import (
@@ -20,7 +20,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -42,12 +41,8 @@ func InferStatic(ctx context.Context, app *prog.Program, cfg Config) (*Result, *
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	scfg := cfg.Solver
-	scfg.KeepRacyWindows = !cfg.RemoveRacyMP
+	scfg := cfg.solverConfig()
 	scfg.Hyp.AcqTimeVaries = false // no durations without execution
-	if scfg.Parallelism == 0 {
-		scfg.Parallelism = cfg.workers()
-	}
 
 	tr := cfg.tracer()
 	root := tr.Root("static", app.Name)
@@ -66,11 +61,9 @@ func InferStatic(ctx context.Context, app *prog.Program, cfg Config) (*Result, *
 		return nil, nil, fmt.Errorf("core: static solve of %s: %w", app.Name, err)
 	}
 
-	res := &Result{App: app.Name, Acquires: sr.Acquires, Releases: sr.Releases}
+	res := &Result{App: app.Name}
 	res.Overhead.SolveWall = time.Since(t0)
-	res.Overhead.Windows = len(an.Obs.Windows)
-	res.Overhead.Vars = sr.Vars
-	res.Overhead.Constraints = sr.Constraints
+	res.setFinal(sr, len(an.Obs.Windows))
 	res.Overhead.Objective = sr.Objective
 	res.Rounds = []RoundSnapshot{{
 		Round:    1,
@@ -79,13 +72,6 @@ func InferStatic(ctx context.Context, app *prog.Program, cfg Config) (*Result, *
 		Windows:  len(an.Obs.Windows),
 		LPIters:  sr.Iters,
 	}}
-	for _, k := range sr.AcquireSet {
-		res.Inferred = append(res.Inferred, InferredSync{Key: k, Role: trace.RoleAcquire, Prob: sr.Acquires[k]})
-	}
-	for _, k := range sr.ReleaseSet {
-		res.Inferred = append(res.Inferred, InferredSync{Key: k, Role: trace.RoleRelease, Prob: sr.Releases[k]})
-	}
-	sort.Slice(res.Inferred, func(i, j int) bool { return res.Inferred[i].Key < res.Inferred[j].Key })
 	root.Annotate(
 		obs.Int("windows", res.Overhead.Windows),
 		obs.Int("vars", res.Overhead.Vars),
@@ -131,8 +117,8 @@ const PosteriorVersion = "sherlock-posterior-v1"
 // Posterior is a campaign's solved probabilities in persistable form — the
 // refine-mode state. It is stored through the same named-checkpoint
 // facility as incremental checkpoints (store.SaveCheckpoint under
-// PosteriorName(app)), and a later campaign warm-starts from it via
-// Priors.
+// CheckpointName("posterior", app)), and a later campaign warm-starts from
+// it via Priors.
 type Posterior struct {
 	Version   string `json:"version"`
 	App       string `json:"app"`
@@ -144,12 +130,13 @@ type Posterior struct {
 	Releases map[trace.Key]float64 `json:"releases,omitempty"`
 }
 
-// PosteriorName is the checkpoint name posteriors are stored under.
-// App names may use characters outside the store's checkpoint alphabet
-// [A-Za-z0-9._-] (the generator's "gen:<seed>,profile=..." names);
-// those map to '_' and the original spelling is pinned with a short
-// content hash so two apps that sanitize alike never share a posterior.
-func PosteriorName(app string) string {
+// CheckpointName is the store checkpoint name "<prefix>-<app>" for an
+// app's persisted state (refine posteriors, watch subscriptions). App
+// names may use characters outside the store's checkpoint alphabet
+// [A-Za-z0-9._-] (the generator's "gen:<seed>,profile=..." names); those
+// map to '_' and the original spelling is pinned with a short content
+// hash so two apps that sanitize alike never share a checkpoint.
+func CheckpointName(prefix, app string) string {
 	safe := strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'A' && r <= 'Z', r >= 'a' && r <= 'z', r >= '0' && r <= '9',
@@ -163,7 +150,7 @@ func PosteriorName(app string) string {
 		sum := sha256.Sum256([]byte(app))
 		safe += "-" + hex.EncodeToString(sum[:4])
 	}
-	return "posterior-" + safe
+	return prefix + "-" + safe
 }
 
 // PosteriorFromResult captures res's probabilities for persistence,

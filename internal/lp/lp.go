@@ -204,9 +204,6 @@ func (p *Problem) AddCost(v int, c float64) {
 	p.cost[v] += c
 }
 
-// Cost returns the current objective coefficient of variable v.
-func (p *Problem) Cost(v int) float64 { return p.cost[v] }
-
 // SetUpperBound constrains variable v to be at most u (u must be ≥ 0).
 func (p *Problem) SetUpperBound(v int, u float64) {
 	p.upper[v] = u

@@ -25,8 +25,6 @@ func FuzzJobSpec(f *testing.F) {
 		`{"mode":"static","target":"App-2"}`,
 		`{"watch_app":"gen:7"}`,
 		`{"mode":"watch","target":"gen:7"}`,
-		`{"traces":["doc-one","doc-two"]}`,
-		`{"mode":"traces","target":["doc-one","doc-two"]}`,
 		`{"trace_keys":["k1","k2"]}`,
 		`{"mode":"trace_keys","target":["k1","k2"]}`,
 		`{"app":"App-1","rounds":5,"seed":9}`,
@@ -43,6 +41,9 @@ func FuzzJobSpec(f *testing.F) {
 		`{"mode":"app","target":"App-1","app":"App-2"}`,
 		`{"mode":"hybrid","target":"App-3"}`,
 		`{"app":"App-3","hybrid":true}`,
+		`{"mode":"traces"}`,
+		`{"traces":["doc-one","doc-two"]}`,
+		`{"app":"App-1","traces":["doc-one"]}`,
 		// Every override field.
 		`{"app":"App-2","lambda":0.7,"near":9000,"max_steps":1234,"seed":-3}`,
 	} {
@@ -86,12 +87,9 @@ func acceptSpec(data []byte) (JobSpec, bool) {
 	return spec, true
 }
 
-// nilEmpty maps empty lists to nil: omitempty drops an empty list on the
-// wire, and both spellings mean "absent" to validate and JobKey.
+// nilEmpty maps an empty key list to nil: omitempty drops an empty list on
+// the wire, and both spellings mean "absent" to validate and JobKey.
 func nilEmpty(s JobSpec) JobSpec {
-	if len(s.Traces) == 0 {
-		s.Traces = nil
-	}
 	if len(s.TraceKeys) == 0 {
 		s.TraceKeys = nil
 	}

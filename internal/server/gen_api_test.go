@@ -83,17 +83,21 @@ func normalizeWall(t *testing.T, body []byte) string {
 	return string(out)
 }
 
-// TestGeneratedAppStaticEndpoint: GET /v1/apps/{id}/static resolves
-// generated names (',' and '=' and ':' travel fine in a path segment)
+// TestGeneratedAppStaticJob: a static_app job resolves generated names
 // and serves the same report a local run-free solve produces.
-func TestGeneratedAppStaticEndpoint(t *testing.T) {
+func TestGeneratedAppStaticJob(t *testing.T) {
 	srvCfg := fastConfig()
 	_, ts := startTestServer(t, srvCfg)
 
 	const appName = "gen:7,profile=go"
-	code, body := getBody(t, ts.URL+"/v1/apps/"+appName+"/static")
+	resp, v := postJob(t, ts.URL, JobSpec{StaticApp: appName})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	done := waitDone(t, ts.URL, v.ID)
+	code, body := getBody(t, ts.URL+done.ResultURL)
 	if code != http.StatusOK {
-		t.Fatalf("static endpoint: %d %s", code, body)
+		t.Fatalf("result fetch: %d %s", code, body)
 	}
 	var env resultEnvelope
 	if err := json.Unmarshal(body, &env); err != nil {
@@ -113,7 +117,7 @@ func TestGeneratedAppStaticEndpoint(t *testing.T) {
 	if env.ProgramHash != wantHash {
 		t.Fatalf("program hash %s, want local %s", env.ProgramHash, wantHash)
 	}
-	cfg := JobSpec{}.effectiveConfig(srvCfg.Inference)
+	cfg := JobSpec{StaticApp: appName}.effectiveConfig(srvCfg.Inference)
 	res, _, err := core.InferStatic(context.Background(), app, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -121,11 +125,11 @@ func TestGeneratedAppStaticEndpoint(t *testing.T) {
 	got, _ := json.Marshal(env.Result.Inferred)
 	want, _ := json.Marshal(res.Inferred)
 	if string(got) != string(want) {
-		t.Fatal("endpoint inferred set diverges from the local static solve")
+		t.Fatal("job inferred set diverges from the local static solve")
 	}
 
-	if code, body := getBody(t, ts.URL+"/v1/apps/gen:7,profile=rust/static"); code != http.StatusNotFound ||
-		!strings.Contains(string(body), "profile") {
-		t.Fatalf("bad profile: got %d %s, want 404 naming the profile", code, body)
+	resp, body = doReq(t, "POST", ts.URL+"/v1/jobs", `{"static_app":"gen:7,profile=rust"}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "profile") {
+		t.Fatalf("bad profile: got %d %s, want 400 naming the profile", resp.StatusCode, body)
 	}
 }

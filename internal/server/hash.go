@@ -1,6 +1,6 @@
 // Content-addressed job keys. A job's key is the SHA-256 of a canonical
 // byte encoding of everything that determines its result: the workload
-// (benchmark application name, or the raw trace bytes for offline jobs)
+// (benchmark application name, or the corpus trace keys for offline jobs)
 // and every result-relevant field of the effective inference Config,
 // written in a fixed order with explicit field tags. Two properties make
 // the scheme safe as a cache address:
@@ -34,8 +34,8 @@ import (
 const keyEncodingV1 = "sherlock-job-v1"
 
 // JobKey computes the content address of a job: the workload from spec
-// (App, StaticApp, or Traces) plus the effective, fully resolved inference
-// config.
+// (App, StaticApp, or TraceKeys) plus the effective, fully resolved
+// inference config.
 func JobKey(spec JobSpec, cfg core.Config) string {
 	h := sha256.New()
 	io.WriteString(h, keyEncodingV1+"\n")
@@ -44,7 +44,7 @@ func JobKey(spec JobSpec, cfg core.Config) string {
 		fmt.Fprintf(h, "kind=app\napp=%s\n", spec.App)
 	case spec.StaticApp != "":
 		fmt.Fprintf(h, "kind=static\napp=%s\n", spec.StaticApp)
-	case len(spec.TraceKeys) > 0:
+	default:
 		// Corpus keys are themselves content addresses (SHA-256 of each
 		// trace's canonical encoding), so hashing the key list is hashing
 		// the trace contents — resubmitting the same stored traces hits
@@ -52,13 +52,6 @@ func JobKey(spec JobSpec, cfg core.Config) string {
 		fmt.Fprintf(h, "kind=corpus\nkeys=%d\n", len(spec.TraceKeys))
 		for _, k := range spec.TraceKeys {
 			fmt.Fprintf(h, "key=%s\n", k)
-		}
-	default:
-		fmt.Fprintf(h, "kind=traces\ntraces=%d\n", len(spec.Traces))
-		for _, tr := range spec.Traces {
-			fmt.Fprintf(h, "trace:%d\n", len(tr))
-			io.WriteString(h, tr)
-			io.WriteString(h, "\n")
 		}
 	}
 	writeConfig(h, cfg)
@@ -96,10 +89,6 @@ func StaticReportKey(app *prog.Program, cfg core.Config) (string, error) {
 		hyp.MostlyPaired, hyp.ReadAcqWriteRel, hyp.SingleRole)
 	fmt.Fprintf(h, "solver.softsinglerole=%t\n", cfg.Solver.SoftSingleRole)
 	fmt.Fprintf(h, "solver.maxlpiters=%d\n", cfg.Solver.MaxLPIters)
-	if ws := cfg.Solver.Weights; !ws.IsDefault() {
-		r := ws.Resolved()
-		fmt.Fprintf(h, "solver.weights=%g,%g\n", r.Acquire, r.Release)
-	}
 	fmt.Fprintf(h, "removeracymp=%t\n", cfg.RemoveRacyMP)
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
@@ -121,13 +110,6 @@ func writeConfig(w io.Writer, cfg core.Config) {
 	fmt.Fprintf(w, "solver.keepracy=%t\n", cfg.Solver.KeepRacyWindows)
 	fmt.Fprintf(w, "solver.softsinglerole=%t\n", cfg.Solver.SoftSingleRole)
 	fmt.Fprintf(w, "solver.maxlpiters=%d\n", cfg.Solver.MaxLPIters)
-	// Per-role objective weights join the key only when they depart from
-	// the paper's uniform weighting, so every pre-weights job key — and the
-	// cache entries filed under them — stays addressable.
-	if ws := cfg.Solver.Weights; !ws.IsDefault() {
-		r := ws.Resolved()
-		fmt.Fprintf(w, "solver.weights=%g,%g\n", r.Acquire, r.Release)
-	}
 	fmt.Fprintf(w, "delay=%d\n", cfg.Delay)
 	fmt.Fprintf(w, "delayprob=%g\n", cfg.DelayProbability)
 	fmt.Fprintf(w, "seed=%d\n", cfg.Seed)

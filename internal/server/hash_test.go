@@ -70,19 +70,3 @@ func TestJobKeySensitivity(t *testing.T) {
 		t.Error("explicit defaults should hash like omitted fields")
 	}
 }
-
-func TestJobKeyTraces(t *testing.T) {
-	base := core.DefaultConfig()
-	a := JobSpec{Traces: []string{"doc-one"}}
-	b := JobSpec{Traces: []string{"doc-two"}}
-	c := JobSpec{Traces: []string{"doc-one", "doc-two"}}
-	ka := JobKey(a, a.effectiveConfig(base))
-	kb := JobKey(b, b.effectiveConfig(base))
-	kc := JobKey(c, c.effectiveConfig(base))
-	if ka == kb || ka == kc || kb == kc {
-		t.Fatalf("distinct trace sets collided: %s %s %s", ka, kb, kc)
-	}
-	if k2 := JobKey(a, a.effectiveConfig(base)); k2 != ka {
-		t.Fatal("trace job key not deterministic")
-	}
-}

@@ -1,6 +1,7 @@
 // Job model: the unit of work the daemon queues, executes, caches, and
-// reports on. A job is either a named benchmark application campaign or an
-// offline solve over raw traces in the JSONL wire format.
+// reports on. A job is a named benchmark application campaign, a run-free
+// static report, an offline solve over corpus traces, or a watch
+// subscription that re-solves as matching traces arrive.
 package server
 
 import (
@@ -15,8 +16,8 @@ import (
 
 // JobSpec is the client-facing description of one inference job — the body
 // of POST /v1/jobs. The v1 shape names the workload with one (Mode,
-// Target) pair; the original one-field-per-kind shape (App, Traces,
-// TraceKeys, WatchApp, StaticApp) remains accepted verbatim.
+// Target) pair; the original one-field-per-kind shape (App, TraceKeys,
+// WatchApp, StaticApp) remains accepted verbatim.
 // normalize lowers Mode/Target onto the legacy fields before validation
 // and hashing, so both spellings of the same job address the same
 // content key — and therefore the same cache entry. Zero-valued tuning
@@ -27,22 +28,17 @@ import (
 type JobSpec struct {
 	// Mode selects the workload kind in the unified submission shape:
 	// "app" (benchmark campaign), "static" (run-free report), "watch"
-	// (corpus subscription), "traces" (inline JSONL documents), or
-	// "trace_keys" (corpus content addresses). Empty means the legacy
-	// shape below.
+	// (corpus subscription), or "trace_keys" (corpus content addresses).
+	// Empty means the legacy shape below.
 	Mode string `json:"mode,omitempty"`
 	// Target carries the mode's workload: an application name for
 	// app/static/watch (built-ins "App-1".."App-8" or generated
 	// "gen:<seed>[,profile=...][,size=...]"), an array of strings for
-	// traces/trace_keys.
+	// trace_keys.
 	Target any `json:"target,omitempty"`
 
 	// App names a benchmark application ("App-1".."App-8").
 	App string `json:"app,omitempty"`
-	// Traces carries previously captured execution logs, one JSONL trace
-	// document per element (the format (*Trace).Write emits). Trace jobs
-	// run the offline solve: no re-execution, no Perturber feedback.
-	Traces []string `json:"traces,omitempty"`
 	// TraceKeys names traces already in the server's corpus (uploaded via
 	// POST /v1/traces) by content address. Corpus jobs run the offline
 	// solve streaming straight off the blob store — upload once, infer
@@ -59,8 +55,7 @@ type JobSpec struct {
 	// job walks the program's DSL, derives the constraint system without a
 	// single execution, and solves it. The result is a prior-quality
 	// report, bit-identical across runs and nodes, content-addressed by
-	// the program's structural hash (GET /v1/apps/{id}/static serves the
-	// same report without the job machinery).
+	// the program's structural hash.
 	StaticApp string `json:"static_app,omitempty"`
 
 	// Overrides of the server's base config (zero = inherit).
@@ -73,26 +68,34 @@ type JobSpec struct {
 	MaxSteps int `json:"max_steps,omitempty"`
 }
 
-// errRemovedMode answers both spellings of the removed hybrid mode
-// ("mode": "hybrid" and the legacy "hybrid": true) so an old client gets a
-// clear 400 rather than a plain campaign it did not ask for.
-var errRemovedMode = errors.New(`job spec: hybrid mode was removed; submit the campaign as mode "app" (its final inferred set is the same)`)
+// errRemovedHybrid and errRemovedTraces answer both spellings of a removed
+// workload kind ("mode": "hybrid" and the legacy "hybrid": true; "mode":
+// "traces" and the legacy "traces" list) so an old client gets a clear 400
+// naming the replacement rather than a job it did not ask for.
+var (
+	errRemovedHybrid = errors.New(`job spec: hybrid mode was removed; submit the campaign as mode "app" (its final inferred set is the same)`)
+	errRemovedTraces = errors.New(`job spec: inline traces were removed; upload each trace via POST /v1/traces and submit the returned keys as "trace_keys"`)
+)
 
 // UnmarshalJSON decodes a wire spec. The decoder ignores unknown fields,
-// so the removed "hybrid" flag is checked for by name here; without the
-// check a legacy {"app": ..., "hybrid": true} would silently run a plain
-// campaign.
+// so the removed "hybrid" flag and "traces" list are checked for by name
+// here; without the check a legacy {"app": ..., "hybrid": true} or
+// {"app": ..., "traces": [...]} would silently run a plain campaign.
 func (s *JobSpec) UnmarshalJSON(data []byte) error {
 	type plain JobSpec // no methods: decodes without recursing
 	var wire struct {
 		plain
-		Removed *bool `json:"hybrid"`
+		Hybrid *bool           `json:"hybrid"`
+		Traces json.RawMessage `json:"traces"`
 	}
 	if err := json.Unmarshal(data, &wire); err != nil {
 		return err
 	}
-	if wire.Removed != nil && *wire.Removed {
-		return errRemovedMode
+	if wire.Hybrid != nil && *wire.Hybrid {
+		return errRemovedHybrid
+	}
+	if wire.Traces != nil {
+		return errRemovedTraces
 	}
 	*s = JobSpec(wire.plain)
 	return nil
@@ -111,8 +114,8 @@ func (s *JobSpec) normalize() error {
 		}
 		return nil
 	}
-	if s.App != "" || len(s.Traces) > 0 || len(s.TraceKeys) > 0 || s.WatchApp != "" || s.StaticApp != "" {
-		return fmt.Errorf("job spec: \"mode\" and the legacy workload fields (\"app\", \"traces\", \"trace_keys\", \"watch_app\", \"static_app\") are mutually exclusive")
+	if s.App != "" || len(s.TraceKeys) > 0 || s.WatchApp != "" || s.StaticApp != "" {
+		return fmt.Errorf("job spec: \"mode\" and the legacy workload fields (\"app\", \"trace_keys\", \"watch_app\", \"static_app\") are mutually exclusive")
 	}
 	name := func() (string, error) {
 		str, ok := s.Target.(string)
@@ -141,17 +144,17 @@ func (s *JobSpec) normalize() error {
 	case "app":
 		s.App, err = name()
 	case "hybrid":
-		return errRemovedMode
+		return errRemovedHybrid
 	case "static":
 		s.StaticApp, err = name()
 	case "watch":
 		s.WatchApp, err = name()
 	case "traces":
-		s.Traces, err = list()
+		return errRemovedTraces
 	case "trace_keys":
 		s.TraceKeys, err = list()
 	default:
-		return fmt.Errorf("job spec: unknown mode %q (want \"app\", \"static\", \"watch\", \"traces\", or \"trace_keys\")", s.Mode)
+		return fmt.Errorf("job spec: unknown mode %q (want \"app\", \"static\", \"watch\", or \"trace_keys\")", s.Mode)
 	}
 	if err != nil {
 		return err
@@ -168,16 +171,16 @@ func (s JobSpec) validate() error {
 		return fmt.Errorf("job spec: internal error: spec not normalized")
 	}
 	set := 0
-	for _, present := range []bool{s.App != "", len(s.Traces) > 0, len(s.TraceKeys) > 0, s.WatchApp != "", s.StaticApp != ""} {
+	for _, present := range []bool{s.App != "", len(s.TraceKeys) > 0, s.WatchApp != "", s.StaticApp != ""} {
 		if present {
 			set++
 		}
 	}
 	if set == 0 {
-		return fmt.Errorf("job spec: one of \"app\", \"traces\", \"trace_keys\", \"watch_app\", or \"static_app\" is required")
+		return fmt.Errorf("job spec: one of \"app\", \"trace_keys\", \"watch_app\", or \"static_app\" is required")
 	}
 	if set > 1 {
-		return fmt.Errorf("job spec: \"app\", \"traces\", \"trace_keys\", \"watch_app\", and \"static_app\" are mutually exclusive")
+		return fmt.Errorf("job spec: \"app\", \"trace_keys\", \"watch_app\", and \"static_app\" are mutually exclusive")
 	}
 	return nil
 }

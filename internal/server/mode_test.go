@@ -41,11 +41,6 @@ func TestModeSpecKeyCompat(t *testing.T) {
 			mode:   JobSpec{Mode: "watch", Target: "gen:7"},
 		},
 		{
-			name:   "traces",
-			legacy: JobSpec{Traces: []string{"doc-one", "doc-two"}},
-			mode:   JobSpec{Mode: "traces", Target: []any{"doc-one", "doc-two"}},
-		},
-		{
 			name:   "trace keys",
 			legacy: JobSpec{TraceKeys: []string{"k1", "k2"}},
 			mode:   JobSpec{Mode: "trace_keys", Target: []any{"k1", "k2"}},
@@ -78,9 +73,10 @@ func TestModeSpecKeyCompat(t *testing.T) {
 }
 
 // TestModeSpecErrors covers the validation paths of the unified shape and
-// the removed hybrid mode, from the wire body through normalize. A row
-// with want set must fail with an error mentioning it.
+// the removed hybrid and inline-traces modes, from the wire body through
+// normalize. A row with want set must fail with an error mentioning it.
 func TestModeSpecErrors(t *testing.T) {
+	const removedTracesHint = `POST /v1/traces and submit the returned keys as "trace_keys"`
 	for name, c := range map[string]struct{ body, want string }{
 		"unknown mode":        {body: `{"mode":"campaign","target":"App-1"}`},
 		"target without mode": {body: `{"target":"App-1"}`},
@@ -93,6 +89,9 @@ func TestModeSpecErrors(t *testing.T) {
 		"mode plus legacy":    {body: `{"mode":"app","target":"App-1","app":"App-2"}`},
 		"hybrid mode":         {body: `{"mode":"hybrid","target":"App-3"}`, want: "hybrid mode was removed"},
 		"legacy hybrid flag":  {body: `{"app":"App-3","hybrid":true}`, want: "hybrid mode was removed"},
+		"traces mode":         {body: `{"mode":"traces"}`, want: removedTracesHint},
+		"legacy traces list":  {body: `{"traces":["doc-one"]}`, want: removedTracesHint},
+		"app plus traces":     {body: `{"app":"App-1","traces":["doc-one"]}`, want: removedTracesHint},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var spec JobSpec

@@ -6,11 +6,11 @@
 // Endpoints (DESIGN.md carries the full reference, including per-endpoint
 // error codes):
 //
-//	POST   /v1/jobs          submit a job (application name, raw traces,
-//	                         corpus trace keys, or a watch_app
-//	                         subscription); 202 queued/watching, 200 on
-//	                         cache hit, 429 + Retry-After when the queue
-//	                         or subscription cap is full, 503 draining
+//	POST   /v1/jobs          submit a job (application campaign, run-free
+//	                         static report, corpus trace keys, or a
+//	                         watch_app subscription); 202 queued/watching,
+//	                         200 on cache hit, 429 + Retry-After when the
+//	                         queue or subscription cap is full, 503 draining
 //	GET    /v1/jobs          list job records (?status= filter, ?limit=
 //	                         and ?after= cursor pagination)
 //	GET    /v1/jobs/{id}     job status
@@ -25,11 +25,6 @@
 //	                         abort between test executions; watch jobs
 //	                         stop their subscription)
 //	GET    /v1/results/{key} the serialized result at a content address
-//	GET    /v1/apps/{id}/static
-//	                         the app's run-free static inference report,
-//	                         content-addressed by the program's structural
-//	                         hash (computed on demand, cached locally and
-//	                         cluster-wide like any result)
 //	POST   /v1/traces        upload one trace (binary or JSON-lines, auto-
 //	                         detected) into the content-addressed corpus;
 //	                         201 with the entry, 200 on dedup — and wake
@@ -55,7 +50,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,12 +58,11 @@ import (
 	"sherlock/internal/core"
 	"sherlock/internal/obs"
 	"sherlock/internal/store"
-	"sherlock/internal/trace"
 	"sherlock/internal/window"
 )
 
-// maxBodyBytes bounds a submission body (raw traces can be large, but not
-// unboundedly so).
+// maxBodyBytes bounds a request body (an uploaded trace can be large, but
+// not unboundedly so).
 const maxBodyBytes = 64 << 20
 
 // maxJobRecords bounds the in-memory job-status map; the oldest terminal
@@ -225,7 +218,6 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("GET /v1/jobs/{id}/watch", s.handleJobWatch)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
 	mux.HandleFunc("GET /v1/results/{key}", s.handleResult)
-	mux.HandleFunc("GET /v1/apps/{id}/static", s.handleStatic)
 	mux.HandleFunc("POST /v1/traces", s.handleTraceUpload)
 	mux.HandleFunc("GET /v1/traces", s.handleTraceList)
 	mux.HandleFunc("GET /v1/corpus/verify", s.handleCorpusVerify)
@@ -342,12 +334,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("bad watch_app %q: want 1-100 characters of [A-Za-z0-9.,:=_-]", spec.WatchApp))
 		return
 	}
-	for i, doc := range spec.Traces {
-		if _, err := trace.Read(strings.NewReader(doc)); err != nil {
-			writeError(w, http.StatusBadRequest, CodeInvalidArgument, fmt.Sprintf("trace %d: %v", i, err))
-			return
-		}
-	}
 	var missingKeys []string
 	for _, key := range spec.TraceKeys {
 		if _, ok := s.corpus.Entry(key); !ok {
@@ -398,10 +384,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	key := JobKey(spec, cfg)
 	if spec.StaticApp != "" {
-		// Static jobs share content addresses with GET /v1/apps/{id}/static:
-		// the report is keyed by the program's structural hash and the
-		// static-relevant config, so either surface answers from the entry
-		// the other computed — on this node or anywhere in the cluster.
+		// Static reports are keyed by the program's structural hash and the
+		// static-relevant config, so a resubmission is answered from the
+		// entry computed on this node or anywhere in the cluster.
 		p, _ := apps.ByName(spec.StaticApp) // validated above
 		skey, err := StaticReportKey(p, cfg)
 		if err != nil {
@@ -708,9 +693,10 @@ func marshalResult(key string, res *core.Result) ([]byte, error) {
 }
 
 // runJob executes one job: a full campaign for application jobs, the
-// offline solve for trace jobs. Per-phase wall time and LP pivots stream
-// into the metrics as the campaign progresses; the span stream tees into
-// the per-job memory sink (the spans endpoint) and the phase histograms.
+// run-free static solve for static jobs, the offline solve for trace-key
+// jobs. Per-phase wall time and LP pivots stream into the metrics as the
+// campaign progresses; the span stream tees into the per-job memory sink
+// (the spans endpoint) and the phase histograms.
 //
 // Cluster routing happens at submit time, not here: a worker only ever
 // computes locally (proxying from a worker could deadlock two full
@@ -743,11 +729,21 @@ func (s *Server) runJob(ctx context.Context, j *Job) ([]byte, error) {
 	switch {
 	case j.Spec.StaticApp != "":
 		// Run-free: the job's key is already the static report's content
-		// address, so the queue's cache fill lands it exactly where the
-		// GET endpoint and peers look for it.
-		body, serr := s.computeStatic(ctx, j.Spec.StaticApp, j.Key, cfg)
+		// address, so the queue's cache fill lands it exactly where
+		// resubmissions and peers look for it.
+		prog, aerr := apps.ByName(j.Spec.StaticApp)
+		if aerr != nil {
+			return nil, aerr
+		}
+		report, an, serr := core.InferStatic(ctx, prog, cfg)
 		if serr != nil {
 			return nil, serr
+		}
+		s.staticReports.Inc()
+		s.solveSeconds.Observe(report.Overhead.SolveWall.Seconds())
+		body, merr := json.Marshal(resultEnvelope{Key: j.Key, App: report.App, ProgramHash: an.ProgramHash, Result: report})
+		if merr != nil {
+			return nil, fmt.Errorf("marshal static result: %w", merr)
 		}
 		return body, nil
 	case j.Spec.App != "":
@@ -756,21 +752,10 @@ func (s *Server) runJob(ctx context.Context, j *Job) ([]byte, error) {
 			return nil, aerr
 		}
 		res, err = core.Infer(ctx, prog, cfg)
-	case len(j.Spec.TraceKeys) > 0:
-		// Stream straight off the blob store: one decoded trace in memory
-		// at a time, identical results to submitting the same traces
-		// inline (the offline solve is source-agnostic).
-		res, err = core.InferFromSource(ctx, s.corpus.Source(j.Spec.TraceKeys...), cfg)
 	default:
-		traces := make([]*trace.Trace, 0, len(j.Spec.Traces))
-		for i, doc := range j.Spec.Traces {
-			tr, terr := trace.Read(strings.NewReader(doc))
-			if terr != nil {
-				return nil, fmt.Errorf("trace %d: %w", i, terr)
-			}
-			traces = append(traces, tr)
-		}
-		res, err = core.InferFromTraces(ctx, traces, cfg)
+		// Stream straight off the blob store: one decoded trace in memory
+		// at a time.
+		res, err = core.InferFromSource(ctx, s.corpus.Source(j.Spec.TraceKeys...), cfg)
 	}
 	if err != nil {
 		return nil, err
@@ -780,72 +765,4 @@ func (s *Server) runJob(ctx context.Context, j *Job) ([]byte, error) {
 	s.solveSeconds.Observe(res.Overhead.SolveWall.Seconds())
 
 	return marshalResult(j.Key, res)
-}
-
-// computeStatic runs the run-free analysis + solve for one app and
-// marshals the report envelope under the given content key. Shared by the
-// static job executor and handleStatic; neither caller holds locks.
-func (s *Server) computeStatic(ctx context.Context, appName, key string, cfg core.Config) ([]byte, error) {
-	p, err := apps.ByName(appName)
-	if err != nil {
-		return nil, err
-	}
-	res, an, err := core.InferStatic(ctx, p, cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.staticReports.Inc()
-	s.solveSeconds.Observe(res.Overhead.SolveWall.Seconds())
-	body, err := json.Marshal(resultEnvelope{Key: key, App: res.App, ProgramHash: an.ProgramHash, Result: res})
-	if err != nil {
-		return nil, fmt.Errorf("marshal static result: %w", err)
-	}
-	return body, nil
-}
-
-// handleStatic serves GET /v1/apps/{id}/static: the app's run-free
-// inference report under the server's base config. The report is
-// content-addressed (StaticReportKey), so the lookup order is the same as
-// a job submission's — local cache, then the cluster peers that own the
-// key, then compute-and-fill. Computing inline on the handler goroutine is
-// deliberate: a static solve is milliseconds of CPU (no test executions),
-// far below the cost of a queue round-trip.
-func (s *Server) handleStatic(w http.ResponseWriter, r *http.Request) {
-	appName := r.PathValue("id")
-	p, err := apps.ByName(appName)
-	if err != nil {
-		writeError(w, http.StatusNotFound, CodeNotFound, err.Error())
-		return
-	}
-	cfg := JobSpec{}.effectiveConfig(s.cfg.Inference)
-	key, err := StaticReportKey(p, cfg)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, "static key: "+err.Error())
-		return
-	}
-	if body, ok := s.cache.Lookup(key); ok {
-		s.cacheHits.Inc()
-		serveResultBody(w, body)
-		return
-	}
-	s.cacheMisses.Inc()
-	if s.cluster != nil && r.Header.Get(NoProxyHeader) == "" {
-		if body, ok := s.cluster.FastLookup(r.Context(), key); ok {
-			serveResultBody(w, body)
-			return
-		}
-	}
-	body, err := s.computeStatic(r.Context(), appName, key, cfg)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, "static inference: "+err.Error())
-		return
-	}
-	s.cache.Put(key, body)
-	serveResultBody(w, body)
-}
-
-func serveResultBody(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
 }

@@ -286,13 +286,21 @@ func TestServerBadRequests(t *testing.T) {
 	}
 }
 
-// TestServerTraceJob round-trips the offline path: capture-equivalent
-// trace documents go in, an inference result comes out, and the job is
+// TestServerTraceJob round-trips the offline path from a JSONL trace
+// document (the format the removed inline "traces" field carried): the
+// document is uploaded to the corpus, solved by its key, and the job is
 // content-addressed like any other.
 func TestServerTraceJob(t *testing.T) {
 	_, ts := startTestServer(t, fastConfig())
-	doc := captureTraceDoc(t)
-	spec := map[string]any{"traces": []string{doc}}
+	resp, body := doReq(t, "POST", ts.URL+"/v1/traces", captureTraceDoc(t))
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("trace upload: HTTP %d %s, want 201", resp.StatusCode, body)
+	}
+	var up uploadView
+	if err := json.Unmarshal(body, &up); err != nil {
+		t.Fatal(err)
+	}
+	spec := map[string]any{"trace_keys": []string{up.Key}}
 	resp, v := postJob(t, ts.URL, spec)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("trace submit: HTTP %d, want 202", resp.StatusCode)

@@ -9,46 +9,10 @@ import (
 	"sherlock/internal/core"
 )
 
-// TestStaticEndpoint: GET /v1/apps/{id}/static serves a well-formed,
-// deterministic report, fills the result cache on the first call, and
-// answers the second from it byte-identically.
-func TestStaticEndpoint(t *testing.T) {
-	s, ts := startTestServer(t, fastConfig())
-
-	code, body := getBody(t, ts.URL+"/v1/apps/App-1/static")
-	if code != http.StatusOK {
-		t.Fatalf("static endpoint: %d %s", code, body)
-	}
-	var env resultEnvelope
-	if err := json.Unmarshal(body, &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.App != "App-1" || len(env.ProgramHash) != 64 || env.Result == nil || len(env.Result.Inferred) == 0 {
-		t.Fatalf("bad static envelope: app=%q hash=%q", env.App, env.ProgramHash)
-	}
-	if env.Result.Overhead.Events != 0 || env.Result.Overhead.RunWall != 0 {
-		t.Fatalf("static report claims execution cost: %+v", env.Result.Overhead)
-	}
-	if _, ok := s.Cache().Lookup(env.Key); !ok {
-		t.Fatal("static report not filed in the result cache under its key")
-	}
-
-	code2, body2 := getBody(t, ts.URL+"/v1/apps/App-1/static")
-	if code2 != http.StatusOK || string(body2) != string(body) {
-		t.Fatalf("second fetch not byte-identical (code %d)", code2)
-	}
-	if got := s.staticReports.Value(); got != 1 {
-		t.Fatalf("static report computed %d times, want 1 (second call should hit the cache)", got)
-	}
-
-	if code, _ := getBody(t, ts.URL+"/v1/apps/no-such-app/static"); code != http.StatusNotFound {
-		t.Fatalf("unknown app: got %d, want 404", code)
-	}
-}
-
-// TestStaticJob: a static_app job runs through the queue, lands its result
-// under the same content key the GET endpoint uses, and a repeat
-// submission is a cache hit.
+// TestStaticJob: a static_app job runs through the queue and serves a
+// well-formed run-free report under the program-hash content key; a
+// resubmission is a byte-identical cache hit with no second compute, and
+// the job is the report's only way in.
 func TestStaticJob(t *testing.T) {
 	s, ts := startTestServer(t, fastConfig())
 
@@ -69,24 +33,33 @@ func TestStaticJob(t *testing.T) {
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatal(err)
 	}
-	if env.App != "App-2" || env.ProgramHash == "" {
-		t.Fatalf("bad job envelope: %+v", env)
+	if env.App != "App-2" || len(env.ProgramHash) != 64 || env.Result == nil || len(env.Result.Inferred) == 0 {
+		t.Fatalf("bad static envelope: app=%q hash=%q", env.App, env.ProgramHash)
+	}
+	if env.Result.Overhead.Events != 0 || env.Result.Overhead.RunWall != 0 {
+		t.Fatalf("static report claims execution cost: %+v", env.Result.Overhead)
+	}
+	if _, ok := s.Cache().Lookup(env.Key); !ok || env.Key != done.Key {
+		t.Fatalf("static report not filed in the result cache under its job key %s (envelope key %s)", done.Key, env.Key)
 	}
 
-	// The GET endpoint must be answered by the job's cache entry.
-	before := s.staticReports.Value()
-	code, body2 := getBody(t, ts.URL+"/v1/apps/App-2/static")
-	if code != http.StatusOK || string(body2) != string(body) {
-		t.Fatalf("endpoint body diverges from job result (code %d)", code)
-	}
-	if s.staticReports.Value() != before {
-		t.Fatal("endpoint recomputed a report the job already cached")
-	}
-
-	// Resubmission: content hit, no second compute.
+	// Resubmission: content hit on the same key, byte-identical result.
 	resp2, v2 := postJob(t, ts.URL, JobSpec{StaticApp: "App-2"})
-	if resp2.StatusCode != http.StatusOK || !v2.Cached {
-		t.Fatalf("resubmit: code %d cached=%t, want 200 cached", resp2.StatusCode, v2.Cached)
+	if resp2.StatusCode != http.StatusOK || !v2.Cached || v2.Key != done.Key {
+		t.Fatalf("resubmit: code %d cached=%t key %s, want 200 cached %s", resp2.StatusCode, v2.Cached, v2.Key, done.Key)
+	}
+	if code2, body2 := getBody(t, ts.URL+v2.ResultURL); code2 != http.StatusOK || string(body2) != string(body) {
+		t.Fatalf("resubmitted result not byte-identical (code %d)", code2)
+	}
+	if got := s.staticReports.Value(); got != 1 {
+		t.Fatalf("static report computed %d times, want 1 (resubmission should hit the cache)", got)
+	}
+
+	if resp, _ := postJob(t, ts.URL, JobSpec{StaticApp: "no-such-app"}); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown app: got %d, want 400", resp.StatusCode)
+	}
+	if code, _ := getBody(t, ts.URL+"/v1/apps/App-2/static"); code != http.StatusNotFound {
+		t.Fatalf("GET /v1/apps/{id}/static: got %d, want 404 (static reports are submitted as jobs)", code)
 	}
 }
 

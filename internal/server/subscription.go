@@ -13,13 +13,10 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"net/http"
 	"regexp"
 	"strconv"
-	"strings"
 	"time"
 
 	"sherlock/internal/core"
@@ -32,7 +29,7 @@ const maxSubscriptions = 256
 
 // watchAppPattern constrains watch_app values: they name corpus
 // metadata. Besides the classic name alphabet it admits the generator
-// namespace's ':', ',' and '=' ("gen:7,profile=go"); checkpointName
+// namespace's ':', ',' and '=' ("gen:7,profile=go"); core.CheckpointName
 // folds those back into the store's stricter checkpoint alphabet.
 var watchAppPattern = regexp.MustCompile(`^[A-Za-z0-9.,:=_-]{1,100}$`)
 
@@ -58,7 +55,7 @@ func newSubscription(s *Server, j *Job, cfg core.Config) *subscription {
 		j:      j,
 		app:    j.Spec.WatchApp,
 		cfg:    cfg,
-		ckName: checkpointName(j.Spec.WatchApp, cfg),
+		ckName: core.CheckpointName("watch", j.Spec.WatchApp) + "-" + core.ConfigSignature(cfg),
 		notify: make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 	}
@@ -66,29 +63,6 @@ func newSubscription(s *Server, j *Job, cfg core.Config) *subscription {
 	j.cancel = func() { close(sub.stop) }
 	j.mu.Unlock()
 	return sub
-}
-
-// checkpointName derives the store-safe persisted-checkpoint name for a
-// (watch_app, config) pair. App names may use characters outside the
-// store's checkpoint alphabet [A-Za-z0-9._-] (the generator's
-// "gen:<seed>,profile=..." names); those map to '_' and the original
-// spelling is pinned with a short content hash so two apps that
-// sanitize alike can never share a checkpoint.
-func checkpointName(app string, cfg core.Config) string {
-	safe := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'A' && r <= 'Z', r >= 'a' && r <= 'z', r >= '0' && r <= '9',
-			r == '.', r == '_', r == '-':
-			return r
-		default:
-			return '_'
-		}
-	}, app)
-	if safe != app {
-		sum := sha256.Sum256([]byte(app))
-		safe += "-" + hex.EncodeToString(sum[:4])
-	}
-	return "watch-" + safe + "-" + core.ConfigSignature(cfg)
 }
 
 // wake delivers a coalescing notification; a wake while one is already

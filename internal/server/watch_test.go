@@ -423,3 +423,23 @@ func TestJobListPaginationBeyondPadding(t *testing.T) {
 		t.Fatalf("page 2: %+v next=%q, want just %s", page2.Jobs, page2.NextAfter, ids[2])
 	}
 }
+
+// TestCheckpointNamesPinned pins the persisted checkpoint names of watch
+// subscriptions and refine posteriors. Both are store file names that
+// outlive the process, so a renamed checkpoint is one a restarted daemon
+// or a later refine run can no longer find.
+func TestCheckpointNamesPinned(t *testing.T) {
+	cfg := fastConfig().Inference
+	for _, c := range []struct{ app, watch, posterior string }{
+		{"App-1", "watch-App-1-f885afbc852c569b", "posterior-App-1"},
+		{"gen:7,profile=go", "watch-gen_7_profile_go-022ad795-f885afbc852c569b", "posterior-gen_7_profile_go-022ad795"},
+	} {
+		j := newWatchJob("job-pin", JobSpec{WatchApp: c.app}, cfg, time.Now())
+		if got := newSubscription(nil, j, cfg).ckName; got != c.watch {
+			t.Errorf("watch checkpoint for %q = %q, want %q", c.app, got, c.watch)
+		}
+		if got := core.CheckpointName("posterior", c.app); got != c.posterior {
+			t.Errorf("posterior checkpoint for %q = %q, want %q", c.app, got, c.posterior)
+		}
+	}
+}

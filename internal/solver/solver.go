@@ -66,44 +66,6 @@ func AllHypotheses() Hypotheses {
 	}
 }
 
-// ObjectiveWeights scales the soft-constraint penalties per role. The
-// paper weighs acquire and release evidence identically; in practice the
-// two roles have different base rates (every criticial section has one
-// acquire but finalizers/defers skew releases), and a deployment that
-// cares more about precision on one role can raise that role's weight to
-// demand stronger evidence before inferring it. A zero field means 1.0
-// (the paper's weighting), so the zero value is the default behaviour.
-//
-// The weights multiply only the real penalty terms (Syncs-are-Rare and
-// Acquisition-Time-Mostly-Varies); the 1e-6 name-hashed tie-break costs
-// are deliberately left unscaled so that tied optima keep resolving to
-// the same vertex regardless of weighting — the incremental-inference
-// byte-identity contract does not depend on ObjectiveWeights.
-type ObjectiveWeights struct {
-	Acquire float64
-	Release float64
-}
-
-// Resolved returns the effective weights with zero fields mapped to the
-// 1.0 default — the canonical form config hashes should use, so that
-// every spelling of the same effective weighting hashes identically.
-func (w ObjectiveWeights) Resolved() ObjectiveWeights {
-	if w.Acquire == 0 {
-		w.Acquire = 1
-	}
-	if w.Release == 0 {
-		w.Release = 1
-	}
-	return w
-}
-
-// IsDefault reports whether the weights are equivalent to the paper's
-// uniform weighting (so config hashes can omit them).
-func (w ObjectiveWeights) IsDefault() bool {
-	r := w.Resolved()
-	return r.Acquire == 1 && r.Release == 1
-}
-
 // Config tunes the encoding.
 type Config struct {
 	// Lambda trades Mostly-Protected off against all other hypotheses
@@ -130,9 +92,6 @@ type Config struct {
 	// Exhausting it is an error carrying the problem dimensions, wrapped
 	// around lp.ErrIterationLimit — never a silent suboptimal result.
 	MaxLPIters int
-	// Weights scales the per-role penalty costs (zero value = the paper's
-	// uniform weighting; see ObjectiveWeights).
-	Weights ObjectiveWeights
 	// Parallelism caps the workers the LP may use to solve independent
 	// connected components of one problem concurrently (≤1 = sequential).
 	// Results are bit-identical at any setting, so this is a pure
@@ -772,16 +731,15 @@ func (b *builder) addWindowTerm(rowName string, cands []*keyInfo, role trace.Rol
 }
 
 // addRareness adds Eq. 3's regularization and Eq. 4's occurrence penalty,
-// scaled per role by Config.Weights and discounted per role by any
-// installed Priors (a believed synchronization pays less for being rare).
+// discounted per role by any installed Priors (a believed synchronization
+// pays less for being rare).
 func (b *builder) addRareness(keys []trace.Key) {
 	if !b.cfg.Hyp.SyncsAreRare {
 		return
 	}
-	w := b.cfg.Weights.Resolved()
 	for i, k := range keys {
 		pen := b.cfg.Lambda * (1 + b.cfg.RareCoef*b.obs.AvgOccurrence(k))
-		acqPen, relPen := w.Acquire*pen, w.Release*pen
+		acqPen, relPen := pen, pen
 		if b.priors != nil {
 			acqPen *= b.priors.discount(b.priors.Acquires[k])
 			relPen *= b.priors.discount(b.priors.Releases[k])
@@ -803,7 +761,6 @@ func (b *builder) addAcqTimeVaries(keys []trace.Key) {
 		return
 	}
 	pct := b.obs.CVPercentiles()
-	wAcq := b.cfg.Weights.Resolved().Acquire
 	for i, k := range keys {
 		if k.Kind() != trace.KindBegin {
 			continue
@@ -813,7 +770,7 @@ func (b *builder) addAcqTimeVaries(keys []trace.Key) {
 			continue
 		}
 		p := pct[k.Name()] // methods never completed rank at percentile 0
-		b.prob.AddCost(vp.acq, wAcq*b.cfg.Lambda*(1-p))
+		b.prob.AddCost(vp.acq, b.cfg.Lambda*(1-p))
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 )
 
 // checkpointName constrains names to a filesystem-safe alphabet.
@@ -68,36 +67,4 @@ func (c *Corpus) LoadCheckpoint(name string) ([]byte, error) {
 		return nil, err
 	}
 	return data, nil
-}
-
-// DeleteCheckpoint removes the named checkpoint; deleting a missing one is
-// a no-op.
-func (c *Corpus) DeleteCheckpoint(name string) error {
-	if !checkpointName.MatchString(name) {
-		return fmt.Errorf("store: bad checkpoint name %q", name)
-	}
-	err := os.Remove(c.checkpointPath(name))
-	if err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
-}
-
-// Checkpoints lists the stored checkpoint names, sorted.
-func (c *Corpus) Checkpoints() ([]string, error) {
-	ents, err := os.ReadDir(filepath.Join(c.dir, "checkpoints"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("store: list checkpoints: %w", err)
-	}
-	var names []string
-	for _, e := range ents {
-		if !e.IsDir() {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	return names, nil
 }

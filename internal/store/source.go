@@ -9,9 +9,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"fmt"
 	"io"
-	"os"
 
 	"sherlock/internal/obs"
 	"sherlock/internal/trace"
@@ -96,18 +94,4 @@ func Decode(r io.Reader) (*trace.Trace, error) {
 // DecodeBytes is Decode over an in-memory buffer.
 func DecodeBytes(data []byte) (*trace.Trace, error) {
 	return Decode(bytes.NewReader(data))
-}
-
-// DecodeFile reads one trace file in either serialization.
-func DecodeFile(path string) (*trace.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	t, err := Decode(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return t, nil
 }

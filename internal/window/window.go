@@ -77,21 +77,6 @@ type Window struct {
 	AcqEvents []CandEvent
 }
 
-// UniqueRel returns each distinct release-candidate key with its occurrence
-// count in this window. Only one probability subtraction per distinct key is
-// allowed in the Mostly-Protected term (paper Section 4.2), so callers use
-// the key set; the counts feed the Synchronizations-are-Rare penalty.
-func (w *Window) UniqueRel() map[trace.Key]int { return uniq(w.RelEvents) }
-
-// UniqueAcq is UniqueRel for the acquire side.
-func (w *Window) UniqueAcq() map[trace.Key]int { return uniq(w.AcqEvents) }
-
-func uniq(evs []CandEvent) map[trace.Key]int {
-	m := make(map[trace.Key]int, len(evs))
-	uniqInto(m, evs)
-	return m
-}
-
 // uniqInto fills m — cleared first — with per-key occurrence counts,
 // letting accumulation loops reuse one scratch map instead of allocating
 // per window.

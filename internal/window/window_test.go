@@ -214,12 +214,13 @@ func TestWindowRacyRules(t *testing.T) {
 
 func TestUniqueCounts(t *testing.T) {
 	k := trace.KeyFor(trace.KindRead, "C::f")
-	w := Window{AcqEvents: []CandEvent{{Key: k}, {Key: k}, {Key: k}}}
-	if got := w.UniqueAcq()[k]; got != 3 {
+	m := map[trace.Key]int{trace.KeyFor(trace.KindWrite, "C::stale"): 1}
+	uniqInto(m, []CandEvent{{Key: k}, {Key: k}, {Key: k}})
+	if got := m[k]; got != 3 {
 		t.Errorf("occurrence count = %d, want 3", got)
 	}
-	if len(w.UniqueAcq()) != 1 {
-		t.Error("unique keys must deduplicate")
+	if len(m) != 1 {
+		t.Error("unique keys must deduplicate, and the map must be cleared first")
 	}
 }
 

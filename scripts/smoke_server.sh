@@ -28,6 +28,18 @@ echo "smoke: daemon at $BASE"
 
 curl -fsS "$BASE/healthz" | grep -q '"ok"' || { echo "healthz not ok"; exit 1; }
 
+# wait_done ID WHAT: poll a job until it is done; fail on any other end.
+wait_done() {
+  local status=""
+  for _ in $(seq 1 300); do
+    status=$(curl -fsS "$BASE/v1/jobs/$1" | grep -o '"status":"[^"]*"' | cut -d'"' -f4)
+    [ "$status" = done ] && return 0
+    [ "$status" = failed ] || [ "$status" = canceled ] && { echo "$2 $status"; exit 1; }
+    sleep 0.1
+  done
+  echo "$2 stuck in $status"; exit 1
+}
+
 # Profiling handlers are mounted because the daemon was started with
 # -pprof (they are absent by default).
 curl -fsS "$BASE/debug/pprof/goroutine?debug=1" | grep -q 'goroutine' \
@@ -42,15 +54,7 @@ ID=$(echo "$COLD" | grep -o '"id":"[^"]*"' | head -1 | cut -d'"' -f4)
 KEY=$(echo "$COLD" | grep -o '"key":"[^"]*"' | head -1 | cut -d'"' -f4)
 [ -n "$ID" ] && [ -n "$KEY" ] || { echo "no id/key in response"; exit 1; }
 
-# Poll to completion.
-STATUS=""
-for _ in $(seq 1 300); do
-  STATUS=$(curl -fsS "$BASE/v1/jobs/$ID" | grep -o '"status":"[^"]*"' | cut -d'"' -f4)
-  [ "$STATUS" = done ] && break
-  [ "$STATUS" = failed ] || [ "$STATUS" = canceled ] && { echo "job $STATUS"; exit 1; }
-  sleep 0.1
-done
-[ "$STATUS" = done ] || { echo "job stuck in $STATUS"; exit 1; }
+wait_done "$ID" job
 echo "smoke: job $ID done, key $KEY"
 
 COLD_RESULT=$(curl -fsS "$BASE/v1/results/$KEY")
@@ -72,24 +76,35 @@ echo "$METRICS" | grep -q '^sherlock_jobs_total{status="done"} 1$' || { echo "me
 echo "$METRICS" | grep -q '^sherlock_lp_pivots_total [1-9]' || { echo "metrics missing LP pivots"; exit 1; }
 echo "smoke: metrics ok"
 
-# Static inference: the report endpoint computes on first touch, serves
-# byte-identically from the cache after, and carries the program hash.
-STATIC1=$(curl -fsS "$BASE/v1/apps/App-1/static")
-echo "$STATIC1" | grep -q '"Inferred"' || { echo "static report lacks inference payload"; exit 1; }
-echo "$STATIC1" | grep -q '"program_hash"' || { echo "static report lacks program hash"; exit 1; }
-STATIC2=$(curl -fsS "$BASE/v1/apps/App-1/static")
-[ "$STATIC1" = "$STATIC2" ] || { echo "static report not byte-identical across fetches"; exit 1; }
-curl -s "$BASE/v1/apps/no-such-app/static" | grep -q '"code":"not_found"' \
-  || { echo "unknown app static fetch not a v1 not_found"; exit 1; }
-echo "smoke: static report endpoint ok"
-
-# A static job shares the report's content address: submitting one for the
-# already-fetched app must be an instant cache hit.
+# Static inference: a static_app job computes the run-free report under
+# its program-hash content key; a resubmission is a cache hit on the same
+# key with a byte-identical result.
 SJOB=$(curl -fsS -X POST -H 'Content-Type: application/json' \
   -d '{"static_app":"App-1"}' "$BASE/v1/jobs")
 echo "smoke: static job: $SJOB"
-echo "$SJOB" | grep -q '"cached":true' || { echo "static job missed the report cache"; exit 1; }
-echo "smoke: static job content-shares the report cache ok"
+SID=$(echo "$SJOB" | grep -o '"id":"[^"]*"' | head -1 | cut -d'"' -f4)
+SKEY=$(echo "$SJOB" | grep -o '"key":"[^"]*"' | head -1 | cut -d'"' -f4)
+[ -n "$SID" ] && [ -n "$SKEY" ] || { echo "no id/key in static job response"; exit 1; }
+wait_done "$SID" "static job"
+STATIC1=$(curl -fsS "$BASE/v1/results/$SKEY")
+echo "$STATIC1" | grep -q '"Inferred"' || { echo "static report lacks inference payload"; exit 1; }
+echo "$STATIC1" | grep -q '"program_hash"' || { echo "static report lacks program hash"; exit 1; }
+SHIT=$(curl -fsS -X POST -H 'Content-Type: application/json' \
+  -d '{"static_app":"App-1"}' "$BASE/v1/jobs")
+echo "$SHIT" | grep -q '"cached":true' || { echo "static resubmit missed the report cache"; exit 1; }
+echo "$SHIT" | grep -q "\"key\":\"$SKEY\"" || { echo "static resubmit changed the content key"; exit 1; }
+STATIC2=$(curl -fsS "$BASE/v1/results/$SKEY")
+[ "$STATIC1" = "$STATIC2" ] || { echo "static report not byte-identical across submissions"; exit 1; }
+SBAD=$(curl -s -w ' HTTP%{http_code}' -X POST -H 'Content-Type: application/json' \
+  -d '{"static_app":"no-such-app"}' "$BASE/v1/jobs")
+case "$SBAD" in
+  *'"code":"invalid_argument"'*' HTTP400') ;;
+  *) echo "unknown static app not a v1 400 invalid_argument: $SBAD"; exit 1 ;;
+esac
+# The static report has one way in: the old GET side door is gone.
+OLD=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/apps/App-1/static")
+[ "$OLD" = 404 ] || { echo "GET /v1/apps/{id}/static answered $OLD, want 404"; exit 1; }
+echo "smoke: static report job ok"
 
 # Generated apps: a gen:<seed> campaign submitted in the unified
 # {"mode","target"} shape runs like any built-in, and the legacy
@@ -100,20 +115,19 @@ echo "smoke: gen job: $GJOB"
 GID=$(echo "$GJOB" | grep -o '"id":"[^"]*"' | head -1 | cut -d'"' -f4)
 GKEY=$(echo "$GJOB" | grep -o '"key":"[^"]*"' | head -1 | cut -d'"' -f4)
 [ -n "$GID" ] && [ -n "$GKEY" ] || { echo "no id/key in gen job response"; exit 1; }
-STATUS=""
-for _ in $(seq 1 300); do
-  STATUS=$(curl -fsS "$BASE/v1/jobs/$GID" | grep -o '"status":"[^"]*"' | cut -d'"' -f4)
-  [ "$STATUS" = done ] && break
-  [ "$STATUS" = failed ] || [ "$STATUS" = canceled ] && { echo "gen job $STATUS"; exit 1; }
-  sleep 0.1
-done
-[ "$STATUS" = done ] || { echo "gen job stuck in $STATUS"; exit 1; }
+wait_done "$GID" "gen job"
 GHIT=$(curl -fsS -X POST -H 'Content-Type: application/json' \
   -d '{"app":"gen:42"}' "$BASE/v1/jobs")
 echo "$GHIT" | grep -q '"cached":true' || { echo "legacy gen resubmit missed the cache"; exit 1; }
 echo "$GHIT" | grep -q "\"key\":\"$GKEY\"" || { echo "mode/legacy gen spellings hash differently"; exit 1; }
-curl -fsS "$BASE/v1/apps/gen:42/static" | grep -q '"program_hash"' \
-  || { echo "gen static report lacks program hash"; exit 1; }
+GSJOB=$(curl -fsS -X POST -H 'Content-Type: application/json' \
+  -d '{"static_app":"gen:42"}' "$BASE/v1/jobs")
+GSID=$(echo "$GSJOB" | grep -o '"id":"[^"]*"' | head -1 | cut -d'"' -f4)
+GSKEY=$(echo "$GSJOB" | grep -o '"key":"[^"]*"' | head -1 | cut -d'"' -f4)
+[ -n "$GSID" ] && [ -n "$GSKEY" ] || { echo "no id/key in gen static job response"; exit 1; }
+wait_done "$GSID" "gen static job"
+GSTATIC=$(curl -fsS "$BASE/v1/results/$GSKEY")
+echo "$GSTATIC" | grep -q '"program_hash"' || { echo "gen static report lacks program hash"; exit 1; }
 echo "smoke: generated app job + unified mode spec ok"
 
 # Errors arrive in the v1 envelope with a machine code.
@@ -154,14 +168,7 @@ echo "smoke: corpus job: $CJOB"
 CID=$(echo "$CJOB" | grep -o '"id":"[^"]*"' | head -1 | cut -d'"' -f4)
 CKEY=$(echo "$CJOB" | grep -o '"key":"[^"]*"' | head -1 | cut -d'"' -f4)
 [ -n "$CID" ] && [ -n "$CKEY" ] || { echo "no id/key in corpus job response"; exit 1; }
-STATUS=""
-for _ in $(seq 1 300); do
-  STATUS=$(curl -fsS "$BASE/v1/jobs/$CID" | grep -o '"status":"[^"]*"' | cut -d'"' -f4)
-  [ "$STATUS" = done ] && break
-  [ "$STATUS" = failed ] || [ "$STATUS" = canceled ] && { echo "corpus job $STATUS"; exit 1; }
-  sleep 0.1
-done
-[ "$STATUS" = done ] || { echo "corpus job stuck in $STATUS"; exit 1; }
+wait_done "$CID" "corpus job"
 curl -fsS "$BASE/v1/results/$CKEY" | grep -q '"Inferred"' || { echo "corpus result lacks inference payload"; exit 1; }
 echo "smoke: corpus upload + inference by key ok"
 
