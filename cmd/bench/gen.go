@@ -94,7 +94,7 @@ func benchGen() (genResult, error) {
 			Profile: gen.Profiles[i%len(gen.Profiles)],
 			Size:    gen.DefaultSize,
 		}
-		// Resolve through the program-source registry — the same path the
+		// Resolve through apps.ByName — the same path the
 		// CLI and server take — so the sweep also exercises name routing.
 		app, err := apps.ByName(spec.Name())
 		if err != nil {

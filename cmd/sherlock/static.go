@@ -59,8 +59,8 @@ func runStaticLocal(ctx context.Context, appName string, lambda float64, near in
 }
 
 // runStaticAll prints the static-only precision/recall sweep over every
-// program the registry exposes — the eight built-ins plus each
-// registered source's showcase (the generator's per-profile samples).
+// program apps.RegistryNames lists — the eight built-ins plus the
+// generator's per-profile samples.
 // The run-free analogue of Table 2.
 func runStaticAll(ctx context.Context) error {
 	fmt.Printf("%-22s %-34s %9s %9s %11s %8s\n", "App", "Title", "#Inferred", "#Correct", "Precision", "Recall")

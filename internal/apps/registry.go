@@ -1,7 +1,7 @@
 // Package apps defines the eight benchmark applications of the SherLock
-// paper (Table 1) as synthetic prog.Programs, and hosts the program-source
-// registry through which every app-accepting entry point (CLI verbs,
-// server jobs, the static endpoint) resolves names. Each built-in
+// paper (Table 1) as synthetic prog.Programs, and resolves the application
+// names every app-accepting entry point (CLI verbs, server jobs, static
+// reports) takes: the built-ins and the generator's gen: names. Each built-in
 // application reproduces the synchronization idioms the paper reports
 // inferring from its namesake (Tables 8 and 9), carries the paper's
 // inventory metadata, and is annotated with ground truth — the role the
@@ -23,30 +23,10 @@ import (
 	"sherlock/internal/prog"
 )
 
-// ProgramSource resolves a namespace of application names to finalized
-// programs. Sources are consulted in registration order; the first
-// source that owns a name answers for it. Lookup must return the same
-// (finalized, immutable) *prog.Program for every call with the same
-// name, so results are shareable across concurrent campaigns and
-// content-addressed caches.
-type ProgramSource interface {
-	// Owns reports whether name falls in this source's namespace.
-	Owns(name string) bool
-	// Lookup resolves name; called only when Owns(name) is true.
-	Lookup(name string) (*prog.Program, error)
-	// Names enumerates the programs this source exposes for registry
-	// sweeps. For unbounded namespaces (the generator) this is a small
-	// deterministic showcase; arbitrary names stay addressable.
-	Names() []string
-}
-
 var (
 	once     sync.Once
 	registry []*prog.Program
 	byName   map[string]*prog.Program
-
-	sourceMu sync.RWMutex
-	sources  []ProgramSource
 )
 
 func build() {
@@ -58,64 +38,27 @@ func build() {
 		p.MustFinalize()
 		byName[p.Name] = p
 	}
-	sourceMu.Lock()
-	sources = append([]ProgramSource{builtinSource{}, genSource{}}, sources...)
-	sourceMu.Unlock()
-}
-
-// builtinSource serves the paper's App-1..App-8.
-type builtinSource struct{}
-
-func (builtinSource) Owns(name string) bool {
-	_, ok := byName[name]
-	return ok
-}
-func (builtinSource) Lookup(name string) (*prog.Program, error) { return byName[name], nil }
-func (builtinSource) Names() []string {
-	out := make([]string, len(registry))
-	for i, p := range registry {
-		out[i] = p.Name
-	}
-	return out
-}
-
-// genSource serves the procedural generator's gen:<seed>[,...] namespace.
-type genSource struct{}
-
-func (genSource) Owns(name string) bool                     { return gen.IsName(name) }
-func (genSource) Lookup(name string) (*prog.Program, error) { return gen.FromName(name) }
-func (genSource) Names() []string                           { return gen.SampleNames() }
-
-// Register adds a program source to the registry. Sources registered
-// before the first lookup are consulted after the built-in and
-// generator sources.
-func Register(src ProgramSource) {
-	sourceMu.Lock()
-	sources = append(sources, src)
-	sourceMu.Unlock()
 }
 
 // All returns the eight built-in applications, App-1 through App-8,
 // finalized. The returned programs are shared; callers must not mutate
-// them. (Generated and other registered programs are addressable via
-// ByName and enumerable via RegistryNames.)
+// them. (Generated programs are addressable via ByName and enumerable via
+// RegistryNames.)
 func All() []*prog.Program {
 	once.Do(build)
 	return registry
 }
 
-// ByName resolves an application name through the program-source
-// registry: the built-ins ("App-1".."App-8"), generated apps
-// ("gen:<seed>[,profile=...][,size=...]"), and any registered source.
+// ByName resolves an application name: the built-ins ("App-1".."App-8")
+// and generated apps ("gen:<seed>[,profile=...][,size=...]"). Every call
+// with the same name returns the same finalized, shared program.
 func ByName(name string) (*prog.Program, error) {
 	once.Do(build)
-	sourceMu.RLock()
-	snapshot := sources
-	sourceMu.RUnlock()
-	for _, s := range snapshot {
-		if s.Owns(name) {
-			return s.Lookup(name)
-		}
+	if p, ok := byName[name]; ok {
+		return p, nil
+	}
+	if gen.IsName(name) {
+		return gen.FromName(name)
 	}
 	return nil, fmt.Errorf("apps: unknown application %q (want App-1..App-8 or gen:<seed>[,profile=...][,size=...])", name)
 }
@@ -130,24 +73,9 @@ func Names() []string {
 	return out
 }
 
-// RegistryNames enumerates every program the registry exposes across
-// all sources — the built-ins followed by each source's showcase (e.g.
-// the generator's per-profile samples). This is what registry-wide
-// sweeps such as `sherlock static -all` iterate.
+// RegistryNames enumerates every program registry-wide sweeps such as
+// `sherlock static -all` iterate: the built-ins followed by the
+// generator's per-profile samples.
 func RegistryNames() []string {
-	once.Do(build)
-	sourceMu.RLock()
-	snapshot := sources
-	sourceMu.RUnlock()
-	var out []string
-	seen := map[string]bool{}
-	for _, s := range snapshot {
-		for _, n := range s.Names() {
-			if !seen[n] {
-				seen[n] = true
-				out = append(out, n)
-			}
-		}
-	}
-	return out
+	return append(Names(), gen.SampleNames()...)
 }

@@ -106,7 +106,7 @@ func (c *Cluster) handleBlobPut(w http.ResponseWriter, r *http.Request) {
 // handleCacheGet answers from the LOCAL result cache only — it is the
 // terminal hop of a peer's FastLookup and must never trigger one itself.
 func (c *Cluster) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	body, ok := c.srv.Cache().Lookup(r.PathValue("key"))
+	body, ok := c.srv.Cache().Get(r.PathValue("key"))
 	if !ok {
 		writeErr(w, http.StatusNotFound, "not_found", "not cached here")
 		return

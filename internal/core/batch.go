@@ -8,8 +8,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"sherlock/internal/prog"
 )
@@ -27,34 +25,13 @@ func InferAll(ctx context.Context, apps []*prog.Program, cfg Config) ([]*Result,
 	}
 	results := make([]*Result, len(apps))
 	errs := make([]error, len(apps))
-	workers := cfg.workers()
-	if workers > len(apps) {
-		workers = len(apps)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(apps) {
-					return
-				}
-				res, err := Infer(ctx, apps[i], cfg)
-				if err != nil {
-					errs[i] = fmt.Errorf("%s: %w", apps[i].Name, err)
-					continue
-				}
-				results[i] = res
-			}
-		}()
-	}
-	wg.Wait()
+	forEach(len(apps), cfg.workers(), func(i int) {
+		res, err := Infer(ctx, apps[i], cfg)
+		if err != nil {
+			errs[i] = fmt.Errorf("%s: %w", apps[i].Name, err)
+			return
+		}
+		results[i] = res
+	})
 	return results, errors.Join(errs...)
 }

@@ -38,42 +38,34 @@ type runOutput struct {
 // for work that hasn't started.
 func executeRound(ctx context.Context, app *prog.Program, specs []runSpec, cfg Config, span *obs.Span) []runOutput {
 	outs := make([]runOutput, len(specs))
-	workers := cfg.workers()
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	if workers <= 1 {
-		for i := range specs {
-			if err := ctx.Err(); err != nil {
-				outs[i] = runOutput{canceled: true, cancelErr: err}
-				continue
-			}
-			outs[i] = executeOne(ctx, app, specs[i], cfg.Window, span)
+	forEach(len(specs), cfg.workers(), func(i int) {
+		if err := ctx.Err(); err != nil {
+			outs[i] = runOutput{canceled: true, cancelErr: err}
+			return
 		}
-		return outs
-	}
+		outs[i] = executeOne(ctx, app, specs[i], cfg.Window, span)
+	})
+	return outs
+}
 
+// forEach calls fn(i) for every i in [0, n) on at most workers goroutines
+// and returns once every call has returned. Indices are handed out in
+// ascending order to whichever worker is free next, so fn must write its
+// output by index for the result to be independent of the worker count.
+func forEach(n, workers int, fn func(i int)) {
+	workers = max(min(workers, n), 1)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(specs) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					outs[i] = runOutput{canceled: true, cancelErr: err}
-					continue
-				}
-				outs[i] = executeOne(ctx, app, specs[i], cfg.Window, span)
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return outs
 }
 
 // executeOne performs one scheduler run plus its Observer post-processing

@@ -11,7 +11,7 @@
 //
 // Determinism contract: the same canonical name (seed, profile, size)
 // under the same generator Version produces a byte-identical program
-// and ground truth (see Fingerprint), and therefore the same
+// and ground truth, and therefore the same
 // static.ProgramHash — generated apps are content-addressable and
 // cacheable cluster-wide exactly like the built-ins.
 package gen
@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
-	"strings"
 	"sync"
 
 	"sherlock/internal/prog"
@@ -49,7 +47,7 @@ func FromName(name string) (*prog.Program, error) {
 var cache sync.Map // canonical name -> *prog.Program
 
 // SampleNames returns a small deterministic showcase of generated apps,
-// one per profile — this is what the program-source registry enumerates
+// one per profile — this is what apps.RegistryNames enumerates
 // (e.g. for `sherlock static -all`). Arbitrary other seeds remain
 // addressable by explicit name.
 func SampleNames() []string {
@@ -164,102 +162,4 @@ var pools = map[string][]template{
 		tmplRace, tmplRace, tmplRace,
 		tmplFlag, tmplLock,
 	},
-}
-
-// ---------------------------------------------------------------------------
-// Fingerprint: canonical byte rendering of a program + ground truth
-// ---------------------------------------------------------------------------
-
-// Fingerprint renders a finalized program — methods, tests, statements
-// (with site ids), and the full ground truth — as a canonical string.
-// Two builds of the same spec must produce byte-identical fingerprints;
-// this is the determinism contract the gen tests and the bench harness
-// check, one level stronger than equality of static.ProgramHash.
-func Fingerprint(p *prog.Program) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "program %s title=%q loc=%d stars=%d papertests=%d\n",
-		p.Name, p.Title, p.LoC, p.Stars, p.PaperTests)
-	methods := make([]string, 0, len(p.Methods))
-	for n := range p.Methods {
-		methods = append(methods, n)
-	}
-	sort.Strings(methods)
-	for _, n := range methods {
-		fmt.Fprintf(&sb, "method %s\n", n)
-		writeStmts(&sb, p.Methods[n].Body, 1)
-	}
-	for _, t := range p.Tests {
-		fmt.Fprintf(&sb, "test %s init=%q\n", t.Name, t.Init)
-		writeStmts(&sb, t.Body, 1)
-	}
-	tr := p.Truth
-	for _, k := range sortedKeys(tr.Syncs) {
-		fmt.Fprintf(&sb, "sync %v role=%v optional=%v\n", k, tr.Syncs[k], tr.Optional[k])
-	}
-	for _, k := range sortedBoolKeys(tr.RacyKeys) {
-		fmt.Fprintf(&sb, "racykey %v\n", k)
-	}
-	for _, f := range sortedStrings(tr.RacyFields) {
-		fmt.Fprintf(&sb, "racyfield %s\n", f)
-	}
-	for _, m := range sortedStrings(tr.HiddenMethods) {
-		fmt.Fprintf(&sb, "hiddenmethod %s\n", m)
-	}
-	for _, k := range sortedCatKeys(tr.Category) {
-		fmt.Fprintf(&sb, "category %v=%s\n", k, tr.Category[k])
-	}
-	for _, f := range sortedStrings(p.Volatile) {
-		fmt.Fprintf(&sb, "volatile %s\n", f)
-	}
-	return sb.String()
-}
-
-func writeStmts(sb *strings.Builder, ss []prog.Stmt, depth int) {
-	indent := strings.Repeat("  ", depth)
-	for _, s := range ss {
-		// A Loop's Body holds interface values whose %#v rendering
-		// would include pointer addresses; print its scalars and recurse.
-		if l, ok := s.(*prog.Loop); ok {
-			fmt.Fprintf(sb, "%sloop site=%d n=%d\n", indent, l.Site(), l.N)
-			writeStmts(sb, l.Body, depth+1)
-			continue
-		}
-		fmt.Fprintf(sb, "%s%#v\n", indent, s)
-	}
-}
-
-func sortedKeys(m map[trace.Key]trace.Role) []trace.Key {
-	ks := make([]trace.Key, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
-}
-
-func sortedBoolKeys(m map[trace.Key]bool) []trace.Key {
-	ks := make([]trace.Key, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
-}
-
-func sortedCatKeys(m map[trace.Key]prog.FPCategory) []trace.Key {
-	ks := make([]trace.Key, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
-}
-
-func sortedStrings(m map[string]bool) []string {
-	ss := make([]string, 0, len(m))
-	for s := range m {
-		ss = append(ss, s)
-	}
-	sort.Strings(ss)
-	return ss
 }

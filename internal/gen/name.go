@@ -1,4 +1,4 @@
-// Generated-app naming: the gen: namespace of the program-source registry.
+// Generated-app naming: the gen: namespace apps.ByName resolves.
 //
 // A generated application is addressed by a name of the form
 //

@@ -135,12 +135,6 @@ type Problem struct {
 	// Results are bit-identical at any setting.
 	Parallel int
 
-	// DisablePresolve skips the presolve reductions and the component
-	// decomposition, solving the standard form exactly as given. Intended
-	// for debugging and for measuring presolve's effect; results agree
-	// with the presolved path within the solver's tolerances either way.
-	DisablePresolve bool
-
 	// etaEvery overrides the basis refactorization interval (tests force 1
 	// to exercise the pure-LU path against the eta-update path).
 	etaEvery int
@@ -209,43 +203,15 @@ func (p *Problem) SetUpperBound(v int, u float64) {
 	p.upper[v] = u
 }
 
-// AddConstraint adds Σ coeffs[v]·x_v  sense  rhs under an automatic name.
-// Zero coefficients are dropped. Variables listed twice have their
-// coefficients summed.
-func (p *Problem) AddConstraint(coeffs map[int]float64, sense Sense, rhs float64) {
-	p.AddNamedConstraint(fmt.Sprintf("c#%d", len(p.constraints)), coeffs, sense, rhs)
-}
-
-// AddNamedConstraint is AddConstraint with an explicit row name. Row names
-// identify constraint rows (and their slack/artificial columns) when a
-// Basis from a previous solve is mapped onto this problem, so warm-starting
-// callers should keep them unique and stable across rounds.
-func (p *Problem) AddNamedConstraint(name string, coeffs map[int]float64, sense Sense, rhs float64) {
-	start := len(p.entIdx)
-	for v, a := range coeffs {
-		if a == 0 {
-			continue
-		}
-		if v < 0 || v >= len(p.names) {
-			panic(fmt.Sprintf("lp: constraint references unknown variable %d", v))
-		}
-		p.entIdx = append(p.entIdx, v)
-		p.entCoef = append(p.entCoef, a)
-	}
-	// Canonicalize entry order: map iteration is nondeterministic, and
-	// presolve's activity sums (and any future row-order arithmetic) must
-	// be a pure function of the problem.
-	sortConstraint(p.entIdx[start:], p.entCoef[start:])
-	p.appendRow(name, start, sense, rhs)
-}
-
-// AddRow is AddNamedConstraint for callers that already hold the row's
-// entries sorted by strictly ascending variable index with no zero
-// coefficients — the encoder's hot path, which builds thousands of
-// window rows whose entries are naturally index-ordered. It copies the
-// entries without the map detour, so callers may reuse the slices. The
-// order is verified (panic on violation), so misuse can never silently
-// break the index-sorted-rows invariant presolve's arithmetic depends on.
+// AddRow adds the constraint Σ coeffs[k]·x_idx[k]  sense  rhs named name.
+// The entries must be sorted by strictly ascending variable index with no
+// zero coefficients; the order is verified (panic on violation), so misuse
+// can never silently break the index-sorted-rows invariant presolve's
+// arithmetic depends on. The entries are copied, so callers may reuse the
+// slices. Row names identify constraint rows (and their slack/artificial
+// columns) when a Basis from a previous solve is mapped onto this problem,
+// so warm-starting callers should keep them unique and stable across
+// rounds.
 func (p *Problem) AddRow(name string, idx []int, coeffs []float64, sense Sense, rhs float64) {
 	if len(idx) != len(coeffs) {
 		panic("lp: AddRow index/coefficient length mismatch")
@@ -276,20 +242,6 @@ func (p *Problem) appendRow(name string, start int, sense Sense, rhs float64) {
 		idx:    p.entIdx[start:end:end],
 		coeffs: p.entCoef[start:end:end],
 	})
-}
-
-// sortConstraint orders a constraint's entries by variable index
-// (insertion sort; rows are short).
-func sortConstraint(idx []int, coeffs []float64) {
-	for i := 1; i < len(idx); i++ {
-		v, a := idx[i], coeffs[i]
-		j := i
-		for j > 0 && idx[j-1] > v {
-			idx[j], coeffs[j] = idx[j-1], coeffs[j-1]
-			j--
-		}
-		idx[j], coeffs[j] = v, a
-	}
 }
 
 // maxIters resolves the pivot budget.

@@ -1,10 +1,35 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
+
+// AddConstraint adds Σ coeffs[v]·x_v  sense  rhs under an automatic name.
+// Zero coefficients are dropped.
+func (p *Problem) AddConstraint(coeffs map[int]float64, sense Sense, rhs float64) {
+	p.AddNamedConstraint(fmt.Sprintf("c#%d", len(p.constraints)), coeffs, sense, rhs)
+}
+
+// AddNamedConstraint is AddConstraint with an explicit row name: the
+// coefficient-map form of AddRow that hand-written test problems use.
+func (p *Problem) AddNamedConstraint(name string, coeffs map[int]float64, sense Sense, rhs float64) {
+	idx := make([]int, 0, len(coeffs))
+	for v, a := range coeffs {
+		if a != 0 {
+			idx = append(idx, v)
+		}
+	}
+	sort.Ints(idx)
+	vals := make([]float64, len(idx))
+	for k, v := range idx {
+		vals[k] = coeffs[v]
+	}
+	p.AddRow(name, idx, vals, sense, rhs)
+}
 
 func solveOK(t *testing.T, p *Problem) *Solution {
 	t.Helper()

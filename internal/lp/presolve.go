@@ -44,7 +44,7 @@ import "math"
 type presolved struct {
 	p *Problem
 
-	declined bool   // presolve did not run (disabled or unbounded-suspect)
+	declined bool   // presolve did not run (unbounded-suspect)
 	status   Status // Optimal to proceed, Infeasible when proven
 
 	fixed  []bool
@@ -105,10 +105,6 @@ func presolve(p *Problem) *presolved {
 	ps := &presolved{
 		p: p, status: Optimal,
 		rowsIn: nRows, colsIn: n,
-	}
-	if p.DisablePresolve {
-		ps.declined = true
-		return ps
 	}
 	ps.fixed = make([]bool, n)
 	ps.fixVal = make([]float64, n)

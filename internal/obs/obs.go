@@ -34,9 +34,7 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -145,15 +143,12 @@ type Event struct {
 // All methods are safe for concurrent use; a nil *Tracer is a no-op.
 type Tracer struct {
 	sink Sink
-
-	mu       sync.Mutex
-	counters map[string]int64
 }
 
-// New returns a Tracer emitting into sink. A nil sink is valid: spans and
-// counters are still constructed and aggregated, nothing is emitted.
+// New returns a Tracer emitting into sink. A nil sink is valid: spans are
+// still constructed, nothing is emitted.
 func New(sink Sink) *Tracer {
-	return &Tracer{sink: sink, counters: map[string]int64{}}
+	return &Tracer{sink: sink}
 }
 
 // Root starts a top-level span. key, when non-empty, is appended to the
@@ -170,46 +165,13 @@ func (t *Tracer) Root(name, key string, attrs ...Attr) *Span {
 	return t.start(id, "", id, attrs)
 }
 
-// Count adds delta to the named counter and emits a counter event. Totals
-// are aggregated in the tracer and retrievable with Counters.
+// Count emits a counter event adding delta to the named counter. Totals
+// are aggregated from the event stream (see CounterTotals).
 func (t *Tracer) Count(name string, delta int64) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.counters[name] += delta
-	t.mu.Unlock()
 	t.emit(Event{Type: EvCounter, Name: name, Wall: time.Now(), Delta: delta})
-}
-
-// Counters returns a snapshot of the aggregated counter totals.
-func (t *Tracer) Counters() map[string]int64 {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]int64, len(t.counters))
-	for k, v := range t.counters {
-		out[k] = v
-	}
-	return out
-}
-
-// CounterList returns the aggregated counters sorted by name — the
-// deterministic form.
-func (t *Tracer) CounterList() []Counter {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	out := make([]Counter, 0, len(t.counters))
-	for k, v := range t.counters {
-		out = append(out, Counter{Name: k, Total: v})
-	}
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // Counter is one aggregated counter total.

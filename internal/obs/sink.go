@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -236,12 +235,6 @@ func ParseJSONL(data []byte) ([]Event, error) {
 					e.Attrs = append(e.Attrs, Int64(k, int64(v)))
 				} else {
 					e.Attrs = append(e.Attrs, Float(k, v))
-				}
-			case json.Number:
-				if n, err := v.Int64(); err == nil {
-					e.Attrs = append(e.Attrs, Int64(k, n))
-				} else if f, err := strconv.ParseFloat(v.String(), 64); err == nil {
-					e.Attrs = append(e.Attrs, Float(k, f))
 				}
 			}
 		}

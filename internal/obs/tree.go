@@ -40,7 +40,7 @@ func (n *Node) MarshalJSON() ([]byte, error) {
 // BuildTree reconstructs the span forest from events. Nodes are created
 // from start events and finalized (attrs, duration) by end events; spans
 // that never ended keep their start-time attrs. Roots and children are
-// sorted by ID. Counter events are ignored here (see Counters).
+// sorted by ID. Counter events are ignored here (see CounterTotals).
 func BuildTree(events []Event) []*Node {
 	nodes := map[string]*Node{}
 	parent := map[string]string{}

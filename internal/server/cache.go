@@ -19,7 +19,7 @@ type ResultCache struct {
 	ll      *list.List               // front = most recently used
 	entries map[string]*list.Element // key -> element whose Value is *cacheEntry
 
-	hits, misses, evictions uint64
+	evictions uint64
 }
 
 type cacheEntry struct {
@@ -44,35 +44,10 @@ func (c *ResultCache) Get(key string) ([]byte, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).body, true
-}
-
-// Lookup returns the cached body for key and refreshes its recency, but
-// does not touch the hit/miss accounting — retrieval of an already-known
-// result (GET /v1/results/{key}) is not a cache-effectiveness event.
-func (c *ResultCache) Lookup(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry).body, true
-}
-
-// Contains reports whether key is cached without touching recency or the
-// hit/miss accounting.
-func (c *ResultCache) Contains(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[key]
-	return ok
 }
 
 // Put stores body under key, evicting the least recently used entry if the
@@ -94,11 +69,11 @@ func (c *ResultCache) Put(key string, body []byte) {
 	c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, body: body})
 }
 
-// Stats returns cumulative hit/miss/eviction counts and the current size.
-func (c *ResultCache) Stats() (hits, misses, evictions uint64, size int) {
+// Stats returns the cumulative eviction count and the current size.
+func (c *ResultCache) Stats() (evictions uint64, size int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions, c.ll.Len()
+	return c.evictions, c.ll.Len()
 }
 
 // Keys returns the cached keys from most to least recently used (test and

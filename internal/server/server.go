@@ -402,12 +402,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Content hit: the work already ran (this process) — answer
 		// instantly with a pre-completed job record pointing at the result.
 		s.cacheHits.Inc()
-		j.mu.Lock()
-		j.cached = true
-		j.finish(StatusDone, "")
-		j.mu.Unlock()
-		s.remember(j)
-		writeJSON(w, http.StatusOK, j.view())
+		s.answerDone(w, j, true)
 		return
 	}
 	s.cacheMisses.Inc()
@@ -420,12 +415,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// N-fold multiple instead of N copies of the same hot set; the
 		// result endpoint re-fetches from the owner on demand.
 		if _, ok := s.cluster.FastLookup(r.Context(), key); ok {
-			j.mu.Lock()
-			j.cached = true
-			j.finish(StatusDone, "")
-			j.mu.Unlock()
-			s.remember(j)
-			writeJSON(w, http.StatusOK, j.view())
+			s.answerDone(w, j, true)
 			return
 		}
 		// Not cached anywhere: route the job to the key's owner node so
@@ -438,12 +428,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// every owner is unreachable) falls through to the local queue:
 		// single-node degradation.
 		if _, ok := s.cluster.ProxyJob(r.Context(), key, spec); ok {
-			j.mu.Lock()
-			j.proxied = true
-			j.finish(StatusDone, "")
-			j.mu.Unlock()
-			s.remember(j)
-			writeJSON(w, http.StatusOK, j.view())
+			s.answerDone(w, j, false)
 			return
 		}
 	}
@@ -461,6 +446,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.submitted.Inc()
 	s.remember(j)
 	writeJSON(w, http.StatusAccepted, j.view())
+}
+
+// answerDone completes a submission that needed no local queueing: the
+// result is cached (here or on a peer) when cached is true, or was
+// computed by the key's owner node through a proxied job otherwise.
+func (s *Server) answerDone(w http.ResponseWriter, j *Job, cached bool) {
+	j.mu.Lock()
+	j.cached = cached
+	j.proxied = !cached
+	j.finish(StatusDone, "")
+	j.mu.Unlock()
+	s.remember(j)
+	writeJSON(w, http.StatusOK, j.view())
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
@@ -502,7 +500,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.cache.Lookup(r.PathValue("key"))
+	body, ok := s.cache.Get(r.PathValue("key"))
 	if !ok && s.cluster != nil {
 		// Results are content-addressed, so any node can serve any key:
 		// fall back to the peers that own it.
@@ -590,7 +588,7 @@ func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	_, _, evictions, size := s.cache.Stats()
+	evictions, size := s.cache.Stats()
 	s.cacheEntries.Set(int64(size))
 	s.cacheEvicted.Set(int64(evictions))
 	traces, blobBytes, _ := s.corpus.Stats()
@@ -624,21 +622,29 @@ func (s *Server) remember(j *Job) {
 	defer s.mu.Unlock()
 	s.byID[j.ID] = j
 	s.idOrder = append(s.idOrder, j.ID)
-	// Evict the oldest terminal records past the cap; stop at the first
-	// live one (records are roughly age-ordered, so this stays O(1)
-	// amortized).
-	for len(s.idOrder) > maxJobRecords {
-		oldest := s.byID[s.idOrder[0]]
-		if oldest != nil {
-			switch oldest.Status() {
-			case StatusDone, StatusFailed, StatusCanceled:
-			default:
-				return // oldest record still live; try again next insert
-			}
-			delete(s.byID, oldest.ID)
-		}
-		s.idOrder = s.idOrder[1:]
+	// Evict the oldest terminal records past the cap. Live records (queued,
+	// running, watching) are skipped, not evicted, and keep their place in
+	// submission order, so a long-lived watch job at the head cannot pin
+	// every record behind it. Only the scanned prefix is rewritten: the
+	// skipped live records move up to just before the first unscanned id.
+	excess := len(s.idOrder) - maxJobRecords
+	if excess <= 0 {
+		return
 	}
+	var live []string
+	i := 0
+	for ; i < len(s.idOrder) && excess > 0; i++ {
+		id := s.idOrder[i]
+		if !s.byID[id].Status().terminal() {
+			live = append(live, id)
+			continue
+		}
+		delete(s.byID, id)
+		excess--
+	}
+	start := i - len(live)
+	copy(s.idOrder[start:i], live)
+	s.idOrder = s.idOrder[start:]
 }
 
 func (s *Server) lookup(id string) *Job {

@@ -39,7 +39,7 @@ func TestStaticJob(t *testing.T) {
 	if env.Result.Overhead.Events != 0 || env.Result.Overhead.RunWall != 0 {
 		t.Fatalf("static report claims execution cost: %+v", env.Result.Overhead)
 	}
-	if _, ok := s.Cache().Lookup(env.Key); !ok || env.Key != done.Key {
+	if _, ok := s.Cache().Get(env.Key); !ok || env.Key != done.Key {
 		t.Fatalf("static report not filed in the result cache under its job key %s (envelope key %s)", done.Key, env.Key)
 	}
 

@@ -598,10 +598,9 @@ func (b *builder) term(v int, a float64) {
 	b.coeffs = append(b.coeffs, a)
 }
 
-// addRow adds the row under construction and clears it. Like
-// lp.AddNamedConstraint with a coefficient map, it sums repeated
+// addRow adds the row under construction and clears it. It sums repeated
 // variables in the order their terms were added, drops zero sums and
-// orders the entries by variable.
+// orders the entries by variable, which is the form lp.AddRow requires.
 func (b *builder) addRow(name string, sense lp.Sense, rhs float64) {
 	idx, coeffs := b.idx, b.coeffs
 	for i := 1; i < len(idx); i++ { // stable insertion sort: rows are short

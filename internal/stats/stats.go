@@ -1,8 +1,8 @@
-// Package stats provides the small set of descriptive statistics SherLock's
-// hypotheses need: mean, standard deviation, coefficient of variation, and
-// empirical percentiles. The Acquisition-Time-Mostly-Varies hypothesis
-// (paper Section 2, Eq. 5) ranks every method by the percentile of the
-// coefficient of variation of its duration samples.
+// Package stats provides the two statistics SherLock's hypotheses need: an
+// exact duration accumulator (mean, standard deviation, coefficient of
+// variation) and empirical percentiles. The Acquisition-Time-Mostly-Varies
+// hypothesis (paper Section 2, Eq. 5) ranks every method by the percentile
+// of the coefficient of variation of its duration samples.
 package stats
 
 import (
@@ -10,66 +10,12 @@ import (
 	"sort"
 )
 
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs, or 0 when fewer
-// than two samples are available (a single observation carries no variation
-// information).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
-// CV returns the coefficient of variation (stddev / mean) of xs. A zero or
-// negative mean yields 0: durations are non-negative, so a zero mean means
-// every sample is zero and there is no variation to speak of.
-func CV(xs []float64) float64 {
-	m := Mean(xs)
-	if m <= 0 {
-		return 0
-	}
-	return StdDev(xs) / m
-}
-
-// Percentile returns the fraction of values in population that are strictly
-// less than x, in [0, 1]. An empty population yields 0. This is the
-// "percentile(CV(duration(m)))" ranking of Eq. 5: a method whose duration
-// varies more than most others gets a value near 1 and hence a small penalty
-// for being inferred as an acquire.
-func Percentile(x float64, population []float64) float64 {
-	if len(population) == 0 {
-		return 0
-	}
-	below := 0
-	for _, p := range population {
-		if p < x {
-			below++
-		}
-	}
-	return float64(below) / float64(len(population))
-}
-
 // Percentiles computes, for every value in xs, its percentile within xs
-// itself. Equal values receive equal percentiles. The result preserves input
-// order.
+// itself: the fraction of values strictly less than it, in [0, 1]. Equal
+// values receive equal percentiles. The result preserves input order. This
+// is the "percentile(CV(duration(m)))" ranking of Eq. 5: a method whose
+// duration varies more than most others gets a value near 1 and hence a
+// small penalty for being inferred as an acquire.
 func Percentiles(xs []float64) []float64 {
 	out := make([]float64, len(xs))
 	if len(xs) == 0 {
@@ -85,59 +31,18 @@ func Percentiles(xs []float64) []float64 {
 	return out
 }
 
-// Welford accumulates a running mean and variance without storing samples.
-// SherLock's Observer uses one per method to track duration statistics
-// across runs without unbounded memory.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds one sample into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	delta := x - w.mean
-	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
-}
-
-// N returns the number of samples folded in so far.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// StdDev returns the running population standard deviation.
-func (w *Welford) StdDev() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return math.Sqrt(w.m2 / float64(w.n))
-}
-
-// CV returns the running coefficient of variation (see CV).
-func (w *Welford) CV() float64 {
-	if w.mean <= 0 {
-		return 0
-	}
-	return w.StdDev() / w.mean
-}
-
 // Moments accumulates exact integer moments (count, sum, sum of squares)
-// of integer-valued samples. Unlike Welford, whose floating-point state
-// depends on the order samples arrive in, integer moments are exactly
-// commutative and associative: folding the same multiset of samples in any
-// order — or merging partial accumulators in any grouping — produces the
-// identical bits. The window accumulator uses one per method for duration
+// of integer-valued samples. Unlike a floating-point running mean, whose
+// state depends on the order samples arrive in, integer moments are
+// exactly commutative: folding the same multiset of samples in any order
+// produces the identical bits. The window accumulator uses one per method for duration
 // statistics, which is what lets incremental checkpoint folding add only
 // the new traces' samples instead of replaying the whole corpus.
 //
 // Samples are expected to be integer-valued (virtual-nanosecond durations
-// are); fractional parts are truncated on Add. Derived statistics mirror
-// Welford's conventions bit-for-bit where they overlap: population
-// standard deviation, 0 for fewer than two samples, CV 0 for a
-// non-positive mean.
+// are); fractional parts are truncated on Add. Derived statistics use the
+// population standard deviation, 0 for fewer than two samples, and CV 0
+// for a non-positive mean.
 type Moments struct {
 	Count int64 `json:"n"`
 	Sum   int64 `json:"sum"`
@@ -177,34 +82,12 @@ func (m *Moments) StdDev() float64 {
 	return math.Sqrt(v)
 }
 
-// CV returns the coefficient of variation (see CV).
+// CV returns the coefficient of variation, stddev / mean. A zero mean
+// yields 0: durations are non-negative, so a zero mean means every sample
+// is zero and there is no variation to speak of.
 func (m *Moments) CV() float64 {
 	if mean := m.Mean(); mean > 0 {
 		return m.StdDev() / mean
 	}
 	return 0
-}
-
-// Merge folds another accumulator into m. Exact: merging is the same as
-// having Added every sample directly, in any order.
-func (m *Moments) Merge(o *Moments) {
-	m.Count += o.Count
-	m.Sum += o.Sum
-	m.SumSq += o.SumSq
-}
-
-// Merge folds another accumulator into w (parallel Welford combination).
-func (w *Welford) Merge(o *Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	mean := w.mean + delta*float64(o.n)/float64(n)
-	m2 := w.m2 + o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	w.n, w.mean, w.m2 = n, mean, m2
 }

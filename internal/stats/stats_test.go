@@ -7,6 +7,60 @@ import (
 	"testing/quick"
 )
 
+// Mean, StdDev, CV and Percentile are the batch reference implementations
+// that Moments and Percentiles are checked against.
+
+// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
+func Mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
+}
+
+// StdDev returns the population standard deviation of xs, or 0 when fewer
+// than two samples are available.
+func StdDev(xs []float64) float64 {
+	if len(xs) < 2 {
+		return 0
+	}
+	m := Mean(xs)
+	ss := 0.0
+	for _, x := range xs {
+		d := x - m
+		ss += d * d
+	}
+	return math.Sqrt(ss / float64(len(xs)))
+}
+
+// CV returns stddev / mean of xs, or 0 for a non-positive mean.
+func CV(xs []float64) float64 {
+	m := Mean(xs)
+	if m <= 0 {
+		return 0
+	}
+	return StdDev(xs) / m
+}
+
+// Percentile returns the fraction of values in population strictly less
+// than x, or 0 for an empty population.
+func Percentile(x float64, population []float64) float64 {
+	if len(population) == 0 {
+		return 0
+	}
+	below := 0
+	for _, p := range population {
+		if p < x {
+			below++
+		}
+	}
+	return float64(below) / float64(len(population))
+}
+
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestMean(t *testing.T) {
@@ -87,64 +141,8 @@ func TestPercentilesOrderAndTies(t *testing.T) {
 	}
 }
 
-func TestWelfordMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 100)
-	var w Welford
-	for i := range xs {
-		xs[i] = rng.Float64() * 100
-		w.Add(xs[i])
-	}
-	if !almostEq(w.Mean(), Mean(xs)) {
-		t.Errorf("Welford mean %v != batch %v", w.Mean(), Mean(xs))
-	}
-	if math.Abs(w.StdDev()-StdDev(xs)) > 1e-6 {
-		t.Errorf("Welford stddev %v != batch %v", w.StdDev(), StdDev(xs))
-	}
-	if math.Abs(w.CV()-CV(xs)) > 1e-6 {
-		t.Errorf("Welford CV %v != batch %v", w.CV(), CV(xs))
-	}
-}
-
-func TestWelfordMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var all, a, b Welford
-	var xs []float64
-	for i := 0; i < 37; i++ {
-		x := rng.NormFloat64()*3 + 10
-		xs = append(xs, x)
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(&b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), all.N())
-	}
-	if math.Abs(a.Mean()-all.Mean()) > 1e-9 || math.Abs(a.StdDev()-all.StdDev()) > 1e-9 {
-		t.Errorf("merged (%v,%v) != sequential (%v,%v)", a.Mean(), a.StdDev(), all.Mean(), all.StdDev())
-	}
-	_ = xs
-	// Merging into an empty accumulator copies.
-	var empty Welford
-	empty.Merge(&all)
-	if empty.N() != all.N() || !almostEq(empty.Mean(), all.Mean()) {
-		t.Error("merge into empty accumulator should copy")
-	}
-	// Merging an empty accumulator is a no-op.
-	before := all
-	var e2 Welford
-	all.Merge(&e2)
-	if all != before {
-		t.Error("merging empty accumulator should be a no-op")
-	}
-}
-
-// Property: percentiles are in [0,1], monotone with value, and equal values
-// get equal percentiles.
+// Property: percentiles are in [0,1], agree with Percentile, are monotone
+// with value, and equal values get equal percentiles.
 func TestPercentilesProperties(t *testing.T) {
 	f := func(raw []uint16) bool {
 		xs := make([]float64, len(raw))
@@ -153,7 +151,7 @@ func TestPercentilesProperties(t *testing.T) {
 		}
 		ps := Percentiles(xs)
 		for i := range xs {
-			if ps[i] < 0 || ps[i] > 1 {
+			if ps[i] < 0 || ps[i] > 1 || ps[i] != Percentile(xs[i], xs) {
 				return false
 			}
 			for j := range xs {
@@ -172,19 +170,48 @@ func TestPercentilesProperties(t *testing.T) {
 	}
 }
 
-// Property: Welford matches batch statistics for random inputs.
-func TestWelfordProperty(t *testing.T) {
-	f := func(raw []int16) bool {
-		if len(raw) == 0 {
-			return true
+// momentsMatchBatch folds xs into Moments forwards and backwards and reports
+// whether both folds are identical and agree with the batch oracles.
+func momentsMatchBatch(xs []float64) bool {
+	var m Moments
+	for _, x := range xs {
+		m.Add(x)
+	}
+	var rev Moments
+	for i := len(xs) - 1; i >= 0; i-- {
+		rev.Add(xs[i])
+	}
+	return m == rev && m.N() == len(xs) &&
+		almostEq(m.Mean(), Mean(xs)) &&
+		math.Abs(m.StdDev()-StdDev(xs)) < 1e-6 &&
+		math.Abs(m.CV()-CV(xs)) < 1e-6
+}
+
+// TestMomentsMatchesBatch checks the duration accumulator against the batch
+// oracles on integer-valued samples (virtual-nanosecond durations are), and
+// that the folded state does not depend on the order samples arrive in.
+func TestMomentsMatchesBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	xs := make([]float64, 100)
+	for i := range xs {
+		xs[i] = float64(rng.Intn(100_000))
+	}
+	for _, c := range [][]float64{nil, {5}, {3, 3, 3}, {0, 0, 0}, {2, 4, 4, 4, 5, 5, 7, 9}, xs} {
+		if !momentsMatchBatch(c) {
+			t.Errorf("Moments disagrees with the batch oracles on %v", c)
 		}
+	}
+}
+
+// Property: Moments matches the batch oracles, in either fold order, for
+// random integer-valued inputs.
+func TestMomentsProperty(t *testing.T) {
+	f := func(raw []int16) bool {
 		xs := make([]float64, len(raw))
-		var w Welford
 		for i, r := range raw {
 			xs[i] = float64(r)
-			w.Add(xs[i])
 		}
-		return math.Abs(w.Mean()-Mean(xs)) < 1e-6 && math.Abs(w.StdDev()-StdDev(xs)) < 1e-6
+		return momentsMatchBatch(xs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -1,8 +1,8 @@
-// Indexed window extraction: BuildWindows batches what BuildWindow does one
-// conflict at a time. A per-thread time-sorted index turns each window into
-// two binary searches plus an output copy, so extracting W windows from a
+// Indexed window extraction: BuildWindows extracts every conflict's window
+// in one batch. A per-thread time-sorted index turns each window into two
+// binary searches plus an output copy, so extracting W windows from a
 // trace of N events costs O(N + W·(log N + K)) for window size K instead of
-// BuildWindow's O(W·N). App-1's traces (thousands of events, hundreds of
+// the O(W·N) of scanning the trace once per conflict. App-1's traces (thousands of events, hundreds of
 // conflicts per run) make this the Observer's hot path.
 package window
 
@@ -79,10 +79,10 @@ func (ti *threadIndex) between(lo, hi int64) []CandEvent {
 	return ti.cands[start:end:end]
 }
 
-// Window extracts one conflict's window using the index. Equivalent to
-// BuildWindow on the same trace, except the event slices are views over the
-// index (read-only, possibly shared between overlapping windows) rather
-// than fresh copies.
+// Window extracts one conflict's window using the index: all operations
+// strictly between the pair, split by thread. The event slices are views
+// over the index (read-only, possibly shared between overlapping windows)
+// rather than fresh copies.
 func (idx *Index) Window(c Conflict) Window {
 	return Window{
 		App: idx.app, Test: idx.test,

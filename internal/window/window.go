@@ -188,30 +188,6 @@ func FindConflicts(tr *trace.Trace, cfg Config) []Conflict {
 	return out
 }
 
-// BuildWindow extracts the acquire/release window of one conflict from the
-// trace: all operations strictly between the pair, split by thread.
-func BuildWindow(tr *trace.Trace, c Conflict) Window {
-	w := Window{
-		App: tr.App, Test: tr.Test,
-		Pair:    PairID{First: c.A.Site, Second: c.B.Site},
-		ThreadA: c.A.Thread, ThreadB: c.B.Thread,
-		TA: c.A.Time, TB: c.B.Time,
-	}
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		if e.Time <= c.A.Time || e.Time >= c.B.Time {
-			continue
-		}
-		switch e.Thread {
-		case c.A.Thread:
-			w.RelEvents = append(w.RelEvents, CandEvent{Key: trace.EventKey(e), Time: e.Time})
-		case c.B.Thread:
-			w.AcqEvents = append(w.AcqEvents, CandEvent{Key: trace.EventKey(e), Time: e.Time})
-		}
-	}
-	return w
-}
-
 // MethodDurations extracts per-method duration samples (virtual ns) from a
 // trace by pairing Begin/End events per thread with a call stack. Library
 // call sites pair the same way (they never interleave within a thread).
@@ -255,7 +231,7 @@ type Observations struct {
 	perPair map[PairID]int
 
 	// Durations tracks method-duration statistics per static method name.
-	// Integer moments, not Welford: duration samples are integer-valued
+	// Integer moments, not a float running mean: samples are integer-valued
 	// virtual nanoseconds, and exact integer moments make the folded state
 	// independent of sample arrival order — the property incremental
 	// checkpoint folding needs to add only new traces' samples.
@@ -366,37 +342,6 @@ func (o *Observations) addDurations(durations map[string][]float64) {
 			w.Add(d)
 		}
 	}
-}
-
-// Merge folds another accumulator into o: windows are replayed through the
-// same admission path as AddWindows (so the cross-accumulator per-pair cap
-// and data-race bookkeeping behave exactly as if every window had been
-// added to o directly, in o2's order), duration statistics combine by
-// exact integer-moment addition (bit-identical to having folded every
-// sample directly, in any order), and library-API sets and run counts
-// union/sum.
-//
-// Merging is order-sensitive in the same way AddWindows is: the per-pair
-// cap admits the first windows seen, so merge partial accumulators in a
-// deterministic order. Merge serves consumers combining independently
-// collected observation sets (e.g. shards of an offline corpus).
-func (o *Observations) Merge(o2 *Observations) {
-	if o2 == nil {
-		return
-	}
-	o.AddWindows(o2.Windows)
-	for name, w2 := range o2.Durations {
-		w, ok := o.Durations[name]
-		if !ok {
-			w = &stats.Moments{}
-			o.Durations[name] = w
-		}
-		w.Merge(w2)
-	}
-	for api := range o2.LibAPIs {
-		o.LibAPIs[api] = true
-	}
-	o.Runs += o2.Runs
 }
 
 // Clone returns an independent deep copy of the accumulator: mutating

@@ -77,6 +77,32 @@ func findConflictsRef(tr *trace.Trace, cfg Config) []Conflict {
 	return out
 }
 
+// BuildWindow extracts the acquire/release window of one conflict from the
+// trace: all operations strictly between the pair, split by thread. It
+// scans the whole trace per conflict and stays as the reference that the
+// indexed BuildWindows is checked against.
+func BuildWindow(tr *trace.Trace, c Conflict) Window {
+	w := Window{
+		App: tr.App, Test: tr.Test,
+		Pair:    PairID{First: c.A.Site, Second: c.B.Site},
+		ThreadA: c.A.Thread, ThreadB: c.B.Thread,
+		TA: c.A.Time, TB: c.B.Time,
+	}
+	for i := range tr.Events {
+		e := &tr.Events[i]
+		if e.Time <= c.A.Time || e.Time >= c.B.Time {
+			continue
+		}
+		switch e.Thread {
+		case c.A.Thread:
+			w.RelEvents = append(w.RelEvents, CandEvent{Key: trace.EventKey(e), Time: e.Time})
+		case c.B.Thread:
+			w.AcqEvents = append(w.AcqEvents, CandEvent{Key: trace.EventKey(e), Time: e.Time})
+		}
+	}
+	return w
+}
+
 func TestFindConflictsBasics(t *testing.T) {
 	tr := mkTrace(
 		ev(100, 0, trace.KindWrite, "C::x", 1),
