@@ -40,14 +40,17 @@ import (
 // Gate thresholds, checked by each record's gate method under -gate. The
 // gen floors sit deliberately below the measured operating point (≈0.95 /
 // ≈0.89 at N=100, rounds=3) so the gate trips on regressions, not noise.
+// The store floor sits well below the pooled codec's ≈500k events/s and
+// well above the ≈40k of a flate writer built per trace.
 const (
-	minPivotRate        = 35000 // solver: aggregate cold pivots/s
-	obsMaxPct           = 5     // obs: no-sink tracing overhead, %
-	incrMinSpeedup      = 3     // incremental: +1-trace speedup over scratch
-	incrMaxFoldGrowth   = 3     // incremental: full-base / quarter-base fold cost
-	genGateMinPrecision = 0.90  // gen: aggregate non-race precision
-	genGateMinRecall    = 0.75  // gen: aggregate recall vs unbucketed truth
-	clusterMinSpeedup   = 2     // cluster: 4-node / 1-node throughput
+	minPivotRate        = 35000   // solver: aggregate cold pivots/s
+	storeMinEncodeRate  = 150_000 // store: binary encode, events/s
+	obsMaxPct           = 5       // obs: no-sink tracing overhead, %
+	incrMinSpeedup      = 3       // incremental: +1-trace speedup over scratch
+	incrMaxFoldGrowth   = 3       // incremental: full-base / quarter-base fold cost
+	genGateMinPrecision = 0.90    // gen: aggregate non-race precision
+	genGateMinRecall    = 0.75    // gen: aggregate recall vs unbucketed truth
+	clusterMinSpeedup   = 2       // cluster: 4-node / 1-node throughput
 )
 
 // record is a suite's output value: marshalled to the suite's JSON file,

@@ -38,7 +38,12 @@ type storeResult struct {
 
 const storeReps = 5 // codec passes per serialization; the best is reported
 
-func (storeResult) gate() error { return nil }
+func (r storeResult) gate() error {
+	if r.EncodeEventsPerSec < storeMinEncodeRate {
+		return fmt.Errorf("binary encode %.0f events/s below the gate floor %d", r.EncodeEventsPerSec, storeMinEncodeRate)
+	}
+	return nil
+}
 
 // benchStore captures the whole benchmark corpus once, then times the
 // binary codec against the JSON-lines one over identical traces.

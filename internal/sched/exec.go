@@ -35,8 +35,7 @@ func (m *machine) step(th *thread) {
 		if f.isMethod {
 			// Method exit is a scheduling step of its own so that an
 			// injected end-of-method delay holds back the exit's effects.
-			if m.serveDelay(th, delayMarker{f: f, pc: -1}, 0,
-				trace.KeyFor(trace.KindEnd, f.method)) {
+			if m.planned() && m.serveDelay(th, delayMarker{f: f, pc: -1}, 0, f.method, kindsEnd) {
 				return
 			}
 			th.stack = th.stack[:len(th.stack)-1]
@@ -46,9 +45,11 @@ func (m *machine) step(th *thread) {
 		th.stack = th.stack[:len(th.stack)-1]
 	}
 	s := f.stmts[f.pc]
-	if keys := delayKeysFor(s); len(keys) > 0 &&
-		m.serveDelay(th, delayMarker{f: f, pc: f.pc}, s.Site(), keys...) {
-		return
+	if m.planned() {
+		if name, kinds := delayOps(s); len(kinds) > 0 &&
+			m.serveDelay(th, delayMarker{f: f, pc: f.pc}, s.Site(), name, kinds) {
+			return
+		}
 	}
 	th.clock += m.dispatch()
 
@@ -491,67 +492,69 @@ func (m *machine) res(kind, name string) uint64 {
 	return m.objID("$" + kind + "$" + name)
 }
 
-// delayKeysFor returns the candidate keys a planned delay may target for a
-// statement: the keys whose operations this statement performs. Delays on
+// Kind sets of delayOps' candidate operations.
+var (
+	kindsRead  = []trace.Kind{trace.KindRead}
+	kindsWrite = []trace.Kind{trace.KindWrite}
+	kindsBegin = []trace.Kind{trace.KindBegin}
+	kindsEnd   = []trace.Kind{trace.KindEnd}
+	kindsAPI   = []trace.Kind{trace.KindBegin, trace.KindEnd} // both call-site keys
+)
+
+// delayOps returns the candidate operations a planned delay may target for
+// a statement, as the static name and key kinds of the operations this
+// statement performs (no kinds when it performs none). Delays on
 // method-begin keys of forked delegates are served at the Call/Fork site's
-// granularity; the Perturber only ever delays release-capable keys, so this
-// covers every practical plan.
-func delayKeysFor(s Stmt) []trace.Key {
+// granularity; the Perturber only ever delays release-capable keys, so
+// this covers every practical plan.
+func delayOps(s Stmt) (string, []trace.Kind) {
 	switch st := s.(type) {
 	case *prog.Read:
-		return []trace.Key{trace.KeyFor(trace.KindRead, st.Field)}
+		return st.Field, kindsRead
 	case *prog.Write:
-		return []trace.Key{trace.KeyFor(trace.KindWrite, st.Field)}
+		return st.Field, kindsWrite
 	case *prog.Call:
-		return []trace.Key{trace.KeyFor(trace.KindBegin, st.Method)}
+		return st.Method, kindsBegin
 	case *prog.AcquireLock:
-		return apiKeys(prog.APIMonitorEnter)
+		return prog.APIMonitorEnter, kindsAPI
 	case *prog.ReleaseLock:
-		return apiKeys(prog.APIMonitorExit)
+		return prog.APIMonitorExit, kindsAPI
 	case *prog.SemSet:
-		return apiKeys(prog.APISemSet)
+		return prog.APISemSet, kindsAPI
 	case *prog.SemWait:
-		return apiKeys(prog.APISemWait)
+		return prog.APISemWait, kindsAPI
 	case *prog.WaitAll:
-		return apiKeys(prog.APIWaitAll)
+		return prog.APIWaitAll, kindsAPI
 	case *prog.Post:
 		if st.API != "" {
-			return apiKeys(st.API)
+			return st.API, kindsAPI
 		}
-		return apiKeys(prog.APIPost)
+		return prog.APIPost, kindsAPI
 	case *prog.Receive:
 		if st.API != "" {
-			return apiKeys(st.API)
+			return st.API, kindsAPI
 		}
-		return apiKeys(prog.APIReceive)
+		return prog.APIReceive, kindsAPI
 	case *prog.Fork:
-		return apiKeys(st.API.APIName())
+		return st.API.APIName(), kindsAPI
 	case *prog.Join:
-		return apiKeys(st.API.APIName())
+		return st.API.APIName(), kindsAPI
 	case *prog.ContinueWith:
-		return apiKeys(prog.APIContinueWith)
+		return prog.APIContinueWith, kindsAPI
 	case *prog.UnsafeCall:
-		return apiKeys(st.API)
+		return st.API, kindsAPI
 	case *prog.LibWait:
-		return apiKeys(st.API)
+		return st.API, kindsAPI
 	case *prog.BarrierWait:
-		return apiKeys(prog.APIBarrier)
+		return prog.APIBarrier, kindsAPI
 	case *prog.RWAcquireRead:
-		return apiKeys(prog.APIRWAcquireRead)
+		return prog.APIRWAcquireRead, kindsAPI
 	case *prog.RWReleaseRead:
-		return apiKeys(prog.APIRWReleaseRead)
+		return prog.APIRWReleaseRead, kindsAPI
 	case *prog.RWUpgrade:
-		return apiKeys(prog.APIRWUpgrade)
+		return prog.APIRWUpgrade, kindsAPI
 	case *prog.RWDowngrade:
-		return apiKeys(prog.APIRWDowngrade)
+		return prog.APIRWDowngrade, kindsAPI
 	}
-	return nil
-}
-
-// apiKeys returns both call-site candidate keys of a library API.
-func apiKeys(api string) []trace.Key {
-	return []trace.Key{
-		trace.KeyFor(trace.KindBegin, api),
-		trace.KeyFor(trace.KindEnd, api),
-	}
+	return "", nil
 }

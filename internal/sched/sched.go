@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"sherlock/internal/obs"
 	"sherlock/internal/prog"
@@ -65,6 +66,11 @@ type Options struct {
 	// DisableTracing turns off all event recording (used to measure
 	// uninstrumented baseline cost for the overhead experiment).
 	DisableTracing bool
+	// EventsHint presizes the trace buffer, typically with the event
+	// count of the test's previous run; a quarter more is reserved so a
+	// slightly longer run does not regrow it. It is only a capacity hint:
+	// any value, 0 included, yields the same trace.
+	EventsHint int
 	// Span, when non-nil, is the parent under which the run records a
 	// "sched" child span (test, seed, steps, events, virtual time — all
 	// deterministic attributes). A nil Span costs nothing.
@@ -204,6 +210,9 @@ type machine struct {
 	delays []DelayInstance
 	steps  int
 
+	// keyBuf is serveDelay's reused buffer for rendering candidate keys.
+	keyBuf []byte
+
 	// Step-distribution state: the zipf sampler is built lazily off the
 	// run's rng; burst counts the remaining statements of an active
 	// bursty-mode stall cluster.
@@ -279,6 +288,12 @@ func RunContext(ctx context.Context, p *prog.Program, t *prog.Test, opt Options)
 	return res, err
 }
 
+// rngPool recycles the per-run generators. Seed fully resets a
+// math/rand source, so a pooled generator reseeded with a run's seed
+// yields exactly the stream rand.New(rand.NewSource(seed)) would, without
+// allocating the source's 4.9 KB state every run.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // runLoop is the scheduler loop body shared by Run and RunContext; the program
 // is already finalized.
 func runLoop(ctx context.Context, p *prog.Program, t *prog.Test, opt Options) (*Result, error) {
@@ -289,25 +304,10 @@ func runLoop(ctx context.Context, p *prog.Program, t *prog.Test, opt Options) (*
 	if maxSteps == 0 {
 		maxSteps = 2_000_000
 	}
-	m := &machine{
-		p:         p,
-		t:         t,
-		opt:       opt,
-		rng:       rand.New(rand.NewSource(opt.Seed)),
-		locks:     map[string]*lockState{},
-		rwlocks:   map[string]*rwState{},
-		sems:      map[string]int{},
-		queues:    map[string]int{},
-		barriers:  map[string]*barrierState{},
-		handles:   map[string]*handleState{},
-		handleTID: map[string]int{},
-		inits:     map[string]*initState{},
-		slots:     map[string]uint64{},
-		fieldAddr: map[fieldKey]uint64{},
-		fieldVal:  map[uint64]int64{},
-		nextObjID: 1,
-		nextAddr:  0x1000,
-	}
+	rng := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(rng)
+	rng.Seed(opt.Seed)
+	m := newMachine(p, t, opt, rng)
 
 	main := m.newThread(0)
 	if t.Init != "" {
@@ -345,6 +345,34 @@ func runLoop(ctx context.Context, p *prog.Program, t *prog.Test, opt Options) (*
 	return m.finish(false), nil
 }
 
+// newMachine returns the empty execution state of one run of t, drawing
+// its randomness from rng.
+func newMachine(p *prog.Program, t *prog.Test, opt Options, rng *rand.Rand) *machine {
+	m := &machine{
+		p:         p,
+		t:         t,
+		opt:       opt,
+		rng:       rng,
+		locks:     map[string]*lockState{},
+		rwlocks:   map[string]*rwState{},
+		sems:      map[string]int{},
+		queues:    map[string]int{},
+		barriers:  map[string]*barrierState{},
+		handles:   map[string]*handleState{},
+		handleTID: map[string]int{},
+		inits:     map[string]*initState{},
+		slots:     map[string]uint64{},
+		fieldAddr: map[fieldKey]uint64{},
+		fieldVal:  map[uint64]int64{},
+		nextObjID: 1,
+		nextAddr:  0x1000,
+	}
+	if !opt.DisableTracing && opt.EventsHint > 0 {
+		m.events = make([]trace.Event, 0, opt.EventsHint+opt.EventsHint/4)
+	}
+	return m
+}
+
 // runTestBody is an internal statement used only for the TestInitialize
 // pattern: it hidden-forks the test body as a named method and blocks until
 // it completes.
@@ -357,7 +385,7 @@ func (l *runTestBody) Site() int     { return l.site }
 func (l *runTestBody) SetSite(i int) { l.site = i }
 
 func (m *machine) finish(deadlocked bool) *Result {
-	sort.SliceStable(m.events, func(i, j int) bool { return m.events[i].Time < m.events[j].Time })
+	sort.Stable(eventsByTime(m.events))
 	tr := &trace.Trace{App: m.p.Name, Test: m.t.Name, Seed: m.opt.Seed, Events: m.events}
 	var maxClock int64
 	for _, th := range m.threads {
@@ -373,6 +401,16 @@ func (m *machine) finish(deadlocked bool) *Result {
 		VirtualDuration: maxClock,
 	}
 }
+
+// eventsByTime sorts a run's events by time, comparing them in place. On
+// the built-in apps' traces it sorts a third faster than the reflective
+// sort.SliceStable and twice as fast as slices.SortStableFunc, whose
+// by-value comparator copies two 104-byte events per call.
+type eventsByTime []trace.Event
+
+func (s eventsByTime) Len() int           { return len(s) }
+func (s eventsByTime) Less(i, j int) bool { return s[i].Time < s[j].Time }
+func (s eventsByTime) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 
 func (m *machine) newThread(clock int64) *thread {
 	th := &thread{id: m.nextTID, clock: clock, state: stRunnable}
@@ -520,22 +558,20 @@ func (m *machine) emit(e trace.Event) {
 }
 
 // serveDelay implements two-phase delay injection for the dynamic
-// statement instance identified by marker. On the first visit with a
-// planned delay it bumps the thread clock, records the instances, and
-// returns true: the delay consumed this scheduling step, and every other
-// thread keeps running inside the delay window before the statement's
-// effects become visible. The next visit executes the statement for real.
-func (m *machine) serveDelay(th *thread, marker delayMarker, site int, keys ...trace.Key) bool {
+// statement instance identified by marker, whose candidate operations are
+// name under each of kinds. On the first visit with a planned delay it
+// bumps the thread clock, records the instances, and returns true: the
+// delay consumed this scheduling step, and every other thread keeps
+// running inside the delay window before the statement's effects become
+// visible. The next visit executes the statement for real.
+func (m *machine) serveDelay(th *thread, marker delayMarker, site int, name string, kinds []trace.Kind) bool {
 	if th.served == marker {
 		th.served = delayMarker{}
 		return false
 	}
-	if m.opt.Delays == nil && m.opt.SiteDelays == nil {
-		return false
-	}
 	var total int64
-	for _, k := range keys {
-		total += m.opt.Delays[k]
+	for _, k := range kinds {
+		total += m.delayOf(k, name)
 	}
 	siteDelay := m.opt.SiteDelays[site]
 	total += siteDelay
@@ -547,17 +583,17 @@ func (m *machine) serveDelay(th *thread, marker delayMarker, site int, keys ...t
 		// statement executes immediately (no second visit re-rolls).
 		return false
 	}
-	for _, k := range keys {
-		if d := m.opt.Delays[k]; d > 0 {
+	for _, k := range kinds {
+		if m.delayOf(k, name) > 0 {
 			m.delays = append(m.delays, DelayInstance{
-				Key: k, Thread: th.id, Site: site, Start: th.clock, End: th.clock + total,
+				Key: trace.KeyFor(k, name), Thread: th.id, Site: site, Start: th.clock, End: th.clock + total,
 			})
 		}
 	}
 	if siteDelay > 0 {
 		var key trace.Key
-		if len(keys) > 0 {
-			key = keys[0]
+		if len(kinds) > 0 {
+			key = trace.KeyFor(kinds[0], name)
 		}
 		m.delays = append(m.delays, DelayInstance{
 			Key: key, Thread: th.id, Site: site, Start: th.clock, End: th.clock + total,
@@ -566,6 +602,20 @@ func (m *machine) serveDelay(th *thread, marker delayMarker, site int, keys ...t
 	th.clock += total
 	th.served = marker
 	return true
+}
+
+// delayOf returns the planned delay of the candidate key (k, name). It
+// renders the key into the run's reused buffer, so a step's plan lookups
+// build no key strings.
+func (m *machine) delayOf(k trace.Kind, name string) int64 {
+	m.keyBuf = trace.AppendKey(m.keyBuf[:0], k, name)
+	return m.opt.Delays[trace.Key(m.keyBuf)]
+}
+
+// planned reports whether the run has a delay plan. Without one no
+// statement is ever delayed, so the step loop looks up no candidate keys.
+func (m *machine) planned() bool {
+	return len(m.opt.Delays) > 0 || len(m.opt.SiteDelays) > 0
 }
 
 // exitMethod emits the method End event and runs completion hooks.

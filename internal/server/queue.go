@@ -39,12 +39,12 @@ type queue struct {
 	// Observability hooks, wired by the server. All non-nil after newQueue.
 	depth    *Gauge
 	inflight *Gauge
-	onFinish func(job *Job, body []byte, err error, elapsed time.Duration)
+	onFinish func(job *Job, st JobStatus, body []byte, elapsed time.Duration)
 }
 
 // newQueue builds a queue with the given buffer size; workers start
 // immediately and run until drain.
-func newQueue(baseCtx context.Context, size, workers int, timeout time.Duration, exec executor, reg *Registry, onFinish func(*Job, []byte, error, time.Duration)) *queue {
+func newQueue(baseCtx context.Context, size, workers int, timeout time.Duration, exec executor, reg *Registry, onFinish func(*Job, JobStatus, []byte, time.Duration)) *queue {
 	q := &queue{
 		jobs:     make(chan *Job, size),
 		timeout:  timeout,
@@ -55,7 +55,7 @@ func newQueue(baseCtx context.Context, size, workers int, timeout time.Duration,
 		onFinish: onFinish,
 	}
 	if q.onFinish == nil {
-		q.onFinish = func(*Job, []byte, error, time.Duration) {}
+		q.onFinish = func(*Job, JobStatus, []byte, time.Duration) {}
 	}
 	q.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -127,7 +127,7 @@ func (q *queue) runOne(j *Job) {
 	start := time.Now()
 	if !j.start(start, cancel) {
 		// Canceled while queued: nothing to run, the slot frees instantly.
-		q.onFinish(j, nil, context.Canceled, 0)
+		q.onFinish(j, StatusCanceled, nil, 0)
 		return
 	}
 	q.inflight.Inc()
@@ -135,15 +135,18 @@ func (q *queue) runOne(j *Job) {
 	q.inflight.Dec()
 	elapsed := time.Since(start)
 
+	st, msg := StatusDone, ""
 	switch {
 	case err == nil:
-		j.finishLocked(StatusDone, "")
 	case errors.Is(err, context.Canceled):
-		j.finishLocked(StatusCanceled, "canceled")
+		st, msg = StatusCanceled, "canceled"
 	case errors.Is(err, context.DeadlineExceeded):
-		j.finishLocked(StatusFailed, "timeout: "+err.Error())
+		st, msg = StatusFailed, "timeout: "+err.Error()
 	default:
-		j.finishLocked(StatusFailed, err.Error())
+		st, msg = StatusFailed, err.Error()
 	}
-	q.onFinish(j, body, err, elapsed)
+	// The hook fills the cache before finish wakes the job's watchers: a
+	// client that resubmits the moment its job reports done must hit it.
+	q.onFinish(j, st, body, elapsed)
+	j.finishLocked(st, msg)
 }

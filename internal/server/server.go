@@ -653,10 +653,10 @@ func (s *Server) lookup(id string) *Job {
 	return s.byID[id]
 }
 
-// onFinish is the queue's completion hook: cache fills, terminal-status
-// counters, and the latency histogram.
-func (s *Server) onFinish(j *Job, body []byte, err error, elapsed time.Duration) {
-	switch j.Status() {
+// onFinish is the queue's completion hook for a job about to end in st:
+// cache fills, terminal-status counters, and the latency histogram.
+func (s *Server) onFinish(j *Job, st JobStatus, body []byte, elapsed time.Duration) {
+	switch st {
 	case StatusDone:
 		s.jobsDone.Inc()
 		if body != nil {

@@ -116,6 +116,15 @@ func KeyFor(k Kind, name string) Key {
 	return Key(k.String() + ":" + name)
 }
 
+// AppendKey appends the bytes of KeyFor(k, name) to dst. Looking a key up
+// as m[Key(AppendKey(buf[:0], k, name))] with a reused buf allocates
+// nothing: the compiler does not copy a []byte converted for a map index.
+func AppendKey(dst []byte, k Kind, name string) []byte {
+	dst = append(dst, k.String()...)
+	dst = append(dst, ':')
+	return append(dst, name...)
+}
+
 // EventKey returns the candidate key of a log entry.
 func EventKey(e *Event) Key { return KeyFor(e.Kind, e.Name) }
 

@@ -118,6 +118,19 @@ func TestKeyRoundTripProperty(t *testing.T) {
 	}
 }
 
+// Property: AppendKey appends exactly the bytes of KeyFor, whatever the
+// buffer already holds.
+func TestAppendKeyMatchesKeyFor(t *testing.T) {
+	f := func(kindRaw uint8, prefix []byte, name string) bool {
+		kind := Kind(kindRaw % 5) // 4 is out of range and renders "?"
+		got := AppendKey(prefix, kind, name)
+		return string(got) == string(prefix)+string(KeyFor(kind, name))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 func sanitize(s string) string {
 	out := make([]rune, 0, len(s))
 	for _, r := range s {

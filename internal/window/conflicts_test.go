@@ -59,6 +59,49 @@ func randomConflictTrace(rng *rand.Rand, n int) *trace.Trace {
 	return tr
 }
 
+// randomRunTrace draws a trace of long same-thread runs on one or two
+// addresses: run lengths are geometric with a floor of 50, and a run
+// often starts at its predecessor's last timestamp. Half the traces step
+// time slowly enough that whole runs sit inside the default Near, half
+// fast enough that a run spans more than Near (the cut-off lands inside
+// runs). With outOfOrder a few events are swapped so times run backwards.
+func randomRunTrace(rng *rand.Rand, n int, outOfOrder bool) *trace.Trace {
+	tr := &trace.Trace{App: "runs", Test: "t"}
+	tm := int64(0)
+	nAddrs, nThreads := 1+rng.Intn(2), 2+rng.Intn(3)
+	step := []int{2_000, 60_000}[rng.Intn(2)]
+	thread := 0
+	for len(tr.Events) < n {
+		thread = (thread + 1 + rng.Intn(nThreads-1)) % nThreads
+		runLen := 50
+		for rng.Intn(40) != 0 {
+			runLen++
+		}
+		for k := 0; k < runLen && len(tr.Events) < n; k++ {
+			if k > 0 || rng.Intn(2) == 0 {
+				tm += int64(rng.Intn(step))
+			}
+			e := trace.Event{Time: tm, Thread: thread, Kind: trace.KindRead, Name: "C::f",
+				Addr: uint64(1 + rng.Intn(nAddrs)), Site: 1 + rng.Intn(8), Acc: trace.AccRead}
+			switch rng.Intn(5) {
+			case 0, 1:
+				e.Kind, e.Acc = trace.KindWrite, trace.AccWrite
+			case 2:
+				e.Kind, e.Name, e.Lib, e.Unsafe = trace.KindBegin, "List::Add", true, true
+				e.Acc = trace.AccRead + trace.Acc(rng.Intn(2))
+			}
+			tr.Events = append(tr.Events, e)
+		}
+	}
+	if outOfOrder {
+		for k := 0; k < 1+n/100; k++ {
+			i, j := rng.Intn(n), rng.Intn(n)
+			tr.Events[i], tr.Events[j] = tr.Events[j], tr.Events[i]
+		}
+	}
+	return tr
+}
+
 // appTraces runs every test of p under two scheduler seeds.
 func appTraces(t *testing.T, p *prog.Program) []*trace.Trace {
 	t.Helper()
@@ -100,19 +143,24 @@ func campaignTraces(t *testing.T) []*trace.Trace {
 
 // TestFindConflictsMatchesReference pins the index-based FindConflicts to
 // the by-value reference: the same conflicts in the same order, on random
-// traces and on every trace of the campaign program mix, under every cap
-// and unsafe-API setting.
+// traces, on traces of long same-thread runs (the walk's run skip) and on
+// every trace of the campaign program mix, under every cap and unsafe-API
+// setting. The reference reads out-of-order traces stably time-sorted, as
+// FindConflicts does.
 func TestFindConflictsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	var trs []*trace.Trace
 	for i := 0; i < 100; i++ {
 		trs = append(trs, randomConflictTrace(rng, 20+rng.Intn(200)))
 	}
+	for i := 0; i < 40; i++ {
+		trs = append(trs, randomRunTrace(rng, 200+rng.Intn(1000), i%4 == 3))
+	}
 	trs = append(trs, campaignTraces(t)...)
 	total := 0
 	for _, cfg := range conflictConfigs() {
 		for i, tr := range trs {
-			got, want := FindConflicts(tr, cfg), findConflictsRef(tr, cfg)
+			got, want := FindConflicts(tr, cfg), findConflictsRef(stableTimeSorted(tr), cfg)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trace %d (%s/%s) cap %d unsafe %v: %d conflicts, reference %d",
 					i, tr.App, tr.Test, cfg.PerPairCap, cfg.UseUnsafeAPIs, len(got), len(want))
@@ -210,6 +258,29 @@ func fuzzTrace(data []byte) (*trace.Trace, Config) {
 	return tr, cfg
 }
 
+// runSeed encodes, in fuzzTrace's format, four same-thread runs of 60
+// accesses on two addresses, Near 160: each run spans about 300 time
+// units, every run starts at its predecessor's last timestamp, and one
+// step runs backwards.
+func runSeed() []byte {
+	rng := rand.New(rand.NewSource(19))
+	data := []byte{3, 40}
+	for run := 0; run < 4; run++ {
+		for k := 0; k < 60; k++ {
+			delta := int8(rng.Intn(10))
+			switch {
+			case k == 0:
+				delta = 0
+			case run == 2 && k == 30:
+				delta = -40
+			}
+			addr := byte(1 + rng.Intn(2))
+			data = append(data, byte(delta), byte(run%3)|addr<<2, byte(rng.Intn(2)), byte(rng.Intn(8)))
+		}
+	}
+	return data
+}
+
 // FuzzFindConflicts checks FindConflicts' contract on arbitrary, possibly
 // out-of-order traces: every pair is time-ordered, within Near, on one
 // address, cross-thread, with a write, and under the per-pair cap; the
@@ -219,6 +290,7 @@ func FuzzFindConflicts(f *testing.F) {
 	f.Add([]byte{2, 40, 10, 1, 1, 1, 10, 5, 0, 2, 0, 0, 1, 3})
 	f.Add([]byte{0, 0xff, 0xf0, 1, 1, 1, 0x20, 6, 0, 2, 0, 1, 0x12, 4})
 	f.Add([]byte{14, 100, 5, 4, 1, 0, 5, 9, 0, 1, 0x80, 4, 1, 2, 0, 1, 0, 3})
+	f.Add(runSeed())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, cfg := fuzzTrace(data)
 		cs := FindConflicts(tr, cfg)

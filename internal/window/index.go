@@ -31,7 +31,9 @@ type Index struct {
 // defensively.
 //
 // A counting pass sizes every thread's slices up front, carved from one
-// backing array per field, so no slice grows an event at a time.
+// backing array per field, so no slice grows an event at a time. Each
+// distinct (kind, name) key is built once per trace and shared by every
+// event that carries it.
 func NewIndex(tr *trace.Trace) *Index {
 	counts := map[int]int{}
 	for i := range tr.Events {
@@ -45,11 +47,12 @@ func NewIndex(tr *trace.Trace) *Index {
 		idx.threads[th] = &threadIndex{times: times[off : off : off+n], cands: cands[off : off : off+n]}
 		off += n
 	}
+	keys := map[string]*[trace.KindEnd + 1]trace.Key{}
 	for i := range tr.Events {
 		e := &tr.Events[i]
 		ti := idx.threads[e.Thread]
 		ti.times = append(ti.times, e.Time)
-		ti.cands = append(ti.cands, CandEvent{Key: trace.EventKey(e), Time: e.Time})
+		ti.cands = append(ti.cands, CandEvent{Key: cachedKey(keys, e), Time: e.Time})
 	}
 	byTime := func(a, b CandEvent) int { return cmp.Compare(a.Time, b.Time) }
 	for _, ti := range idx.threads {
@@ -61,6 +64,24 @@ func NewIndex(tr *trace.Trace) *Index {
 		}
 	}
 	return idx
+}
+
+// cachedKey returns e's candidate key from keys, indexed by name then
+// kind, building it only on the first event with that name and kind. A
+// string-keyed map hashes faster than a (kind, name) struct key.
+func cachedKey(keys map[string]*[trace.KindEnd + 1]trace.Key, e *trace.Event) trace.Key {
+	if e.Kind > trace.KindEnd {
+		return trace.EventKey(e)
+	}
+	ks := keys[e.Name]
+	if ks == nil {
+		ks = new([trace.KindEnd + 1]trace.Key)
+		keys[e.Name] = ks
+	}
+	if ks[e.Kind] == "" {
+		ks[e.Kind] = trace.EventKey(e)
+	}
+	return ks[e.Kind]
 }
 
 // between returns the thread's candidate events with lo < Time < hi, as a

@@ -129,6 +129,16 @@ type Conflict struct {
 //
 // The per-address lists hold event indices, not event copies: the pair
 // loop reads events in place and copies only the pairs it emits.
+//
+// The backward walk from each access b skips b's own thread a whole run
+// at a time: runStart[i] is where the same-thread run holding list index
+// i begins, so meeting an access on b's thread jumps straight past its
+// run. Same-thread accesses never pair, so the walk visits the same
+// cross-thread pairs in the same order (the cap budget is consumed
+// identically), and the list is time-sorted, so anything before a skipped
+// run is at least as far from b and the Near cut-off still fires where it
+// would have. Per address the walk costs O(accesses + cross-thread pairs
+// visited) instead of O(accesses²) on long same-thread runs.
 func FindConflicts(tr *trace.Trace, cfg Config) []Conflict {
 	evs := tr.Events
 	byAddr := map[uint64][]int32{}
@@ -148,8 +158,10 @@ func FindConflicts(tr *trace.Trace, cfg Config) []Conflict {
 	// map directly would make the selected set (and every inference
 	// downstream of it) vary between identical runs.
 	addrs := make([]uint64, 0, len(byAddr))
-	for a := range byAddr {
+	longest := 0
+	for a, ix := range byAddr {
 		addrs = append(addrs, a)
+		longest = max(longest, len(ix))
 	}
 	slices.Sort(addrs)
 	// The scheduler emits time-ordered traces, but uploaded ones may run
@@ -157,11 +169,20 @@ func FindConflicts(tr *trace.Trace, cfg Config) []Conflict {
 	// time order.
 	byTime := func(i, j int32) int { return cmp.Compare(evs[i].Time, evs[j].Time) }
 	var out []Conflict
+	runStart := make([]int32, 0, longest)
 	perPair := map[PairID]int{}
 	for _, addr := range addrs {
 		ix := byAddr[addr]
 		if !slices.IsSortedFunc(ix, byTime) {
 			slices.SortStableFunc(ix, byTime)
+		}
+		runStart = runStart[:0]
+		for k := range ix {
+			if k > 0 && evs[ix[k]].Thread == evs[ix[k-1]].Thread {
+				runStart = append(runStart, runStart[k-1])
+			} else {
+				runStart = append(runStart, int32(k))
+			}
 		}
 		for j := 1; j < len(ix); j++ {
 			b := &evs[ix[j]]
@@ -171,6 +192,7 @@ func FindConflicts(tr *trace.Trace, cfg Config) []Conflict {
 					break
 				}
 				if a.Thread == b.Thread {
+					i = int(runStart[i]) // the loop's i-- steps past the run
 					continue
 				}
 				if a.Acc != trace.AccWrite && b.Acc != trace.AccWrite {
@@ -198,7 +220,8 @@ func MethodDurations(tr *trace.Trace) map[string][]float64 {
 	}
 	stacks := map[int][]open{}
 	out := map[string][]float64{}
-	for _, e := range tr.Events {
+	for i := range tr.Events {
+		e := &tr.Events[i]
 		switch e.Kind {
 		case trace.KindBegin:
 			stacks[e.Thread] = append(stacks[e.Thread], open{e.Name, e.Time})

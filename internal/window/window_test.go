@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sherlock/internal/apps"
+	"sherlock/internal/sched"
 	"sherlock/internal/trace"
 )
 
@@ -417,6 +419,28 @@ func TestBuildWindowsEquivalence(t *testing.T) {
 	}
 }
 
+// TestNewIndexAllocsFlatInEvents: NewIndex builds each distinct
+// (kind, name) key once per trace, so over a fixed set of threads and
+// pairs its allocation count does not grow with the number of events.
+func TestNewIndexAllocsFlatInEvents(t *testing.T) {
+	build := func(n int) *trace.Trace {
+		tr := mkTrace()
+		kinds := []trace.Kind{trace.KindRead, trace.KindWrite, trace.KindBegin, trace.KindEnd}
+		for i := 0; i < n; i++ {
+			tr.Events = append(tr.Events, trace.Event{Time: int64(i), Thread: i % 3,
+				Kind: kinds[i%4], Name: []string{"C::x", "C::y", "C::m"}[i%3]})
+		}
+		return tr
+	}
+	small, large := build(120), build(12_000)
+	allocs := func(tr *trace.Trace) float64 {
+		return testing.AllocsPerRun(20, func() { NewIndex(tr) })
+	}
+	if a, b := allocs(small), allocs(large); a != b {
+		t.Fatalf("NewIndex allocates %.0f times on 120 events and %.0f on 12,000, want equal", a, b)
+	}
+}
+
 func windowsEqual(a, b Window) bool {
 	if a.Pair != b.Pair || a.TA != b.TA || a.TB != b.TB ||
 		a.ThreadA != b.ThreadA || a.ThreadB != b.ThreadB {
@@ -442,6 +466,40 @@ func windowsEqual(a, b Window) bool {
 // sorted address walk) on an App-1-sized trace.
 func BenchmarkFindConflicts(b *testing.B) {
 	tr, _ := benchTrace()
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		FindConflicts(tr, cfg)
+	}
+}
+
+// BenchmarkFindConflictsRacy measures the walk on the largest trace of a
+// racy generated app run the way a campaign's later rounds run it: every
+// true release delayed by the Perturber's 100,000 virtual ns. The delays
+// stretch its flag spin loops into long same-thread runs of reads on one
+// address, the case that made the unskipped walk quadratic.
+func BenchmarkFindConflictsRacy(b *testing.B) {
+	p, err := apps.ByName("gen:2,profile=racy,size=16")
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan := map[trace.Key]int64{}
+	for k, role := range p.Truth.Syncs {
+		if role == trace.RoleRelease {
+			plan[k] = 100_000
+		}
+	}
+	var tr *trace.Trace
+	for _, test := range p.Tests {
+		res, err := sched.Run(p, test, sched.Options{Seed: 1, Delays: plan})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if tr == nil || res.Trace.Len() > tr.Len() {
+			tr = res.Trace
+		}
+	}
 	cfg := DefaultConfig()
 	b.ReportAllocs()
 	b.ResetTimer()
