@@ -11,9 +11,12 @@ import (
 	"os"
 	"testing"
 
+	"sherlock/internal/apps"
 	"sherlock/internal/core"
 	"sherlock/internal/exper"
+	"sherlock/internal/gen"
 	"sherlock/internal/lp"
+	"sherlock/internal/prog"
 	"sherlock/internal/report"
 	"sherlock/internal/solver"
 	"sherlock/internal/window"
@@ -235,6 +238,40 @@ func BenchmarkInferParallel(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkInferMix runs one default campaign per app of the end-to-end
+// benchmark's campaign mix (the eight built-ins, then gen:1..4 for every
+// profile at sizes 4 and 16) at seed 1 per op. Its B/op and allocs/op are
+// the host-independent measure of a mix cycle's memory traffic.
+func BenchmarkInferMix(b *testing.B) {
+	names := apps.Names()
+	for _, profile := range gen.Profiles {
+		for _, size := range []int{4, 16} {
+			for k := 1; k <= 4; k++ {
+				names = append(names, gen.Spec{Seed: int64(k), Profile: profile, Size: size}.Name())
+			}
+		}
+	}
+	progs := make([]*prog.Program, len(names))
+	for i, name := range names {
+		p, err := apps.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs[i] = p
+	}
+	cfg := core.DefaultConfig()
+	cfg.Seed = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range progs {
+			if _, err := core.Infer(context.Background(), p, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

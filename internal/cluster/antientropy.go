@@ -13,12 +13,33 @@ import (
 	"context"
 	"encoding/json"
 	"time"
+
+	"sherlock/internal/store"
 )
 
 // manifestView is the wire form of GET /v1/cluster/manifest.
 type manifestView struct {
 	Node string   `json:"node"`
 	Keys []string `json:"keys"`
+}
+
+// manifestKeys decodes a peer's manifest document and returns the keys
+// it lists that are valid content addresses (store.ValidKey), in order.
+// The document is untrusted: a malformed one yields no keys, and a key
+// that is not a content address is dropped before it can name a file or
+// a URL path.
+func manifestKeys(body []byte) []string {
+	var m manifestView
+	if json.Unmarshal(body, &m) != nil {
+		return nil
+	}
+	keys := m.Keys[:0]
+	for _, key := range m.Keys {
+		if store.ValidKey(key) {
+			keys = append(keys, key)
+		}
+	}
+	return keys
 }
 
 // antiEntropyLoop runs repair cycles until the cluster stops.
@@ -56,11 +77,7 @@ func (c *Cluster) antiEntropyCycle(ctx context.Context) {
 		if err != nil || body == nil {
 			continue
 		}
-		var m manifestView
-		if json.Unmarshal(body, &m) != nil {
-			continue
-		}
-		for _, key := range m.Keys {
+		for _, key := range manifestKeys(body) {
 			if ctx.Err() != nil {
 				return
 			}

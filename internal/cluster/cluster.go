@@ -362,10 +362,13 @@ func (c *Cluster) PublishResult(key string, body []byte) {
 
 // EnsureTraces pulls every named corpus blob this node is missing from
 // its peers, SHA-256-verified by re-ingestion. Any blob found nowhere
-// fails the whole call — the job cannot run without its input.
+// fails the whole call — the job cannot run without its input. Keys that
+// are not content addresses (store.ValidKey) are skipped: no peer is
+// asked for them, and the corpus lookup that follows reports them
+// missing.
 func (c *Cluster) EnsureTraces(ctx context.Context, keys []string) error {
 	for _, key := range keys {
-		if c.srv.Corpus().HasBlob(key) {
+		if !store.ValidKey(key) || c.srv.Corpus().HasBlob(key) {
 			continue
 		}
 		if err := c.pullBlob(ctx, key); err != nil {

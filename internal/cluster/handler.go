@@ -12,6 +12,8 @@ import (
 	"io"
 	"net/http"
 	"sort"
+
+	"sherlock/internal/store"
 )
 
 // maxClusterBody bounds pushed blob and cache bodies, mirroring the
@@ -72,9 +74,25 @@ func (c *Cluster) handleManifest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, manifestView{Node: c.self, Keys: keys})
 }
 
+// blobKey returns the request's blob key, answering 400 and returning
+// false when it is not a content address (store.ValidKey): a key such as
+// "../../etc/passwd" must never reach the corpus's file paths.
+func blobKey(w http.ResponseWriter, r *http.Request) (string, bool) {
+	key := r.PathValue("key")
+	if !store.ValidKey(key) {
+		writeErr(w, http.StatusBadRequest, "invalid_argument", "blob key must be 64 lowercase hex digits")
+		return "", false
+	}
+	return key, true
+}
+
 // handleBlobGet streams one local corpus blob, raw canonical encoding.
 func (c *Cluster) handleBlobGet(w http.ResponseWriter, r *http.Request) {
-	body, err := c.srv.Corpus().ReadBlob(r.PathValue("key"))
+	key, ok := blobKey(w, r)
+	if !ok {
+		return
+	}
+	body, err := c.srv.Corpus().ReadBlob(key)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, "not_found", "no such blob")
 		return
@@ -88,7 +106,10 @@ func (c *Cluster) handleBlobGet(w http.ResponseWriter, r *http.Request) {
 // content address from the bytes; a mismatch with the path key is
 // rejected, so a corrupt push can never poison the corpus.
 func (c *Cluster) handleBlobPut(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
+	key, ok := blobKey(w, r)
+	if !ok {
+		return
+	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxClusterBody))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "invalid_argument", "read body: "+err.Error())

@@ -71,18 +71,10 @@ func ExtractTrace(key string, t *trace.Trace, cfg window.Config) TraceExtract {
 	for i := range ws {
 		ws[i].UID = key + ":" + strconv.Itoa(i)
 	}
-	var apis []string
-	seen := map[string]bool{}
-	for i := range t.Events {
-		if t.Events[i].Lib && !seen[t.Events[i].Name] {
-			seen[t.Events[i].Name] = true
-			apis = append(apis, t.Events[i].Name)
-		}
-	}
-	sort.Strings(apis)
+	durations, apis := window.TraceStats(t)
 	return TraceExtract{
 		Key: key, App: t.App, Test: t.Test, Seed: t.Seed, Events: t.Len(),
-		Windows: ws, Durations: window.MethodDurations(t), LibAPIs: apis,
+		Windows: ws, Durations: durations, LibAPIs: apis,
 	}
 }
 

@@ -154,7 +154,6 @@ func Infer(ctx context.Context, app *prog.Program, cfg Config) (*Result, error) 
 	// pivots). Both reset whenever the accumulator does.
 	enc := solver.NewEncoder(cfg.solverConfig())
 	var basis *lp.Basis
-	var events []int // per-test event counts of the previous round
 
 	for round := 0; round < cfg.Rounds; round++ {
 		if !cfg.Accumulate {
@@ -164,16 +163,10 @@ func Infer(ctx context.Context, app *prog.Program, cfg Config) (*Result, error) 
 			basis = nil
 		}
 		rspan := campaign.Childf("round:%02d", round+1)
-		specs := planRound(app, cfg, round, plan, events)
+		specs := planRound(app, cfg, round, plan)
 		exec := rspan.Child("execute", obs.Int("runs", len(specs)))
 		outs := executeRound(ctx, app, specs, cfg, exec)
 		exec.End()
-		events = make([]int, len(outs))
-		for i, out := range outs {
-			if out.run != nil {
-				events[i] = out.run.Trace.Len()
-			}
-		}
 		tr.Count("runs", int64(len(specs)))
 		prevWindows := len(acc.Windows)
 		if err := mergeRound(app, specs, outs, res, acc); err != nil {

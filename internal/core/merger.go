@@ -34,16 +34,14 @@ func mergeRound(app *prog.Program, specs []runSpec, outs []runOutput, res *Resul
 				app.Name, spec.test.Name, spec.round+1, out.err))
 			continue
 		}
-		if out.run.Deadlocked {
+		if out.deadlock {
 			res.Deadlocks++
 			continue
 		}
-		for _, d := range out.run.Delays {
-			res.Overhead.DelayVirtual += d.End - d.Start
-		}
-		res.Overhead.Events += out.run.Trace.Len()
+		res.Overhead.DelayVirtual += out.delay
+		res.Overhead.Events += out.events
 		obs.AddWindows(out.windows)
-		obs.AddTraceStats(out.run.Trace)
+		obs.AddStats(out.durations, out.libAPIs)
 	}
 	return errors.Join(errs...)
 }

@@ -21,10 +21,8 @@ type runSpec struct {
 
 // planRound builds the specs for one round. plan is the Perturber's delay
 // plan from the previous round's solve (nil in round 0); the plan map is
-// shared read-only across the round's workers. events holds each test's
-// event count in the previous round (nil in round 0): a capacity hint
-// for the scheduler's trace buffer, which never changes a result.
-func planRound(app *prog.Program, cfg Config, round int, plan perturb.Plan, events []int) []runSpec {
+// shared read-only across the round's workers.
+func planRound(app *prog.Program, cfg Config, round int, plan perturb.Plan) []runSpec {
 	specs := make([]runSpec, 0, len(app.Tests))
 	for ti, test := range app.Tests {
 		opt := sched.Options{
@@ -33,9 +31,6 @@ func planRound(app *prog.Program, cfg Config, round int, plan perturb.Plan, even
 			MaxSteps:         cfg.MaxStepsPerTest,
 			DelayProbability: cfg.DelayProbability,
 			StepDist:         cfg.StepDist,
-		}
-		if events != nil {
-			opt.EventsHint = events[ti]
 		}
 		if cfg.InjectDelays {
 			opt.Delays = plan

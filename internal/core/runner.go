@@ -1,10 +1,12 @@
 // Parallel run execution: dispatch a round's planned executions across a
 // bounded worker pool. Every run is independent — its own seeded scheduler,
 // its own trace, its own window extraction — so workers share nothing but
-// the finalized (immutable) program and the read-only delay plan. Outputs
-// land in a slice indexed by spec position; the merger consumes them in
-// test order, making results bit-identical to a sequential loop for any
-// worker count.
+// the finalized (immutable) program and the read-only delay plan. A run's
+// trace ends in its worker: the worker reduces it to windows and trace
+// statistics and recycles the event buffer before the round barrier.
+// Outputs land in a slice indexed by spec position; the merger consumes
+// them in test order, making results bit-identical to a sequential loop
+// for any worker count.
 package core
 
 import (
@@ -23,11 +25,15 @@ import (
 
 // runOutput is everything one execution contributes to the round.
 type runOutput struct {
-	windows   []window.Window // refined acquire/release windows
-	run       *sched.Result
-	wall      time.Duration // wall time inside sched.Run (summed into Overhead.RunWall)
-	err       error         // execution failure
-	canceled  bool          // context expired before this run started
+	windows   []window.Window      // refined acquire/release windows
+	durations map[string][]float64 // per-method duration samples (window.TraceStats)
+	libAPIs   []string             // sorted library-API names (window.TraceStats)
+	events    int                  // trace length
+	delay     int64                // total injected virtual delay
+	wall      time.Duration        // wall time inside sched.Run (summed into Overhead.RunWall)
+	err       error                // execution failure
+	deadlock  bool                 // the run deadlocked (contributes nothing else)
+	canceled  bool                 // context expired before this run started
 	cancelErr error
 }
 
@@ -69,10 +75,12 @@ func forEach(n, workers int, fn func(i int)) {
 }
 
 // executeOne performs one scheduler run plus its Observer post-processing
-// (conflict pairing, window extraction, Perturber refinement). The heavy
-// per-run work all happens here, inside the worker — including the run's
-// span, whose ID is keyed by test index (not worker or completion order),
-// so the span tree is identical at every parallelism level.
+// (conflict pairing, window extraction, Perturber refinement, trace
+// statistics), then recycles the run's event buffer: nothing downstream
+// reads the trace itself. The heavy per-run work all happens here, inside
+// the worker — including the run's span, whose ID is keyed by test index
+// (not worker or completion order), so the span tree is identical at
+// every parallelism level.
 func executeOne(ctx context.Context, app *prog.Program, spec runSpec, wcfg window.Config, parent *obs.Span) runOutput {
 	rs := parent.Child(fmt.Sprintf("run:%02d", spec.testIdx),
 		obs.Str("test", spec.test.Name),
@@ -82,14 +90,24 @@ func executeOne(ctx context.Context, app *prog.Program, spec runSpec, wcfg windo
 	opt.Span = rs
 	t0 := time.Now()
 	run, err := sched.RunContext(ctx, app, spec.test, opt)
-	out := runOutput{run: run, wall: time.Since(t0), err: err}
-	if err != nil || run.Deadlocked {
+	defer run.Recycle()
+	out := runOutput{wall: time.Since(t0), err: err}
+	if err != nil {
+		return out
+	}
+	if run.Deadlocked {
+		out.deadlock = true
 		return out
 	}
 	es := rs.Child("extract")
 	conflicts := window.FindConflicts(run.Trace, wcfg)
 	ws := window.BuildWindows(run.Trace, conflicts)
 	out.windows = perturb.Refine(ws, run.Delays)
+	out.durations, out.libAPIs = window.TraceStats(run.Trace)
+	out.events = run.Trace.Len()
+	for _, d := range run.Delays {
+		out.delay += d.End - d.Start
+	}
 	es.Annotate(
 		obs.Int("conflicts", len(conflicts)),
 		obs.Int("windows", len(ws)),

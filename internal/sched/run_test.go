@@ -74,15 +74,69 @@ func TestPooledRNGLeavesNoState(t *testing.T) {
 	}
 }
 
-// TestEventsHintDoesNotChangeTrace: the capacity hint presizes the trace
-// buffer and nothing else, whether it undershoots, matches or overshoots.
-func TestEventsHintDoesNotChangeTrace(t *testing.T) {
-	p := genProgram(5)
-	want := traceBytes(t, p, Options{Seed: 3})
-	for _, hint := range []int{1, 17, 10_000} {
-		if !bytes.Equal(traceBytes(t, p, Options{Seed: 3, EventsHint: hint}), want) {
-			t.Fatalf("hint %d changed the trace", hint)
+// TestRecycledBufferDoesNotChangeTrace: event buffers are recycled between
+// runs, so a short run on the buffer the longest built-in run left behind
+// must produce the trace a fresh buffer does, byte for byte. No other test
+// of this package recycles, so the first run of the short test below
+// draws a fresh buffer.
+func TestRecycledBufferDoesNotChangeTrace(t *testing.T) {
+	var long, short *prog.Test
+	var longP, shortP *prog.Program
+	longN, shortN := -1, -1
+	for _, p := range apps.All() {
+		for _, test := range p.Tests {
+			res, err := Run(p, test, Options{Seed: 3, HiddenMethods: p.Truth.HiddenMethods})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := res.Trace.Len(); n > longN {
+				long, longP, longN = test, p, n
+			}
+			if n := res.Trace.Len(); shortN < 0 || n < shortN {
+				short, shortP, shortN = test, p, n
+			}
 		}
+	}
+	if shortN >= longN {
+		t.Fatalf("shortest run has %d events, longest %d: the check proves nothing", shortN, longN)
+	}
+	want := runBytes(t, shortP, short, Options{Seed: 3})
+
+	// sync.Pool may drop a buffer (it does at random under the race
+	// detector), so retry until a short run is seen on the long run's
+	// buffer.
+	reused := false
+	for try := 0; try < 20 && !reused; try++ {
+		res, err := Run(longP, long, Options{Seed: 3, HiddenMethods: longP.Truth.HiddenMethods})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Recycle()
+		if res.Trace.Events != nil {
+			t.Fatal("Recycle left Trace.Events set")
+		}
+		res.Recycle() // a second call is a no-op
+		again, err := Run(shortP, short, Options{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused = cap(again.Trace.Events) >= longN
+		if got := traceOf(t, again); !bytes.Equal(got, want) {
+			t.Fatalf("try %d: the short run's trace changed after a recycled long run", try)
+		}
+	}
+	if !reused {
+		t.Fatal("no short run drew the long run's recycled buffer")
+	}
+
+	res, err := Run(shortP, short, Options{Seed: 3, DisableTracing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := res.Steps
+	res.Recycle()
+	if res.Trace == nil || res.Trace.Events != nil || res.Steps != steps {
+		t.Fatal("Recycle of an untraced run changed its result")
 	}
 }
 
@@ -90,10 +144,22 @@ func TestEventsHintDoesNotChangeTrace(t *testing.T) {
 // trace.
 func traceBytes(t *testing.T, p *prog.Program, opt Options) []byte {
 	t.Helper()
-	res, err := Run(p, p.Tests[0], opt)
+	return runBytes(t, p, p.Tests[0], opt)
+}
+
+// runBytes runs test under opt and returns its serialized trace.
+func runBytes(t *testing.T, p *prog.Program, test *prog.Test, opt Options) []byte {
+	t.Helper()
+	res, err := Run(p, test, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return traceOf(t, res)
+}
+
+// traceOf serializes a run's trace.
+func traceOf(t *testing.T, res *Result) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := res.Trace.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -103,7 +169,8 @@ func traceBytes(t *testing.T, p *prog.Program, opt Options) []byte {
 
 // BenchmarkRun executes every test of the eight built-in apps once per
 // op, without a delay plan (a campaign's first round) and with every true
-// release delayed (what the Perturber's later rounds look like).
+// release delayed (what the Perturber's later rounds look like). Each
+// result is recycled, as the inference engine does.
 func BenchmarkRun(b *testing.B) {
 	type job struct {
 		p    *prog.Program
@@ -135,9 +202,11 @@ func BenchmarkRun(b *testing.B) {
 					if planned {
 						opt.Delays = j.plan
 					}
-					if _, err := Run(j.p, j.t, opt); err != nil {
+					res, err := Run(j.p, j.t, opt)
+					if err != nil {
 						b.Fatal(err)
 					}
+					res.Recycle()
 				}
 			}
 		})

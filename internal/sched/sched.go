@@ -66,11 +66,6 @@ type Options struct {
 	// DisableTracing turns off all event recording (used to measure
 	// uninstrumented baseline cost for the overhead experiment).
 	DisableTracing bool
-	// EventsHint presizes the trace buffer, typically with the event
-	// count of the test's previous run; a quarter more is reserved so a
-	// slightly longer run does not regrow it. It is only a capacity hint:
-	// any value, 0 included, yields the same trace.
-	EventsHint int
 	// Span, when non-nil, is the parent under which the run records a
 	// "sched" child span (test, seed, steps, events, virtual time — all
 	// deterministic attributes). A nil Span costs nothing.
@@ -120,6 +115,33 @@ type Result struct {
 	// VirtualDuration is the maximum thread clock at completion: the
 	// virtual wall-clock of the test.
 	VirtualDuration int64
+
+	// buf is the pooled buffer Trace.Events lives in (nil once recycled,
+	// and under DisableTracing).
+	buf *[]trace.Event
+}
+
+// eventPool recycles trace event buffers between runs. A buffer comes
+// back with the capacity of the longest trace it held, so after a few
+// runs the scheduler appends events without growing the slice.
+var eventPool = sync.Pool{New: func() any { return new([]trace.Event) }}
+
+// Recycle returns the run's event buffer to the scheduler for reuse and
+// sets Trace.Events to nil. Call it once nothing reads the trace any more:
+// the events (and anything pointing into them, such as window.Conflict)
+// are overwritten by a later run. The rest of the Result stays valid.
+// Recycle is a no-op on a nil Result, a second call, and a run under
+// DisableTracing.
+func (r *Result) Recycle() {
+	if r == nil || r.buf == nil {
+		return
+	}
+	evs := r.Trace.Events
+	clear(evs) // drop the name strings the events hold
+	*r.buf = evs[:0]
+	eventPool.Put(r.buf)
+	r.buf = nil
+	r.Trace.Events = nil
 }
 
 // ErrTooManySteps is returned when MaxSteps is exceeded (a spin loop whose
@@ -207,6 +229,7 @@ type machine struct {
 	nextAddr  uint64
 
 	events []trace.Event
+	buf    *[]trace.Event // pooled backing of events
 	delays []DelayInstance
 	steps  int
 
@@ -367,8 +390,9 @@ func newMachine(p *prog.Program, t *prog.Test, opt Options, rng *rand.Rand) *mac
 		nextObjID: 1,
 		nextAddr:  0x1000,
 	}
-	if !opt.DisableTracing && opt.EventsHint > 0 {
-		m.events = make([]trace.Event, 0, opt.EventsHint+opt.EventsHint/4)
+	if !opt.DisableTracing {
+		m.buf = eventPool.Get().(*[]trace.Event)
+		m.events = (*m.buf)[:0]
 	}
 	return m
 }
@@ -399,6 +423,7 @@ func (m *machine) finish(deadlocked bool) *Result {
 		Deadlocked:      deadlocked,
 		Steps:           m.steps,
 		VirtualDuration: maxClock,
+		buf:             m.buf,
 	}
 }
 

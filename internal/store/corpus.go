@@ -120,6 +120,22 @@ func (c *Corpus) BlobPath(key string) string {
 	return filepath.Join(c.dir, "blobs", prefix, key)
 }
 
+// ValidKey reports whether key has the form of a content address: 64
+// lowercase hex digits, the SHA-256 Key and Ingest produce. Keys arriving
+// from outside (URL paths, peer manifests, job specs) must pass it before
+// they name a file: anything else could climb out of the blobs directory.
+func ValidKey(key string) bool {
+	if len(key) != sha256.Size*2 {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 // Key returns the content address of a trace: SHA-256 over its canonical
 // binary encoding.
 func Key(t *trace.Trace) (string, error) {
@@ -207,8 +223,12 @@ func (c *Corpus) Ingest(t *trace.Trace) (Entry, bool, error) {
 	return entry, true, nil
 }
 
-// Get decodes the trace stored at key.
+// Get decodes the trace stored at key. An invalid key (see ValidKey) is
+// not found.
 func (c *Corpus) Get(key string) (*trace.Trace, error) {
+	if !ValidKey(key) {
+		return nil, fmt.Errorf("store: no trace with key %q", key)
+	}
 	f, err := os.Open(c.BlobPath(key))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -346,16 +366,24 @@ func (c *Corpus) Verify() (*VerifyReport, error) {
 }
 
 // HasBlob reports whether key's blob file is present on disk (a cheap
-// stat — no hashing; Verify does the expensive bit-exact check).
+// stat — no hashing; Verify does the expensive bit-exact check). An
+// invalid key (see ValidKey) is never present.
 func (c *Corpus) HasBlob(key string) bool {
+	if !ValidKey(key) {
+		return false
+	}
 	_, err := os.Stat(c.BlobPath(key))
 	return err == nil
 }
 
 // ReadBlob returns the raw canonical encoding stored at key, exactly as
 // written — callers replicating blobs between corpora send these bytes
-// and re-verify the SHA-256 on receipt.
+// and re-verify the SHA-256 on receipt. An invalid key (see ValidKey) is
+// not found.
 func (c *Corpus) ReadBlob(key string) ([]byte, error) {
+	if !ValidKey(key) {
+		return nil, fmt.Errorf("store: no blob with key %q", key)
+	}
 	data, err := os.ReadFile(c.BlobPath(key))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -369,8 +397,12 @@ func (c *Corpus) ReadBlob(key string) ([]byte, error) {
 // DropBlob removes key's blob file while keeping its manifest entry — a
 // repair primitive: a corrupt blob is dropped and then re-ingested (or
 // re-pulled from a cluster replica), and Ingest rewrites the file when
-// the manifest entry survives without one. Missing blobs are a no-op.
+// the manifest entry survives without one. Missing blobs, and invalid
+// keys (see ValidKey), are a no-op.
 func (c *Corpus) DropBlob(key string) error {
+	if !ValidKey(key) {
+		return nil
+	}
 	if err := os.Remove(c.BlobPath(key)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("store: drop blob %s: %w", key, err)
 	}

@@ -387,3 +387,60 @@ func TestCorpusSourceStreams(t *testing.T) {
 		t.Fatal("missing key must surface as an error")
 	}
 }
+
+// TestValidKey: only 64 lowercase hex digits name a blob.
+func TestValidKey(t *testing.T) {
+	good := strings.Repeat("0123456789abcdef", 4)
+	for key, want := range map[string]bool{
+		good:                            true,
+		strings.ToUpper(good):           false,
+		good[:63]:                       false,
+		good + "0":                      false,
+		good[:62] + "g0":                false,
+		"":                              false,
+		"../" + good[3:]:                false,
+		strings.Repeat("../", 21) + "x": false,
+	} {
+		if got := ValidKey(key); got != want {
+			t.Errorf("ValidKey(%q) = %v, want %v", key, got, want)
+		}
+	}
+	tr := sampleTrace()
+	key, err := Key(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ValidKey(key) {
+		t.Fatalf("ValidKey rejects the content address %q", key)
+	}
+}
+
+// TestInvalidKeyNeverNamesAFile: a key that is not a content address is
+// not found by Get, ReadBlob and HasBlob, and DropBlob leaves alone the
+// file it points at, even when that file exists.
+func TestInvalidKeyNeverNamesAFile(t *testing.T) {
+	c := openTestCorpus(t)
+	outside := filepath.Join(t.TempDir(), "victim")
+	if err := os.WriteFile(outside, []byte("keep me"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	key := strings.Repeat("../", 64) + strings.TrimPrefix(filepath.ToSlash(outside), "/")
+	if _, err := os.Stat(c.BlobPath(key)); err != nil {
+		t.Fatalf("the key does not reach the file, the check proves nothing: %v", err)
+	}
+	if _, err := c.Get(key); err == nil {
+		t.Error("Get found a blob under a traversal key")
+	}
+	if data, err := c.ReadBlob(key); err == nil {
+		t.Errorf("ReadBlob returned %q under a traversal key", data)
+	}
+	if c.HasBlob(key) {
+		t.Error("HasBlob reports a blob under a traversal key")
+	}
+	if err := c.DropBlob(key); err != nil {
+		t.Errorf("DropBlob: %v", err)
+	}
+	if _, err := os.Stat(outside); err != nil {
+		t.Fatalf("DropBlob removed the file outside the corpus: %v", err)
+	}
+}

@@ -303,7 +303,7 @@ func FuzzFindConflicts(f *testing.F) {
 			case b.Time-a.Time > cfg.Near:
 				t.Fatalf("pair %d..%d farther apart than Near %d", a.Time, b.Time, cfg.Near)
 			case a.Addr != b.Addr || !a.ConflictEligible() || !b.ConflictEligible():
-				t.Fatalf("pair is not two accesses to one address: %v / %v", &a, &b)
+				t.Fatalf("pair is not two accesses to one address: %v / %v", a, b)
 			case a.Thread == b.Thread:
 				t.Fatalf("same-thread pair on thread %d", a.Thread)
 			case a.Acc != trace.AccWrite && b.Acc != trace.AccWrite:

@@ -31,7 +31,7 @@ func sameConflict(a, b Conflict) bool {
 	id := func(e trace.Event) [4]int64 {
 		return [4]int64{e.Time, int64(e.Thread), int64(e.Site), int64(e.Addr)}
 	}
-	return id(a.A) == id(b.A) && id(a.B) == id(b.B)
+	return id(*a.A) == id(*b.A) && id(*a.B) == id(*b.B)
 }
 
 // TestFindConflictsDeterministic is the regression test for the

@@ -116,9 +116,11 @@ func (w *Window) RacyAcquire() bool {
 // Racy reports whether this window is a data-race observation.
 func (w *Window) Racy() bool { return w.RacyRelease() || w.RacyAcquire() }
 
-// Conflict is one conflicting-access pair found in a trace.
+// Conflict is one conflicting-access pair found in a trace. A and B point
+// into the trace's events, so a Conflict is valid only while its trace
+// is: recycling or editing the trace's events invalidates it.
 type Conflict struct {
-	A, B trace.Event // A executed first
+	A, B *trace.Event // A executed first
 }
 
 // FindConflicts returns every conflicting-access pair in tr within near
@@ -128,7 +130,7 @@ type Conflict struct {
 // cross-run cap later).
 //
 // The per-address lists hold event indices, not event copies: the pair
-// loop reads events in place and copies only the pairs it emits.
+// loop reads events in place and emits pointers into tr.Events.
 //
 // The backward walk from each access b skips b's own thread a whole run
 // at a time: runStart[i] is where the same-thread run holding list index
@@ -203,7 +205,7 @@ func FindConflicts(tr *trace.Trace, cfg Config) []Conflict {
 					continue
 				}
 				perPair[pid]++
-				out = append(out, Conflict{A: *a, B: *b})
+				out = append(out, Conflict{A: a, B: b})
 			}
 		}
 	}
@@ -241,6 +243,22 @@ func MethodDurations(tr *trace.Trace) map[string][]float64 {
 		}
 	}
 	return out
+}
+
+// TraceStats returns a trace's per-trace statistics: its method durations
+// (MethodDurations) and its distinct library-API names, sorted. They are
+// what AddStats folds, so a caller can drop the trace once it has them.
+func TraceStats(tr *trace.Trace) (map[string][]float64, []string) {
+	var apis []string
+	seen := map[string]bool{}
+	for i := range tr.Events {
+		if e := &tr.Events[i]; e.Lib && !seen[e.Name] {
+			seen[e.Name] = true
+			apis = append(apis, e.Name)
+		}
+	}
+	sort.Strings(apis)
+	return MethodDurations(tr), apis
 }
 
 // Observations accumulates everything the Solver consumes, across runs
@@ -330,22 +348,16 @@ func (o *Observations) AddWindows(ws []Window) {
 // AddTraceStats folds per-trace statistics (durations, library API names)
 // into the accumulator. Call once per trace, independent of windows.
 func (o *Observations) AddTraceStats(tr *trace.Trace) {
-	o.addDurations(MethodDurations(tr))
-	for i := range tr.Events {
-		if tr.Events[i].Lib {
-			o.LibAPIs[tr.Events[i].Name] = true
-		}
-	}
-	o.Runs++
+	o.AddStats(TraceStats(tr))
 }
 
-// AddStats folds precomputed per-trace statistics — MethodDurations output
-// and the trace's library-API name set — exactly as AddTraceStats would
-// fold the trace they were extracted from, bit for bit: integer-moment
-// accumulation is exactly commutative, so neither the map's iteration
-// order nor the order traces are folded in can matter. Checkpoint replay
-// (internal/core) uses this to rebuild an accumulator from stored extracts
-// without re-decoding traces.
+// AddStats folds precomputed per-trace statistics — TraceStats output —
+// exactly as AddTraceStats would fold the trace they were extracted from,
+// bit for bit: integer-moment accumulation is exactly commutative, so
+// neither the map's iteration order nor the order traces are folded in
+// can matter. The inference engine uses this to fold runs whose traces
+// are already recycled, and checkpoint replay (internal/core) to rebuild
+// an accumulator from stored extracts without re-decoding traces.
 func (o *Observations) AddStats(durations map[string][]float64, libAPIs []string) {
 	o.addDurations(durations)
 	for _, api := range libAPIs {

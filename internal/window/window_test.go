@@ -72,7 +72,7 @@ func findConflictsRef(tr *trace.Trace, cfg Config) []Conflict {
 					continue
 				}
 				perPair[pid]++
-				out = append(out, Conflict{A: a, B: b})
+				out = append(out, Conflict{A: &a, B: &b})
 			}
 		}
 	}
@@ -197,7 +197,7 @@ func TestBuildWindowSplitsByThread(t *testing.T) {
 		ev(600, 0, trace.KindWrite, "C::late", 4),  // after TB: excluded
 		b,
 	)
-	w := BuildWindow(tr, Conflict{A: a, B: b})
+	w := BuildWindow(tr, Conflict{A: &a, B: &b})
 	if len(w.RelEvents) != 1 || w.RelEvents[0].Key != trace.KeyFor(trace.KindWrite, "C::flag") {
 		t.Errorf("release events = %v", w.RelEvents)
 	}
@@ -361,7 +361,7 @@ func TestBuildWindowProperty(t *testing.T) {
 			events = append(events, e)
 		}
 		events = append(events, b)
-		w := BuildWindow(mkTrace(events...), Conflict{A: a, B: b})
+		w := BuildWindow(mkTrace(events...), Conflict{A: &a, B: &b})
 		for _, c := range w.RelEvents {
 			if c.Time <= a.Time || c.Time >= b.Time {
 				return false
