@@ -9,7 +9,7 @@
 //
 // Suites (one committed BENCH_<name>.json each):
 //
-//   - solver: every app's campaign re-solved cold and warm (dual simplex
+//   - solver: every app's campaign re-solved cold and warm (starting
 //     from the previous round's basis); pivots, presolve ratios and the
 //     aggregate cold pivot rate.
 //   - server: an in-process daemon over real HTTP; cold submit→done vs
@@ -28,11 +28,12 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 )
@@ -87,7 +88,7 @@ func suiteNames() []string {
 	for name := range suites {
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }
 
@@ -131,12 +132,13 @@ func keepMin(best *int64, d time.Duration) {
 	}
 }
 
-// quantile returns the q-quantile of ds by nearest rank below; ds is
+// quantile returns the q-quantile of xs by nearest rank below; xs is
 // sorted in place.
-func quantile(ds []time.Duration, q float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
+func quantile[T cmp.Ordered](xs []T, q float64) T {
+	if len(xs) == 0 {
+		var zero T
+		return zero
 	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	return ds[int(q*float64(len(ds)-1))]
+	slices.Sort(xs)
+	return xs[int(q*float64(len(xs)-1))]
 }

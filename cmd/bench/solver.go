@@ -1,8 +1,8 @@
 // Solver benchmark: the LP solver's cross-round warm-starting against the
 // cold-start path. Every registered application's campaign produces
 // per-round observation snapshots; each round is encoded and solved cold
-// (fresh encoding, cold basis) and warm (incremental encoder, previous
-// round's basis re-optimized by dual simplex). Both paths produce
+// (fresh encoding, cold basis) and warm (incremental encoder, starting
+// from the previous round's basis). Both paths produce
 // identical inference results; only the cost differs.
 package main
 
@@ -36,7 +36,6 @@ type appResult struct {
 	Speedup      float64 `json:"speedup"`
 	ColdIters    int     `json:"cold_iters"`
 	WarmIters    int     `json:"warm_iters"`
-	DualIters    int     `json:"dual_iters"`
 	WarmRounds   int     `json:"warm_rounds"`
 	PivotsPerSec float64 `json:"pivots_per_sec"`
 
@@ -52,7 +51,6 @@ type aggregate struct {
 	Speedup          float64 `json:"speedup"`
 	ColdIters        int     `json:"cold_iters"`
 	WarmIters        int     `json:"warm_iters"`
-	DualIters        int     `json:"dual_iters"`
 	PivotsPerSec     float64 `json:"pivots_per_sec"`
 	PresolveRowRatio float64 `json:"presolve_row_ratio"`
 	PresolveColRatio float64 `json:"presolve_col_ratio"`
@@ -89,7 +87,6 @@ func benchSolver() (result, error) {
 		res.Aggregate.WarmNs += ar.WarmNs
 		res.Aggregate.ColdIters += ar.ColdIters
 		res.Aggregate.WarmIters += ar.WarmIters
-		res.Aggregate.DualIters += ar.DualIters
 	}
 	res.Aggregate.Speedup = float64(res.Aggregate.ColdNs) / float64(res.Aggregate.WarmNs)
 	res.Aggregate.PivotsPerSec = float64(res.Aggregate.ColdIters) / (float64(res.Aggregate.ColdNs) / 1e9)
@@ -109,9 +106,9 @@ func benchSolver() (result, error) {
 	res.Aggregate.PresolveColRatio = colSum / wSum
 
 	for _, ar := range res.Apps {
-		fmt.Printf("solver: %s cold %.1fms (%d pivots, %.0f pivots/s) vs warm %.1fms (%d pivots, %d dual, %d/%d rounds warm): %.2fx; presolve -%.0f%% rows -%.0f%% cols\n",
+		fmt.Printf("solver: %s cold %.1fms (%d pivots, %.0f pivots/s) vs warm %.1fms (%d pivots, %d/%d rounds warm): %.2fx; presolve -%.0f%% rows -%.0f%% cols\n",
 			ar.App, float64(ar.ColdNs)/1e6, ar.ColdIters, ar.PivotsPerSec,
-			float64(ar.WarmNs)/1e6, ar.WarmIters, ar.DualIters, ar.WarmRounds, solverRounds, ar.Speedup,
+			float64(ar.WarmNs)/1e6, ar.WarmIters, ar.WarmRounds, solverRounds, ar.Speedup,
 			100*ar.PresolveRowRatio, 100*ar.PresolveColRatio)
 	}
 	fmt.Printf("solver: aggregate cold %.1fms vs warm %.1fms: %.2fx, %.0f pivots/s cold\n",
@@ -164,7 +161,7 @@ func benchSolverApp(appName string) (appResult, error) {
 	}
 	shell := &window.Observations{}
 	for rep := 0; rep < solverReps; rep++ {
-		iters, dualIters, warmRounds := 0, 0, 0
+		iters, warmRounds := 0, 0
 		enc := solver.NewEncoder(scfg)
 		var basis *lp.Basis
 		t0 := time.Now()
@@ -176,13 +173,12 @@ func benchSolverApp(appName string) (appResult, error) {
 			}
 			basis = bs
 			iters += sr.Iters
-			dualIters += sr.DualIters
 			if sr.WarmStarted {
 				warmRounds++
 			}
 		}
 		keepMin(&ar.WarmNs, time.Since(t0))
-		ar.WarmIters, ar.DualIters, ar.WarmRounds = iters, dualIters, warmRounds
+		ar.WarmIters, ar.WarmRounds = iters, warmRounds
 	}
 	ar.Speedup = float64(ar.ColdNs) / float64(ar.WarmNs)
 	ar.PivotsPerSec = float64(ar.ColdIters) / (float64(ar.ColdNs) / 1e9)

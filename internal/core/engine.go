@@ -201,8 +201,8 @@ func Infer(ctx context.Context, app *prog.Program, cfg Config) (*Result, error) 
 			// with the evidence-only solve: the execution schedule — and
 			// with it the accumulated evidence and the final inferred set —
 			// is exactly the unseeded campaign's, bit for bit. The re-solve
-			// warm-starts from the evidence optimum (the dual simplex
-			// re-prices the discounted costs in a few pivots).
+			// warm-starts from the evidence optimum, which only the costs
+			// changed, so primal pivots re-price it from a feasible basis.
 			enc.SetPriors(cfg.StaticPriors)
 			t1 := time.Now()
 			hr, _, herr := enc.SolveSpan(acc, basis, rspan)

@@ -61,8 +61,8 @@ func SinkObserver(s obs.Sink) Observer {
 // operations inert) when tracing is disabled, otherwise a tracer feeding
 // the Observer when one is configured. With no observer the tracer runs
 // with a nil sink — spans are still constructed, so attribute bookkeeping
-// stays on the always-exercised path, at a cost benchmarked under 2% of a
-// campaign (cmd/bench -suite obs).
+// stays on the always-exercised path, at a cost gated under 5% of a
+// campaign's CPU time (cmd/bench -suite obs).
 func (c Config) tracer() *obs.Tracer {
 	if c.DisableTracing {
 		return nil

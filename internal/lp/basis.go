@@ -11,18 +11,16 @@
 // round's program), most of a carried basis maps straight onto the next
 // problem: warmIndex resolves the identities once per solve against the
 // reduced problem, applyWarm gives every uncovered row of a component a
-// crash column, and the result is refactorized from the *current*
-// problem data (lu.go).
+// slack, singleton or surplus column, and the result is refactorized from
+// the *current* problem data (lu.go).
 //
 // Refactorizing — rather than carrying an inverse — is what makes the warm
 // start robust: coefficient changes, right-hand-side changes, renamed or
 // retired rows all resolve to "whatever the names still mean here", and
-// the factorization is exact for the problem actually being solved. A
-// mapped basis that is numerically singular, or that turns out both primal
-// and dual infeasible, falls back to a cold start; one that is merely
-// primal infeasible (the appended rows cut the carried vertex off) is
-// repaired by dual simplex pivots (dual.go) — the carried basis is dual
-// feasible because it was optimal.
+// the factorization is exact for the problem actually being solved. There
+// is one fallback: a mapped basis that cannot be completed, is singular
+// against the current data, or is primal infeasible there (the appended
+// rows cut the carried vertex off) restarts cold.
 package lp
 
 import "strings"
@@ -95,10 +93,9 @@ func (b *Basis) Size() int {
 // basic column to.
 const (
 	warmNone  = iota // row not covered by the basis
-	warmLost         // covered, but its column does not exist here
+	warmLost         // covered, but its column does not exist here or is an artificial
 	warmVar          // structural column of variable ref
 	warmSlack        // slack column of row ref
-	warmArt          // artificial column of row ref
 )
 
 // warmCol is one resolved carried column. Row refs are constraint indices
@@ -193,16 +190,13 @@ func newWarmIndex(p *Problem, b *Basis) *warmIndex {
 			if v, ok := vars[col.name]; ok {
 				res = warmCol{warmVar, v}
 			}
-		case idSlack, idArt, idSlackUB, idArtUB:
+		case idSlack, idSlackUB:
 			kind := idRow
-			if col.kind == idSlackUB || col.kind == idArtUB {
+			if col.kind == idSlackUB {
 				kind = idUB
 			}
 			if ref, ok := rowRef(kind, col.name); ok {
 				res = warmCol{warmSlack, ref}
-				if col.kind == idArt || col.kind == idArtUB {
-					res.kind = warmArt
-				}
 			}
 		}
 		*slot = res
@@ -213,10 +207,11 @@ func newWarmIndex(p *Problem, b *Basis) *warmIndex {
 // applyWarm installs the carried basis — resolved by newWarmIndex — as
 // this component's starting basis. Rows re-enter on their carried basic
 // column when that column belongs to this component, exists here and is
-// unclaimed; rows not covered — newly appended ones — get a crash column
-// (slack, positive singleton, surplus, or artificial, first available).
-// The assembled basis is then refactorized against the current problem
-// data.
+// unclaimed; rows not covered — newly appended ones — get the first
+// available of their LE slack, positive singleton and GE surplus. A
+// carried artificial is not re-entered, and a row with none of the three
+// fails the mapping. The assembled basis is then refactorized against the
+// current problem data.
 //
 // Reports whether the warm basis was installed; on false the caller must
 // reset and install the crash basis. The receiver must be freshly reset
@@ -237,13 +232,9 @@ func (r *revised) applyWarm(w *warmIndex, d *decomposition) bool {
 			if d.compOf[wc.ref] == sf.comp {
 				j = int(d.local[wc.ref])
 			}
-		case warmSlack, warmArt:
+		case warmSlack:
 			if li := d.rowAt(wc.ref, sf.comp); li >= 0 {
-				if wc.kind == warmSlack {
-					j = int(sf.slackCol[li])
-				} else {
-					j = int(sf.artCol[li])
-				}
+				j = int(sf.slackCol[li])
 			}
 		}
 		if j < 0 || inBasis[j] {
@@ -259,10 +250,10 @@ func (r *revised) applyWarm(w *warmIndex, d *decomposition) bool {
 
 	// Complete the basis on the uncovered rows. Preference order: LE slack,
 	// positive structural singleton (the ε variables — lets appended
-	// Mostly-Protected rows start on their natural column), GE surplus
-	// (possibly at a negative value the dual simplex will repair), then the
-	// artificial. Everything here is a deterministic function of the
-	// problem and the carried identities.
+	// Mostly-Protected rows start on their natural column), then GE surplus
+	// (possibly at a negative value, which sends the solve cold). Everything
+	// here is a deterministic function of the problem and the carried
+	// identities.
 	for i := 0; i < m; i++ {
 		if basis[i] >= 0 {
 			continue
@@ -278,11 +269,6 @@ func (r *revised) applyWarm(w *warmIndex, d *decomposition) bool {
 		}
 		if col < 0 {
 			if c := int(sf.slackCol[i]); c >= 0 && !inBasis[c] {
-				col = c
-			}
-		}
-		if col < 0 {
-			if c := int(sf.artCol[i]); c >= 0 && !inBasis[c] {
 				col = c
 			}
 		}

@@ -224,9 +224,9 @@ func (wk *worker) reserve(c *carver, m int) {
 
 // outcome is what a component's solve reports back to the merge.
 type outcome struct {
-	status           Status
-	iters, dualIters int
-	warm             bool
+	status Status
+	iters  int
+	warm   bool
 }
 
 // solveDecomposed splits p into components and solves them, fanning the
@@ -300,7 +300,7 @@ func solveDecomposed(p *Problem, warm *Basis) *Solution {
 		wk.sf.build(p, d, i, sh)
 		r := &wk.r
 		st, warmed := r.solve(p, &wk.sf, w, d)
-		outs[i] = outcome{st, r.iters, r.dualIters, warmed}
+		outs[i] = outcome{st, r.iters, warmed}
 		if st == Optimal {
 			r.extract(sol.X)
 			r.snapshot(sol.Basis.rows[offset[i]:offset[i+1]], sol.Basis.bcol[offset[i]:offset[i+1]])
@@ -332,7 +332,6 @@ func solveDecomposed(p *Problem, warm *Basis) *Solution {
 	worst := Optimal
 	for _, o := range outs {
 		sol.Iters += o.iters
-		sol.DualIters += o.dualIters
 		if o.warm {
 			sol.WarmStarted = true
 		}
@@ -342,7 +341,7 @@ func solveDecomposed(p *Problem, warm *Basis) *Solution {
 	}
 	if worst != Optimal {
 		return &Solution{
-			Status: worst, Iters: sol.Iters, DualIters: sol.DualIters,
+			Status: worst, Iters: sol.Iters,
 			WarmStarted: sol.WarmStarted, Components: nc,
 		}
 	}

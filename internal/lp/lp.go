@@ -13,9 +13,8 @@
 // refactorized periodically, a presolve pass (presolve.go) shrinks the
 // matrix before any pivoting, independent connected components solve
 // separately and concurrently (decompose.go), and an optimal Basis can be
-// carried into the next, slightly different problem to re-optimize in a
-// handful of dual pivots (dual.go — cross-round warm starting in the
-// Perturber feedback loop).
+// carried into the next, slightly different problem as its starting basis
+// (basis.go — cross-round warm starting in the Perturber feedback loop).
 //
 // The original dense two-phase tableau (SolveDense) lives in
 // dense_test.go as the reference oracle for the equivalence tests.
@@ -259,10 +258,6 @@ type Solution struct {
 	Objective float64   // cᵀx at the optimum (meaningful only when Optimal)
 	Iters     int       // simplex pivots performed, all phases and components
 
-	// DualIters counts the subset of Iters performed by the dual simplex
-	// (warm re-optimizations after cross-round row changes; see
-	// SolveWarm). Zero on cold solves.
-	DualIters int
 	// Components is the number of independent blocks the problem split
 	// into (1 when it did not decompose; 0 when presolve solved it whole).
 	Components int
@@ -293,10 +288,10 @@ func (p *Problem) Solve() (*Solution, error) {
 // SolveWarm is Solve, seeded with the optimal basis of a previous —
 // typically slightly smaller — problem. The basis is mapped onto this
 // problem by variable and constraint-row names: rows that kept their basic
-// column re-enter the basis directly, new rows enter on their slack or
-// artificial column, and vanished columns are dropped. If the mapped basis
-// is singular or cannot be cheaply repaired to a feasible vertex, SolveWarm
-// transparently falls back to the cold two-phase path, so it is never less
+// column re-enter the basis directly, new rows enter on their slack,
+// singleton or surplus column, and vanished columns are dropped. If the
+// mapped basis cannot be completed, is singular or is primal infeasible,
+// SolveWarm falls back to the cold two-phase path, so it is never less
 // correct than Solve — only faster when the problems are related.
 func (p *Problem) SolveWarm(warm *Basis) (*Solution, error) {
 	span := p.Trace.Child("solve",
@@ -307,7 +302,6 @@ func (p *Problem) SolveWarm(warm *Basis) (*Solution, error) {
 	if sol != nil {
 		span.Annotate(
 			obs.Int("iters", sol.Iters),
-			obs.Int("dual_iters", sol.DualIters),
 			obs.Int("components", sol.Components),
 			obs.Int("presolve_rows", sol.RowsPresolved),
 			obs.Int("presolve_cols", sol.ColsPresolved),

@@ -17,9 +17,9 @@
 //     Dantzig pricing and the same Bland's-rule anti-cycling switch as the
 //     dense backend.
 //   - Warm starts (basis.go) map a prior optimal basis by (kind, name)
-//     row/column identity, refactorize it against the current problem
-//     data, and repair any primal infeasibility with dual simplex pivots
-//     (dual.go); anything unrepairable falls back to a cold start.
+//     row/column identity, fill the uncovered rows and refactorize it
+//     against the current problem data; a basis that is singular or
+//     primal infeasible there falls back to a cold start.
 //   - Before a solve, a presolve pass (presolve.go) fixes pinned variables
 //     and drops redundant rows; independent connected components of the
 //     reduced problem are solved separately, concurrently when
@@ -47,9 +47,8 @@ import "math"
 // feasTol is the feasibility tolerance on basic values.
 const feasTol = 1e-7
 
-// fallbackStatus is an internal sentinel: the warm-started path hit a
-// numerically unusable state and the caller must restart cold. Never
-// returned to users.
+// fallbackStatus is an internal sentinel: the starting basis is primal
+// infeasible and the caller must restart cold. Never returned to users.
 const fallbackStatus Status = -1
 
 // standardForm is one component of a problem in computational standard
@@ -63,7 +62,7 @@ const fallbackStatus Status = -1
 //
 // The matrix is stored twice, as flat compressed columns (colPtr/colRows/
 // colVals) and compressed rows (rowPtr/rowCols/rowVals): the BTRAN-based
-// reduced-cost update and the dual ratio test walk rows, not columns.
+// reduced-cost update walks rows, not columns.
 // Rows and columns keep no names; rowIdent and colIdent derive their
 // identities from the problem when a basis is snapshotted.
 type standardForm struct {
@@ -96,8 +95,7 @@ type standardForm struct {
 	// this row with a positive coefficient (-1 if none) — the crash basis
 	// uses it to start feasible without an artificial. The SherLock
 	// encodings have one in every Mostly-Protected row (the ε variable).
-	posSingleton    []int32
-	posSingletonVal []float64
+	posSingleton []int32
 }
 
 // col returns column j's entries.
@@ -179,7 +177,6 @@ func (sf *standardForm) carve(c *carver, sh shape) {
 	sf.rowVals = c.floats(nnz)
 	sf.rhs = c.floats(m)
 	sf.slackSign = c.floats(m)
-	sf.posSingletonVal = c.floats(m)
 }
 
 // build fills the carved standard form of component ci of d.
@@ -214,7 +211,7 @@ func (sf *standardForm) build(p *Problem, d *decomposition, ci int, sh shape) {
 		}
 		sf.rhs[i] = rhs
 		sf.slackCol[i], sf.artCol[i], sf.posSingleton[i] = -1, -1, -1
-		sf.slackSign[i], sf.posSingletonVal[i] = 0, 0
+		sf.slackSign[i] = 0
 		switch sense {
 		case LE, GE:
 			sf.slackCol[i] = int32(slack)
@@ -294,7 +291,6 @@ func (sf *standardForm) build(p *Problem, d *decomposition, ci int, sh shape) {
 		}
 		if i := rows[0]; sf.posSingleton[i] < 0 {
 			sf.posSingleton[i] = int32(j)
-			sf.posSingletonVal[i] = vals[0]
 		}
 	}
 
@@ -370,8 +366,7 @@ type revised struct {
 	d    []float64 // maintained reduced costs (nil outside iterate phases)
 	dBuf []float64 // d's storage
 
-	iters     int
-	dualIters int
+	iters int
 
 	refactorEvery int
 	noRefactor    bool // a refactorization failed; ride the eta file out
@@ -425,7 +420,7 @@ func (r *revised) reset(p *Problem, sf *standardForm) {
 	r.p, r.sf = p, sf
 	r.refactorEvery = p.etaEveryOrDefault()
 	r.noRefactor = false
-	r.iters, r.dualIters = 0, 0
+	r.iters = 0
 	r.d = nil
 	r.etas.reset()
 	clear(r.inBasis)
@@ -445,7 +440,7 @@ func (r *revised) reset(p *Problem, sf *standardForm) {
 func (r *revised) crash() {
 	sf := r.sf
 	for i := 0; i < sf.m; i++ {
-		col, _ := sf.crashCol(i)
+		col := sf.crashCol(i)
 		r.basis[i] = col
 		r.inBasis[col] = true
 	}
@@ -465,18 +460,18 @@ func (r *revised) factorize() bool {
 	return true
 }
 
-// crashCol picks row i's starting basic column and its coefficient.
-func (sf *standardForm) crashCol(i int) (int, float64) {
+// crashCol picks row i's starting basic column.
+func (sf *standardForm) crashCol(i int) int {
 	if sf.slackCol[i] >= 0 && sf.slackSign[i] > 0 { // LE
-		return int(sf.slackCol[i]), 1
+		return int(sf.slackCol[i])
 	}
 	if j := sf.posSingleton[i]; j >= 0 {
-		return int(j), sf.posSingletonVal[i]
+		return int(j)
 	}
 	if sf.slackCol[i] >= 0 && sf.rhs[i] <= feasTol { // GE with rhs 0: surplus at 0
-		return int(sf.slackCol[i]), -1
+		return int(sf.slackCol[i])
 	}
-	return int(sf.artCol[i]), 1 // GE/EQ rows always have one
+	return int(sf.artCol[i]) // GE/EQ rows always have one
 }
 
 // computeXB recomputes the basic values xB = B⁻¹·b through the current
@@ -606,17 +601,13 @@ func (r *revised) refactor() bool {
 
 // pivot makes column enter basic at position leave; t must hold B⁻¹·A_enter.
 // When reduced costs are live (r.d != nil) they are updated from the BTRAN
-// pivot row, supplied precomputed in acols/r.alpha (dual path) or computed
-// here (primal path). The update appends one eta and may trigger a
-// refactorization.
-func (r *revised) pivot(leave, enter int, t []float64, acols []int32) {
+// pivot row. The update appends one eta and may trigger a refactorization.
+func (r *revised) pivot(leave, enter int, t []float64) {
 	sf := r.sf
 	m := sf.m
 	pv := t[leave]
 	if r.d != nil {
-		if acols == nil {
-			acols = r.pivotRow(leave)
-		}
+		acols := r.pivotRow(leave)
 		if f := r.d[enter] / pv; f != 0 {
 			for _, jj := range acols {
 				j := int(jj)
@@ -632,8 +623,6 @@ func (r *revised) pivot(leave, enter int, t []float64, acols []int32) {
 			r.d[r.basis[leave]] = 0
 		}
 		r.d[enter] = 0
-	}
-	if acols != nil {
 		r.clearAlpha(acols)
 	}
 	theta := r.xB[leave] / pv
@@ -719,7 +708,7 @@ func (r *revised) iterate(colLimit int) Status {
 		} else {
 			degenerate, bland = 0, false
 		}
-		r.pivot(leave, enter, t, nil)
+		r.pivot(leave, enter, t)
 	}
 }
 
@@ -781,7 +770,7 @@ func (r *revised) purgeArtificials() {
 			continue
 		}
 		r.ftranCol(enter, r.t)
-		r.pivot(i, enter, r.t, nil)
+		r.pivot(i, enter, r.t)
 	}
 }
 
@@ -798,15 +787,11 @@ func (r *revised) setPhase2Costs() {
 //
 //	artificials at positive value  → primal phase 1, purge, primal phase 2
 //	primal feasible                → purge, primal phase 2
-//	primal infeasible, dual
-//	feasible (warm starts only)    → dual simplex, then primal cleanup
-//	neither                        → fallbackStatus (caller restarts cold)
+//	primal infeasible              → fallbackStatus (caller restarts cold)
 //
-// The dual branch is what makes cross-round row additions and excisions
-// cheap: a carried basis is dual feasible by construction (it was optimal),
-// so a handful of dual pivots absorb the new rows instead of a primal
-// restart.
-func (r *revised) optimize(warm bool) Status {
+// The crash basis starts every basic value at ≥ 0, so in practice only a
+// warm basis lands in the last case, when appended rows cut its vertex off.
+func (r *revised) optimize() Status {
 	sf := r.sf
 	needP1 := false
 	for i, b := range r.basis {
@@ -825,31 +810,21 @@ func (r *revised) optimize(warm bool) Status {
 		}
 	}
 	r.purgeArtificials()
+	for _, v := range r.xB {
+		if v < -feasTol {
+			return fallbackStatus
+		}
+	}
 	r.setPhase2Costs()
 	r.d = nil
 	r.computeD()
-	primalInfeas := false
-	for _, v := range r.xB {
-		if v < -feasTol {
-			primalInfeas = true
-			break
-		}
-	}
-	if primalInfeas {
-		if !warm || !r.dualFeasible() {
-			return fallbackStatus
-		}
-		if st := r.dualIterate(); st != Optimal {
-			return st
-		}
-	}
 	return r.iterate(sf.artAt)
 }
 
 // finalize refactorizes the final basis from the problem data and
 // recomputes the basic values, so the extracted vertex is a function of
 // the final basis alone — identical whether the solve was warm or cold,
-// primal or dual, one eta file or another.
+// one eta file or another.
 func (r *revised) finalize() {
 	if r.etas.len() > 0 {
 		if !r.refactor() {
@@ -905,17 +880,16 @@ func (r *revised) solve(p *Problem, sf *standardForm, w *warmIndex, d *decomposi
 	if !warmApplied {
 		r.crash()
 	}
-	st := r.optimize(warmApplied)
+	st := r.optimize()
 	if st == fallbackStatus {
-		// The warm basis was numerically unusable (primal and dual
-		// infeasible, or a singular refactorization mid-flight): restart
-		// cold, preserving the pivots already spent in the iteration count.
-		spent, spentDual := r.iters, r.dualIters
+		// The warm basis is primal infeasible here: restart cold,
+		// preserving the pivots already spent in the iteration count.
+		spent := r.iters
 		r.reset(p, sf)
 		r.crash()
-		r.iters, r.dualIters = spent, spentDual
+		r.iters = spent
 		warmApplied = false
-		st = r.optimize(false)
+		st = r.optimize()
 	}
 	if st == Optimal {
 		r.finalize()

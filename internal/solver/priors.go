@@ -44,7 +44,7 @@ func (p *Priors) discount(b float64) float64 {
 // SetPriors installs (or, with nil, removes) objective priors for
 // subsequent solves. The encoder's window/key caches are unaffected —
 // priors only change objective coefficients — so flipping priors between
-// rounds composes with incremental encoding and basis carrying: the dual
+// rounds composes with incremental encoding and basis carrying: the primal
 // simplex re-optimizes the revised objective from the prior basis, or the
 // LP falls back to a cold solve, either way landing on the new optimum.
 func (e *Encoder) SetPriors(p *Priors) { e.priors = p }

@@ -119,9 +119,6 @@ type Result struct {
 	Vars        int
 	Constraints int
 	Iters       int
-	// DualIters is the subset of Iters spent in dual-simplex re-optimization
-	// of a carried basis (zero on cold solves).
-	DualIters int
 	// Components is the number of independent LP blocks the problem split
 	// into; RowsPresolved/ColsPresolved count what presolve eliminated
 	// before any pivoting.
@@ -381,9 +378,9 @@ func (e *Encoder) SolveSpan(obs *window.Observations, warm *lp.Basis, parent *ob
 
 	// A carried basis means the problem is an incremental revision of the
 	// one that produced it: rows were appended (new windows) or excised
-	// (pairs turned racy), which SolveWarm repairs with dual simplex
-	// pivots. An empty basis is passed as nil so the round is recorded as
-	// a cold two-phase solve.
+	// (pairs turned racy). SolveWarm starts from it, or restarts cold when
+	// those rows cut its vertex off. An empty basis is passed as nil so the
+	// round is recorded as a cold two-phase solve.
 	if warm.Size() == 0 {
 		warm = nil
 	}
@@ -400,7 +397,6 @@ func (e *Encoder) SolveSpan(obs *window.Observations, warm *lp.Basis, parent *ob
 		Vars:          b.prob.NumVars(),
 		Constraints:   b.prob.NumConstraints(),
 		Iters:         sol.Iters,
-		DualIters:     sol.DualIters,
 		Components:    sol.Components,
 		RowsPresolved: sol.RowsPresolved,
 		ColsPresolved: sol.ColsPresolved,
