@@ -348,15 +348,18 @@ func solveDecomposed(p *Problem, warm *Basis) *Solution {
 	return sol
 }
 
-// statusRank orders non-optimal statuses by precedence for the merge.
+// statusRank orders statuses by precedence for the merge. A status it
+// does not know outranks every known one, so it can never pass as Optimal.
 func statusRank(s Status) int {
 	switch s {
-	case Infeasible:
-		return 3
-	case Unbounded:
-		return 2
+	case Optimal:
+		return 0
 	case IterLimit:
 		return 1
+	case Unbounded:
+		return 2
+	case Infeasible:
+		return 3
 	}
-	return 0
+	return 4
 }

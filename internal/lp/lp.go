@@ -63,7 +63,10 @@ const (
 	Optimal Status = iota
 	Infeasible
 	Unbounded
-	IterLimit // the pivot budget ran out before optimality was proven
+	// IterLimit: the simplex stopped before proving optimality, because
+	// the pivot budget ran out or a cold start lost feasibility
+	// numerically.
+	IterLimit
 )
 
 func (s Status) String() string {

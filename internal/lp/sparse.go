@@ -48,7 +48,8 @@ import "math"
 const feasTol = 1e-7
 
 // fallbackStatus is an internal sentinel: the starting basis is primal
-// infeasible and the caller must restart cold. Never returned to users.
+// infeasible and the caller must restart cold. revised.solve never
+// returns it.
 const fallbackStatus Status = -1
 
 // standardForm is one component of a problem in computational standard
@@ -866,6 +867,10 @@ func (r *revised) snapshot(rows, bcol []ident) {
 	}
 }
 
+// runOptimize is revised.optimize. Tests replace it to reach a branch no
+// solved problem has reached: a cold start that ends primal infeasible.
+var runOptimize = (*revised).optimize
+
 // solve runs the revised simplex on the built standard form sf,
 // warm-started when w maps onto it. It reports the terminal status and
 // whether the warm basis was applied.
@@ -880,7 +885,7 @@ func (r *revised) solve(p *Problem, sf *standardForm, w *warmIndex, d *decomposi
 	if !warmApplied {
 		r.crash()
 	}
-	st := r.optimize()
+	st := runOptimize(r)
 	if st == fallbackStatus {
 		// The warm basis is primal infeasible here: restart cold,
 		// preserving the pivots already spent in the iteration count.
@@ -889,7 +894,11 @@ func (r *revised) solve(p *Problem, sf *standardForm, w *warmIndex, d *decomposi
 		r.crash()
 		r.iters = spent
 		warmApplied = false
-		st = r.optimize()
+		if st = runOptimize(r); st == fallbackStatus {
+			// The crash basis starts feasible, so only numerical trouble
+			// ends a cold start here; optimality was not proven.
+			st = IterLimit
+		}
 	}
 	if st == Optimal {
 		r.finalize()

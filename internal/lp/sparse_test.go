@@ -284,3 +284,45 @@ func TestBasisRoundTrip(t *testing.T) {
 			again.Iters, first.Iters)
 	}
 }
+
+// TestColdFallbackNeverOptimal drives a component's cold restart into the
+// primal-infeasible sentinel, which no solved problem has reached: the
+// component must be reported as not optimal, and the merge of its status
+// with an optimal component's must not hide it.
+func TestColdFallbackNeverOptimal(t *testing.T) {
+	p := NewProblem()
+	x := p.AddVariable("x")
+	p.SetUpperBound(x, 1)
+	p.AddCost(x, 1)
+	p.AddConstraint(map[int]float64{x: 1}, GE, 0.5)
+	y, z := p.AddVariable("y"), p.AddVariable("z")
+	for _, v := range []int{y, z} {
+		p.SetUpperBound(v, 1)
+		p.AddCost(v, 2)
+	}
+	p.AddConstraint(map[int]float64{y: 1, z: 1}, GE, 1)
+
+	real := runOptimize
+	defer func() { runOptimize = real }()
+	sol, err := p.Solve()
+	if err != nil || sol.Status != Optimal || sol.Components != 2 {
+		t.Fatalf("unforced solve: status %v, %d components, err %v; want optimal over 2", sol.Status, sol.Components, err)
+	}
+	// Only the two-variable component falls back, warm and cold alike.
+	runOptimize = func(r *revised) Status {
+		if r.sf.n == 2 {
+			return fallbackStatus
+		}
+		return real(r)
+	}
+	sol, err = p.Solve()
+	if sol.Status == Optimal || sol.Status == fallbackStatus {
+		t.Fatalf("status = %v (%d), want a public non-optimal status", sol.Status, int(sol.Status))
+	}
+	if !errors.Is(err, ErrNotOptimal) {
+		t.Fatalf("err = %v, want one wrapping ErrNotOptimal", err)
+	}
+	if statusRank(fallbackStatus) <= statusRank(Optimal) {
+		t.Fatal("statusRank ranks an unknown status with Optimal")
+	}
+}

@@ -25,9 +25,11 @@
 //
 // # Cost
 //
-// A Tracer with a nil sink still builds spans (so IDs/attributes are always
-// coherent) but emits nothing; that no-sink mode is the engine's default
-// and is benchmarked to cost < 2% on a full campaign (cmd/bench -suite obs).
+// A Tracer with a nil sink still builds spans (so IDs are always coherent)
+// but emits nothing; that no-sink mode is the engine's default. A no-sink
+// span is one allocation: it joins no ID string until ID is called, keeps
+// no attributes and reads no clock. cmd/bench -suite obs gates its cost on
+// a full campaign.
 // A nil *Tracer and a nil *Span are both valid and make every method a
 // no-op, so call sites never need nil checks.
 package obs
@@ -162,7 +164,7 @@ func (t *Tracer) Root(name, key string, attrs ...Attr) *Span {
 	if key != "" {
 		id = name + ":" + key
 	}
-	return t.start(id, "", id, attrs)
+	return t.start(nil, id, attrs)
 }
 
 // Count emits a counter event adding delta to the named counter. Totals
@@ -180,9 +182,25 @@ type Counter struct {
 	Total int64  `json:"total"`
 }
 
-func (t *Tracer) start(id, parent, name string, attrs []Attr) *Span {
-	s := &Span{t: t, id: id, parent: parent, name: name, start: time.Now(), attrs: attrs}
-	t.emit(Event{Type: EvSpanStart, ID: id, Parent: parent, Name: name, Wall: s.start, Attrs: attrs})
+// start opens a span named name under up; a root (up nil) is its own ID.
+// Without a sink nothing reads a child's ID, or any span's attributes or
+// start time, so none is built: the span is one allocation, and ID joins
+// its path on demand. With a sink the span owns a copy of attrs, which
+// keeps the caller's variadic slice on the caller's stack in both modes.
+func (t *Tracer) start(up *Span, name string, attrs []Attr) *Span {
+	s := &Span{t: t, up: up, name: name}
+	if up == nil {
+		s.id = name
+	}
+	if t.sink == nil {
+		return s
+	}
+	if up != nil {
+		s.id = up.id + "/" + name
+	}
+	s.start = time.Now()
+	s.attrs = append([]Attr(nil), attrs...)
+	t.emit(Event{Type: EvSpanStart, ID: s.id, Parent: up.ID(), Name: name, Wall: s.start, Attrs: s.attrs})
 	return s
 }
 
@@ -198,19 +216,23 @@ func (t *Tracer) emit(e Event) {
 // other goroutines — the parallel runner does exactly that).
 // A nil *Span is valid and inert.
 type Span struct {
-	t      *Tracer
-	id     string
-	parent string
-	name   string
-	start  time.Time
-	attrs  []Attr
-	ended  bool
+	t     *Tracer
+	up    *Span  // parent span; nil for a root
+	id    string // structural ID; built eagerly only for roots and under a sink
+	name  string
+	start time.Time
+	attrs []Attr
+	ended bool
 }
 
-// ID returns the structural span ID ("" on a nil span).
+// ID returns the structural span ID ("" on a nil span). Under a tracer
+// without a sink the ID is joined from the span's path on every call.
 func (s *Span) ID() string {
 	if s == nil {
 		return ""
+	}
+	if s.id == "" && s.up != nil {
+		return s.up.ID() + "/" + s.name
 	}
 	return s.id
 }
@@ -222,7 +244,7 @@ func (s *Span) Child(segment string, attrs ...Attr) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.t.start(s.id+"/"+segment, s.id, segment, attrs)
+	return s.t.start(s, segment, attrs)
 }
 
 // Childf is Child with a formatted segment.
@@ -233,9 +255,10 @@ func (s *Span) Childf(format string, args ...any) *Span {
 	return s.Child(fmt.Sprintf(format, args...))
 }
 
-// Annotate appends attributes; they ride on the span's end event.
+// Annotate appends attributes; they ride on the span's end event (and
+// are dropped when the tracer has no sink).
 func (s *Span) Annotate(attrs ...Attr) {
-	if s == nil {
+	if s == nil || s.t.sink == nil {
 		return
 	}
 	s.attrs = append(s.attrs, attrs...)
@@ -248,9 +271,12 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
+	if s.t.sink == nil {
+		return
+	}
 	now := time.Now()
 	s.t.emit(Event{
-		Type: EvSpanEnd, ID: s.id, Parent: s.parent, Name: s.name,
+		Type: EvSpanEnd, ID: s.id, Parent: s.up.ID(), Name: s.name,
 		Wall: now, Dur: now.Sub(s.start), Attrs: s.attrs,
 	})
 }

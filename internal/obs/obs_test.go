@@ -323,3 +323,21 @@ func TestConcurrentEmit(t *testing.T) {
 		t.Fatal("concurrent JSONL and memory renders diverge")
 	}
 }
+
+// TestNoSinkSpanAllocs bounds what a span costs when nothing listens:
+// every scheduler run opens and closes spans like these, so a no-sink
+// Child+Annotate+End must allocate the span itself and nothing else — no
+// ID string, no attribute slice. Unlike a timed gate, the count does not
+// depend on the host.
+func TestNoSinkSpanAllocs(t *testing.T) {
+	parent := New(nil).Root("campaign", "App-1")
+	test, seed := "App1.Tests::T", int64(7)
+	allocs := testing.AllocsPerRun(1000, func() {
+		s := parent.Child("sched", Str("test", test), Int64("seed", seed))
+		s.Annotate(Int("steps", 120), Int("events", 40), Bool("deadlocked", false))
+		s.End()
+	})
+	if allocs > 1 {
+		t.Fatalf("no-sink Child+Annotate+End allocates %.1f times, want at most 1", allocs)
+	}
+}

@@ -311,11 +311,31 @@ func RunContext(ctx context.Context, p *prog.Program, t *prog.Test, opt Options)
 	return res, err
 }
 
-// rngPool recycles the per-run generators. Seed fully resets a
-// math/rand source, so a pooled generator reseeded with a run's seed
-// yields exactly the stream rand.New(rand.NewSource(seed)) would, without
-// allocating the source's 4.9 KB state every run.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// rngPool recycles the per-run generators. Each wraps a lazySource
+// (rng.go): reseeding one with a run's seed costs a few nanoseconds, and
+// it then yields exactly the stream rand.New(rand.NewSource(seed)) would,
+// building only the register words the run's draws reach.
+var rngPool = sync.Pool{New: func() any { return rand.New(&lazySource{}) }}
+
+// machinePool recycles execution state between runs. A pooled machine
+// comes back with empty maps, which keep their buckets, and with the
+// thread structs of its longest run, so a run allocates only for the
+// resources it touches the first time.
+var machinePool = sync.Pool{New: func() any {
+	return &machine{
+		locks:     map[string]*lockState{},
+		rwlocks:   map[string]*rwState{},
+		sems:      map[string]int{},
+		queues:    map[string]int{},
+		barriers:  map[string]*barrierState{},
+		handles:   map[string]*handleState{},
+		handleTID: map[string]int{},
+		inits:     map[string]*initState{},
+		slots:     map[string]uint64{},
+		fieldAddr: map[fieldKey]uint64{},
+		fieldVal:  map[uint64]int64{},
+	}
+}}
 
 // runLoop is the scheduler loop body shared by Run and RunContext; the program
 // is already finalized.
@@ -331,18 +351,19 @@ func runLoop(ctx context.Context, p *prog.Program, t *prog.Test, opt Options) (*
 	defer rngPool.Put(rng)
 	rng.Seed(opt.Seed)
 	m := newMachine(p, t, opt, rng)
+	defer m.release()
 
 	main := m.newThread(0)
 	if t.Init != "" {
 		// Framework pattern (Figure 3.E): run the init method on the main
 		// thread, then execute the test body as a named method in a fresh
 		// thread with a hidden happens-before edge, then wait for it.
-		main.stack = []*frame{{stmts: []Stmt{
+		main.stack = append(main.stack, &frame{stmts: []Stmt{
 			&prog.Call{Method: t.Init, Slot: "@init"},
 			&runTestBody{method: &prog.Method{Name: t.Name, Body: t.Body}},
-		}}}
+		}})
 	} else {
-		main.stack = []*frame{{stmts: t.Body}}
+		main.stack = append(main.stack, &frame{stmts: t.Body})
 	}
 
 	for {
@@ -369,32 +390,62 @@ func runLoop(ctx context.Context, p *prog.Program, t *prog.Test, opt Options) (*
 }
 
 // newMachine returns the empty execution state of one run of t, drawing
-// its randomness from rng.
+// its randomness from rng. The machine comes from machinePool; release
+// returns it.
 func newMachine(p *prog.Program, t *prog.Test, opt Options, rng *rand.Rand) *machine {
-	m := &machine{
+	m := machinePool.Get().(*machine)
+	*m = machine{
 		p:         p,
 		t:         t,
 		opt:       opt,
 		rng:       rng,
-		locks:     map[string]*lockState{},
-		rwlocks:   map[string]*rwState{},
-		sems:      map[string]int{},
-		queues:    map[string]int{},
-		barriers:  map[string]*barrierState{},
-		handles:   map[string]*handleState{},
-		handleTID: map[string]int{},
-		inits:     map[string]*initState{},
-		slots:     map[string]uint64{},
-		fieldAddr: map[fieldKey]uint64{},
-		fieldVal:  map[uint64]int64{},
+		threads:   m.threads,
+		locks:     m.locks,
+		rwlocks:   m.rwlocks,
+		sems:      m.sems,
+		queues:    m.queues,
+		barriers:  m.barriers,
+		handles:   m.handles,
+		handleTID: m.handleTID,
+		inits:     m.inits,
+		slots:     m.slots,
+		fieldAddr: m.fieldAddr,
+		fieldVal:  m.fieldVal,
 		nextObjID: 1,
 		nextAddr:  0x1000,
+		keyBuf:    m.keyBuf,
 	}
 	if !opt.DisableTracing {
 		m.buf = eventPool.Get().(*[]trace.Event)
 		m.events = (*m.buf)[:0]
 	}
 	return m
+}
+
+// release empties the machine and returns it to machinePool. The run's
+// Result owns the events, their buffer and the delays, so the machine
+// drops them, and with them every pointer into the run: the program, the
+// test, the options and the generator.
+func (m *machine) release() {
+	for _, th := range m.threads {
+		clear(th.stack[:cap(th.stack)])
+		*th = thread{stack: th.stack[:0]}
+	}
+	m.threads = m.threads[:0]
+	clear(m.locks)
+	clear(m.rwlocks)
+	clear(m.sems)
+	clear(m.queues)
+	clear(m.barriers)
+	clear(m.handles)
+	clear(m.handleTID)
+	clear(m.inits)
+	clear(m.slots)
+	clear(m.fieldAddr)
+	clear(m.fieldVal)
+	m.p, m.t, m.opt, m.rng, m.zipf = nil, nil, Options{}, nil, nil
+	m.events, m.buf, m.delays = nil, nil, nil
+	machinePool.Put(m)
 }
 
 // runTestBody is an internal statement used only for the TestInitialize
@@ -437,8 +488,17 @@ func (s eventsByTime) Len() int           { return len(s) }
 func (s eventsByTime) Less(i, j int) bool { return s[i].Time < s[j].Time }
 func (s eventsByTime) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 
+// newThread starts a thread at clock, reusing a thread struct (and its
+// stack's backing array) that an earlier run of the pooled machine left.
 func (m *machine) newThread(clock int64) *thread {
-	th := &thread{id: m.nextTID, clock: clock, state: stRunnable}
+	var th *thread
+	if n := len(m.threads); n < cap(m.threads) {
+		th = m.threads[:n+1][n]
+	}
+	if th == nil {
+		th = new(thread)
+	}
+	*th = thread{id: m.nextTID, clock: clock, state: stRunnable, stack: th.stack[:0]}
 	m.nextTID++
 	m.threads = append(m.threads, th)
 	return th
