@@ -4,7 +4,9 @@
 // default) against the DisableTracing baseline. Both modes run identical
 // campaigns in back-to-back pairs, each timed on the process CPU clock
 // after a forced GC; -gate asserts the median of the per-pair overheads
-// stays under obsMaxPct.
+// stays under obsMaxPct. The pairs run at GOMAXPROCS 1: with more Ps, idle
+// ones spinning for work add CPU time that has nothing to do with tracing,
+// which dilutes the overhead and spreads it by several points per run.
 package main
 
 import (
@@ -62,6 +64,7 @@ func benchObs() (obsResult, error) {
 		return cpuNow() - t0, err
 	}
 
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// Warm up both paths once so neither measurement pays first-touch costs.
 	for _, mode := range []bool{true, false} {
 		if _, err := campaign(mode); err != nil {

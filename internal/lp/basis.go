@@ -121,10 +121,10 @@ func (w *warmIndex) at(ref int32) warmCol {
 	return w.ub[-ref-1]
 }
 
-// newWarmIndex resolves b against p in one pass over p's rows and
-// variables and one over the basis. Identities are assumed unique, as
+// newWarmIndex resolves b against p, in ws, in one pass over p's rows
+// and variables and one over the basis. Identities are assumed unique, as
 // the encoders keep them; duplicates resolve first-wins.
-func newWarmIndex(p *Problem, b *Basis) *warmIndex {
+func (ws *workspace) newWarmIndex(p *Problem, b *Basis) *warmIndex {
 	if b.Size() == 0 {
 		return nil
 	}
@@ -133,20 +133,17 @@ func newWarmIndex(p *Problem, b *Basis) *warmIndex {
 			m[name] = ref
 		}
 	}
-	vars := make(map[string]int32, len(p.names))
+	vars := emptyMap(&ws.vars, len(p.names))
 	for v, name := range p.names {
 		claim(vars, name, int32(v))
 	}
-	rows := make(map[string]int32, len(p.constraints))
-	var ubNamed map[string]int32 // constraints named like an upper-bound row, by variable
+	rows := emptyMap(&ws.rows, len(p.constraints))
+	ubNamed := emptyMap(&ws.ubNamed, 0) // constraints named like an upper-bound row, by variable
 	for ri := range p.constraints {
 		switch id := rowIdent(p.constraints[ri].name); id.kind {
 		case idRow:
 			claim(rows, id.name, int32(ri))
 		case idUB:
-			if ubNamed == nil {
-				ubNamed = map[string]int32{}
-			}
 			claim(ubNamed, id.name, int32(ri))
 		}
 	}
@@ -164,10 +161,9 @@ func newWarmIndex(p *Problem, b *Basis) *warmIndex {
 		}
 		return 0, false
 	}
-	w := &warmIndex{
-		cons: make([]warmCol, len(p.constraints)),
-		ub:   make([]warmCol, len(p.names)),
-	}
+	w := &ws.warm
+	zeroed(&w.cons, len(p.constraints))
+	zeroed(&w.ub, len(p.names))
 	for k, row := range b.rows {
 		if row.kind != idRow && row.kind != idUB {
 			continue

@@ -60,14 +60,15 @@ func (d *decomposition) rowAt(ref, ci int32) int {
 }
 
 // decompose partitions p's variables and constraints into connected
-// components via union-find over shared variables. Variables with no
-// constraints form singleton components (their solve is trivial). A
+// components via union-find over shared variables, in ws. Variables with
+// no constraints form singleton components (their solve is trivial). A
 // problem that does not split stays one component holding every row,
 // empty ones included.
-func decompose(p *Problem) *decomposition {
+func (ws *workspace) decompose(p *Problem) *decomposition {
 	n, nr := len(p.names), len(p.constraints)
-	buf := carver{i32: make([]int32, 5*n+3*nr)}
-	d := &decomposition{
+	buf := carver{i32: resize(&ws.decBuf, 5*n+3*nr)}
+	d := &ws.dec
+	*d = decomposition{
 		compOf: buf.int32s(n), local: buf.int32s(n), ubLocal: buf.int32s(n),
 		rowComp: buf.int32s(nr), rowLocal: buf.int32s(nr),
 	}
@@ -111,7 +112,7 @@ func decompose(p *Problem) *decomposition {
 		nComps = 1
 		clear(d.compOf)
 	}
-	d.comps = make([]component, nComps)
+	d.comps = resize(&ws.comps, nComps)
 	for ri := range p.constraints {
 		d.rowComp[ri] = -1
 		if idx := p.constraints[ri].idx; len(idx) > 0 {
@@ -122,7 +123,7 @@ func decompose(p *Problem) *decomposition {
 	}
 	// Carve each component's variable and row lists from vars and rows,
 	// sized by a count, then fill them in ascending order.
-	counts := make([]int32, 2*nComps)
+	counts := zeroed(&ws.counts, 2*nComps)
 	for _, c := range d.compOf {
 		counts[c]++
 	}
@@ -239,15 +240,16 @@ type outcome struct {
 // precedence over Unbounded over IterLimit. Note MaxIters bounds pivots
 // per component, not globally — the budget is a runaway guard, not a
 // fairness mechanism. The Objective is left to the caller.
-func solveDecomposed(p *Problem, warm *Basis) *Solution {
-	d := decompose(p)
-	w := newWarmIndex(p, warm)
+func (ws *workspace) solveDecomposed(p *Problem, warm *Basis) *Solution {
+	d := ws.decompose(p)
+	w := ws.newWarmIndex(p, warm)
 	nc := len(d.comps)
 
 	// Counting pass: every component's shape, its basis rows' offset, and
 	// the largest shape, which sizes each worker's buffers.
-	shapes := make([]shape, nc)
-	offset := make([]int, nc+1)
+	shapes := resize(&ws.shapes, nc)
+	offset := resize(&ws.offset, nc+1)
+	offset[0] = 0
 	var largest shape
 	for i := range d.comps {
 		sh := measure(p, &d.comps[i])
@@ -260,17 +262,19 @@ func solveDecomposed(p *Problem, warm *Basis) *Solution {
 		}
 	}
 	workers := min(max(p.Parallel, 1), nc)
+	pool := resize(&ws.pool, workers)
+	// A counting carve sizes a worker's buffers; it carves nothing, and the
+	// worker is carved for real before each component it solves.
 	count := carver{counting: true}
-	(&worker{}).carve(&count, largest)
+	pool[0].carve(&count, largest)
 	each := count.n
-	(&worker{}).reserve(&count, largest.m)
+	pool[0].reserve(&count, largest.m)
 	raw := carver{
-		i32: make([]int32, workers*count.n[0]),
-		f64: make([]float64, workers*count.n[1]),
-		is:  make([]int, workers*count.n[2]),
-		bs:  make([]bool, workers*count.n[3]),
+		i32: resize(&ws.raw.i32, workers*count.n[0]),
+		f64: resize(&ws.raw.f64, workers*count.n[1]),
+		is:  resize(&ws.raw.is, workers*count.n[2]),
+		bs:  resize(&ws.raw.bs, workers*count.n[3]),
 	}
-	pool := make([]worker, workers)
 	for k := range pool {
 		wk := &pool[k]
 		wk.raw = carver{
@@ -280,35 +284,23 @@ func solveDecomposed(p *Problem, warm *Basis) *Solution {
 		wk.reserve(&raw, largest.m)
 	}
 
+	// X is the workspace's: postsolve copies it into the caller's vector.
 	sol := &Solution{
 		Status:     Optimal,
-		X:          make([]float64, len(p.names)),
+		X:          zeroed(&ws.x, len(p.names)),
 		Basis:      &Basis{},
 		Components: nc,
 	}
 	// A whole-problem basis is never nil, a split one is nil when empty:
 	// their documents read "rows":[] and "rows":null respectively.
 	if rows := offset[nc]; nc == 1 || rows > 0 {
-		sol.Basis.rows = make([]ident, rows)
-		sol.Basis.bcol = make([]ident, rows)
+		ids := make([]ident, 2*rows)
+		sol.Basis.rows, sol.Basis.bcol = ids[:rows:rows], ids[rows:]
 	}
-	outs := make([]outcome, nc)
-	solve := func(wk *worker, i int) {
-		sh := shapes[i]
-		c := wk.raw
-		wk.carve(&c, sh)
-		wk.sf.build(p, d, i, sh)
-		r := &wk.r
-		st, warmed := r.solve(p, &wk.sf, w, d)
-		outs[i] = outcome{st, r.iters, warmed}
-		if st == Optimal {
-			r.extract(sol.X)
-			r.snapshot(sol.Basis.rows[offset[i]:offset[i+1]], sol.Basis.bcol[offset[i]:offset[i+1]])
-		}
-	}
+	resize(&ws.outs, nc)
 	if workers == 1 {
 		for i := range d.comps {
-			solve(&pool[0], i)
+			ws.solveComponent(&pool[0], i, p, w, sol)
 		}
 	} else {
 		var next atomic.Int64
@@ -322,7 +314,7 @@ func solveDecomposed(p *Problem, warm *Basis) *Solution {
 					if i >= nc {
 						return
 					}
-					solve(wk, i)
+					ws.solveComponent(wk, i, p, w, sol)
 				}
 			}(&pool[k])
 		}
@@ -330,7 +322,7 @@ func solveDecomposed(p *Problem, warm *Basis) *Solution {
 	}
 
 	worst := Optimal
-	for _, o := range outs {
+	for _, o := range ws.outs {
 		sol.Iters += o.iters
 		if o.warm {
 			sol.WarmStarted = true
@@ -346,6 +338,24 @@ func solveDecomposed(p *Problem, warm *Basis) *Solution {
 		}
 	}
 	return sol
+}
+
+// solveComponent solves component i of p's decomposition on wk, files
+// its outcome and, when it is optimal, writes its values and basis rows
+// into sol.
+func (ws *workspace) solveComponent(wk *worker, i int, p *Problem, w *warmIndex, sol *Solution) {
+	sh, d := ws.shapes[i], &ws.dec
+	c := wk.raw
+	wk.carve(&c, sh)
+	wk.sf.build(p, d, i, sh)
+	r := &wk.r
+	st, warmed := r.solve(p, &wk.sf, w, d)
+	ws.outs[i] = outcome{st, r.iters, warmed}
+	if st == Optimal {
+		from, to := ws.offset[i], ws.offset[i+1]
+		r.extract(sol.X)
+		r.snapshot(sol.Basis.rows[from:to], sol.Basis.bcol[from:to])
+	}
 }
 
 // statusRank orders statuses by precedence for the merge. A status it

@@ -173,6 +173,19 @@ func (p *Problem) Grow(vars, rows, entries int) {
 	p.entCoef = slices.Grow(p.entCoef, entries)
 }
 
+// Reset empties p into the state NewProblem returns — no variables, no
+// rows, default settings and no Trace — but keeps its buffers' capacity,
+// so a caller that builds one problem after another can reuse one Problem.
+func (p *Problem) Reset() {
+	clear(p.names) // drop the name strings the buffers still reference
+	clear(p.constraints)
+	*p = Problem{
+		names: p.names[:0], cost: p.cost[:0], upper: p.upper[:0],
+		constraints: p.constraints[:0],
+		entIdx:      p.entIdx[:0], entCoef: p.entCoef[:0],
+	}
+}
+
 // NumVars returns the number of variables added so far.
 func (p *Problem) NumVars() int { return len(p.names) }
 

@@ -75,11 +75,13 @@ func (ps *presolved) solved() bool {
 // postsolve maps a reduced-space solution back onto the original variable
 // space: fixed variables get their pinned values, merged ε duplicates copy
 // their representative. xr may be nil when presolve solved everything.
+// The result is always a fresh vector, never xr.
 func (ps *presolved) postsolve(xr []float64) []float64 {
-	if ps.declined {
-		return xr
-	}
 	x := make([]float64, len(ps.p.names))
+	if ps.declined {
+		copy(x, xr)
+		return x
+	}
 	for v := range x {
 		switch {
 		case ps.fixed[v]:
@@ -98,35 +100,38 @@ func (ps *presolved) postsolve(xr []float64) []float64 {
 	return x
 }
 
-// presolve runs the reduction fixpoint on p. It never mutates p.
-func presolve(p *Problem) *presolved {
+// presolve runs the reduction fixpoint on p in ws. It never mutates p.
+func (ws *workspace) presolve(p *Problem) *presolved {
 	n := len(p.names)
 	nRows := len(p.constraints)
-	ps := &presolved{
+	ps := &ws.ps
+	*ps = presolved{
 		p: p, status: Optimal,
 		rowsIn: nRows, colsIn: n,
+		fixed:  zeroed(&ws.fixed, n),
+		fixVal: resize(&ws.fixVal, n),
+		dupOf:  resize(&ws.dupOf, n),
 	}
-	ps.fixed = make([]bool, n)
-	ps.fixVal = make([]float64, n)
-	ps.dupOf = make([]int, n)
 	for v := range ps.dupOf {
 		ps.dupOf[v] = -1
 	}
 
-	u := append([]float64(nil), p.upper...)
-	cost := append([]float64(nil), p.cost...)
+	u := resize(&ws.u, n)
+	copy(u, p.upper)
+	cost := resize(&ws.cost, n)
+	copy(cost, p.cost)
 
 	// Row-occurrence index per variable, and per-row working state. effRhs
 	// absorbs fixed variables (rhs minus their contribution), live counts
 	// the remaining unfixed variables. The per-variable occurrence lists
 	// carve up two flat buffers (counted in a first pass) instead of
 	// growing n small slices.
-	occRow := make([][]int32, n)
-	occVal := make([][]float64, n)
-	effRhs := make([]float64, nRows)
-	live := make([]int, nRows)
-	dropRow := make([]bool, nRows)
-	colLive := make([]int, n)
+	occRow := resize(&ws.occRow, n)
+	occVal := resize(&ws.occVal, n)
+	effRhs := resize(&ws.effRhs, nRows)
+	live := resize(&ws.live, nRows)
+	dropRow := zeroed(&ws.dropRow, nRows)
+	colLive := zeroed(&ws.colLive, n)
 	nnz := 0
 	for ri := range p.constraints {
 		c := &p.constraints[ri]
@@ -137,8 +142,8 @@ func presolve(p *Problem) *presolved {
 			colLive[v]++
 		}
 	}
-	occRowBuf := make([]int32, nnz)
-	occValBuf := make([]float64, nnz)
+	occRowBuf := resize(&ws.occRowBuf, nnz)
+	occValBuf := resize(&ws.occValBuf, nnz)
 	off := 0
 	for v := 0; v < n; v++ {
 		end := off + colLive[v]
@@ -376,12 +381,12 @@ func presolve(p *Problem) *presolved {
 		}
 	}
 
-	ps.mergeDuplicates(u, cost, effRhs, live, dropRow, colLive, drop)
+	ws.mergeDuplicates(u, cost, effRhs, live, dropRow, colLive, drop)
 
 	// Emit the reduced problem, pre-sized to its known dimensions: a
 	// counting pass over the kept variables and rows sizes every buffer
 	// exactly, so the rows are carved from one entry buffer.
-	ps.origIdx = make([]int, n)
+	ps.origIdx = resize(&ws.origIdx, n)
 	kept := 0
 	for v := 0; v < n; v++ {
 		if ps.fixed[v] || ps.dupOf[v] >= 0 {
@@ -403,7 +408,8 @@ func presolve(p *Problem) *presolved {
 			}
 		}
 	}
-	red := NewProblem()
+	red := &ws.red
+	red.Reset()
 	red.Grow(kept, nRows-ps.rowsOut, entries)
 	for v := 0; v < n; v++ {
 		if ps.origIdx[v] < 0 {
@@ -450,15 +456,9 @@ func presolve(p *Problem) *presolved {
 // was when first scanned), so a hash collision can never cause a wrong
 // merge. Representatives' shared entries live back to back in two flat
 // buffers sized up front, and a bucket is a chain through them.
-func (ps *presolved) mergeDuplicates(u, cost, effRhs []float64, live []int, dropRow []bool, colLive []int, drop func(int)) {
+func (ws *workspace) mergeDuplicates(u, cost, effRhs []float64, live []int, dropRow []bool, colLive []int, drop func(int)) {
+	ps := &ws.ps
 	p := ps.p
-	type repInfo struct {
-		eps      int // representative's private ε, -1 for exact-duplicate rows
-		sense    Sense
-		rhs      uint64
-		from, to int   // shared entries in repV/repB, frozen at scan time
-		next     int32 // next representative with the same hash, -1 at the end
-	}
 	// Sized for the worst case: every live row its own representative.
 	rows, entries := 0, 0
 	for ri := range p.constraints {
@@ -467,12 +467,11 @@ func (ps *presolved) mergeDuplicates(u, cost, effRhs []float64, live []int, drop
 			entries += len(p.constraints[ri].idx)
 		}
 	}
-	reps := make([]repInfo, 0, rows)
-	repV := make([]int32, 0, entries)    // representatives' shared variables
-	repB := make([]uint64, 0, entries)   // and their coefficient float bits
-	seen := make(map[uint64]int32, rows) // shared-content hash → first rep in its chain
-	var sharedV []int32
-	var sharedB []uint64
+	reps := resize(&ws.reps, rows)[:0]
+	repV := resize(&ws.repV, entries)[:0] // representatives' shared variables
+	repB := resize(&ws.repB, entries)[:0] // and their coefficient float bits
+	seen := emptyMap(&ws.seen, rows)      // shared-content hash → first rep in its chain
+	sharedV, sharedB := ws.sharedV, ws.sharedB
 	for ri := range p.constraints {
 		if dropRow[ri] || live[ri] == 0 {
 			continue
@@ -558,4 +557,14 @@ func (ps *presolved) mergeDuplicates(u, cost, effRhs []float64, live []int, drop
 			seen[h] = int32(len(reps) - 1)
 		}
 	}
+	ws.sharedV, ws.sharedB = sharedV, sharedB
+}
+
+// repInfo is a duplicate-row representative in mergeDuplicates.
+type repInfo struct {
+	eps      int // representative's private ε, -1 for exact-duplicate rows
+	sense    Sense
+	rhs      uint64
+	from, to int   // shared entries in repV/repB, frozen at scan time
+	next     int32 // next representative with the same hash, -1 at the end
 }

@@ -25,13 +25,14 @@
 //     reduced problem are solved separately, concurrently when
 //     Problem.Parallel allows (decompose.go).
 //
-// Memory: a solve allocates a handful of buffers, not an object per row
-// or column. Problem rows are windows into flat entry arrays (lp.go); a
-// counting pass sizes every component's standard form (compressed
-// column and row arrays), simplex scratch and factorization bookkeeping,
-// and one carver hands out disjoint slices of four solve-wide buffers
-// (decompose.go). Only the LU triangles and the eta file grow, and those
-// are reused across refactorizations.
+// Memory: a solve allocates only its answer. Problem rows are windows
+// into flat entry arrays (lp.go); a counting pass sizes every
+// component's standard form (compressed column and row arrays), simplex
+// scratch and factorization bookkeeping, and one carver hands out
+// disjoint slices of four solve-wide buffers (decompose.go). Those and
+// every other scratch buffer belong to a pooled workspace (workspace.go)
+// that the next solve reuses. Only the LU triangles and the eta file
+// grow, and those are reused across refactorizations.
 //
 // Determinism: every choice — pivot selection, refactorization points,
 // presolve order, component order — is a pure function of the problem, so
@@ -910,7 +911,12 @@ func (r *revised) solve(p *Problem, sf *standardForm, w *warmIndex, d *decomposi
 // components (concurrently when allowed), postsolve back to the original
 // variable space.
 func solveSparse(p *Problem, warm *Basis) (*Solution, error) {
-	ps := presolve(p)
+	ws := workspaces.Get().(*workspace)
+	defer func() {
+		ws.release()
+		workspaces.Put(ws)
+	}()
+	ps := ws.presolve(p)
 	if ps.status == Infeasible {
 		sol := &Solution{Status: Infeasible, RowsPresolved: ps.rowsOut, ColsPresolved: ps.colsOut}
 		return sol, statusErr(Infeasible)
@@ -929,7 +935,7 @@ func solveSparse(p *Problem, warm *Basis) (*Solution, error) {
 		}
 		return sol, nil
 	}
-	sol := solveDecomposed(ps.reduced(), warm)
+	sol := ws.solveDecomposed(ps.reduced(), warm)
 	sol.RowsPresolved, sol.ColsPresolved = ps.rowsOut, ps.colsOut
 	if sol.Status != Optimal {
 		return sol, statusErr(sol.Status)

@@ -234,14 +234,17 @@ func (m *machine) step(th *thread) {
 		jc := m.handleTID[st.Handle]
 		m.libBegin(th, api, st.Site(), 0, jc, nil)
 		h := m.handle(st.Handle)
-		finish := func(now int64) {
+		// The wait closures are built only when the thread blocks: a
+		// closure passed to block escapes, so building it up front would
+		// cost an allocation on every join of a finished thread.
+		if h.done {
 			m.libEnd(th, api, st.Site(), 0, jc, nil)
 			f.pc++
-		}
-		if h.done {
-			finish(th.clock)
 		} else {
-			m.block(th, func(int64) bool { return h.done }, finish)
+			m.block(th, func(int64) bool { return h.done }, func(int64) {
+				m.libEnd(th, api, st.Site(), 0, jc, nil)
+				f.pc++
+			})
 		}
 
 	case *prog.ContinueWith:
@@ -403,14 +406,14 @@ func (m *machine) step(th *thread) {
 		jc := m.handleTID[st.Handle]
 		m.libBegin(th, st.API, st.Site(), 0, jc, nil)
 		h := m.handle(st.Handle)
-		finish := func(now int64) {
+		if h.done { // closures only when blocking, as for Join
 			m.libEnd(th, st.API, st.Site(), 0, jc, nil)
 			f.pc++
-		}
-		if h.done {
-			finish(th.clock)
 		} else {
-			m.block(th, func(int64) bool { return h.done }, finish)
+			m.block(th, func(int64) bool { return h.done }, func(int64) {
+				m.libEnd(th, st.API, st.Site(), 0, jc, nil)
+				f.pc++
+			})
 		}
 
 	case *prog.HiddenFork:

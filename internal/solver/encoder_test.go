@@ -184,23 +184,29 @@ func TestIterationLimitSurfaced(t *testing.T) {
 }
 
 // TestSortedUniqueKeys pins the map-free dedup helper against the obvious
-// map-based reference.
+// map-based reference, on a fresh scratch slice and on one a longer call
+// left dirty.
 func TestSortedUniqueKeys(t *testing.T) {
-	evs := cands(wk("C::b"), wk("C::a"), wk("C::b"), rk("C::a"), wk("C::a"))
-	got := sortedUniqueKeys(evs)
-	ref := map[trace.Key]bool{}
-	for _, e := range evs {
-		ref[e.Key] = true
+	e := NewEncoder(DefaultConfig())
+	for _, evs := range [][]window.CandEvent{
+		cands(wk("C::b"), wk("C::a"), wk("C::b"), rk("C::a"), wk("C::a")),
+		cands(wk("C::d"), wk("C::c")),
+	} {
+		got := e.sortedUniqueKeys(evs)
+		ref := map[trace.Key]bool{}
+		for _, e := range evs {
+			ref[e.Key] = true
+		}
+		want := make([]trace.Key, 0, len(ref))
+		for k := range ref {
+			want = append(want, k)
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		if !equalKeys(got, want) {
+			t.Fatalf("sortedUniqueKeys = %v, want %v", got, want)
+		}
 	}
-	want := make([]trace.Key, 0, len(ref))
-	for k := range ref {
-		want = append(want, k)
-	}
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	if !equalKeys(got, want) {
-		t.Fatalf("sortedUniqueKeys = %v, want %v", got, want)
-	}
-	if sortedUniqueKeys(nil) != nil {
+	if e.sortedUniqueKeys(nil) != nil {
 		t.Fatal("empty input must return nil")
 	}
 }

@@ -37,6 +37,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"sherlock/internal/lp"
 	obslib "sherlock/internal/obs" // aliased: "obs" names Observations locals here
@@ -186,7 +187,14 @@ type Encoder struct {
 	keys    []trace.Key   // all candidate keys, sorted
 	info    map[trace.Key]*keyInfo
 	terms   *termPlan // terms over keys; nil until planned for the current key set
+
+	sortBuf []trace.Key // sortedUniqueKeys' scratch
 }
+
+// problems recycles the lp.Problem each Solve builds and drops once it has
+// read the solution, so a round's encoding reuses an earlier round's
+// buffers.
+var problems = sync.Pool{New: func() any { return lp.NewProblem() }}
 
 // windowNames are one window's Mostly-Protected row names, mp_rel(id) and
 // mp_acq(id); their ε variables rel(id) and acq(id) are the suffixes
@@ -260,7 +268,7 @@ func (e *Encoder) sync(obs *window.Observations) {
 	buf := make([]*keyInfo, 0, n)
 	newKeys := false
 	candidates := func(evs []window.CandEvent) []*keyInfo {
-		keys := sortedUniqueKeys(evs)
+		keys := e.sortedUniqueKeys(evs)
 		if len(keys) == 0 {
 			return nil
 		}
@@ -300,16 +308,18 @@ func (e *Encoder) sync(obs *window.Observations) {
 	}
 }
 
-// sortedUniqueKeys returns the distinct keys of evs in sorted order without
-// allocating a map.
-func sortedUniqueKeys(evs []window.CandEvent) []trace.Key {
+// sortedUniqueKeys returns the distinct keys of evs in sorted order,
+// sorted in the Encoder's scratch slice: the result is valid until the
+// next call.
+func (e *Encoder) sortedUniqueKeys(evs []window.CandEvent) []trace.Key {
 	if len(evs) == 0 {
 		return nil
 	}
-	keys := make([]trace.Key, len(evs))
-	for i, e := range evs {
-		keys[i] = e.Key
+	keys := e.sortBuf[:0]
+	for _, ev := range evs {
+		keys = append(keys, ev.Key)
 	}
+	e.sortBuf = keys
 	slices.Sort(keys)
 	out := keys[:1]
 	for _, k := range keys[1:] {
@@ -344,7 +354,12 @@ func (e *Encoder) SolveSpan(obs *window.Observations, warm *lp.Basis, parent *ob
 	if e.terms == nil {
 		e.terms = e.planTerms()
 	}
-	b := &builder{cfg: e.cfg, priors: e.priors, obs: obs, prob: lp.NewProblem(),
+	prob := problems.Get().(*lp.Problem)
+	defer func() {
+		prob.Reset()
+		problems.Put(prob)
+	}()
+	b := &builder{cfg: e.cfg, priors: e.priors, obs: obs, prob: prob,
 		vars: make([]varPair, 0, len(e.keys))}
 	// Rough dimension hint: two role variables per key, two ε per window,
 	// and change for the pairing/single-role auxiliaries. A window row holds
