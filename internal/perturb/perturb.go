@@ -13,7 +13,8 @@
 package perturb
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"sherlock/internal/obs"
 	"sherlock/internal/sched"
@@ -58,17 +59,25 @@ func BuildPlanObs(parent *obs.Span, releases []trace.Key, delay int64) Plan {
 
 // Refine applies the propagation analysis to every window extracted from a
 // delayed run, returning windows with (possibly) trimmed candidate lists.
-// Windows from undelayed runs pass through unchanged.
+// Windows from undelayed runs pass through unchanged. A trimmed list is a
+// capacity-clipped subslice of the window's own list when that list is
+// time-sorted, as every extracted window's is, so a refine allocates only
+// its output.
 func Refine(ws []window.Window, delays []sched.DelayInstance) []window.Window {
 	if len(delays) == 0 {
 		return ws
 	}
-	sorted := append([]sched.DelayInstance(nil), delays...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-
+	byStart := func(a, b sched.DelayInstance) int { return cmp.Compare(a.Start, b.Start) }
+	if !slices.IsSortedFunc(delays, byStart) {
+		// Delays with equal starts on one thread come from one statement
+		// and share their end, so they refine identically in either
+		// order: an unstable sort is enough.
+		delays = slices.Clone(delays)
+		slices.SortFunc(delays, byStart)
+	}
 	out := make([]window.Window, 0, len(ws))
 	for _, w := range ws {
-		out = append(out, refineOne(w, sorted))
+		out = append(out, refineOne(w, delays))
 	}
 	return out
 }
@@ -126,22 +135,41 @@ func refineOne(w window.Window, delays []sched.DelayInstance) window.Window {
 	return nw
 }
 
+// filterBefore returns the events of evs with Time < hi. On a time-sorted
+// list that is a prefix, returned in place; an unsorted one is copied.
 func filterBefore(evs []window.CandEvent, hi int64) []window.CandEvent {
-	out := make([]window.CandEvent, 0, len(evs))
-	for _, e := range evs {
-		if e.Time < hi {
-			out = append(out, e)
+	if !timeSorted(evs) {
+		out := make([]window.CandEvent, 0, len(evs))
+		for _, e := range evs {
+			if e.Time < hi {
+				out = append(out, e)
+			}
 		}
+		return out
 	}
-	return out
+	k, _ := slices.BinarySearchFunc(evs, hi, byTime)
+	return evs[:k:k]
 }
 
+// filterAtOrAfter returns the events of evs with Time >= lo. On a
+// time-sorted list that is a suffix, returned in place; an unsorted one is
+// copied.
 func filterAtOrAfter(evs []window.CandEvent, lo int64) []window.CandEvent {
-	out := make([]window.CandEvent, 0, len(evs))
-	for _, e := range evs {
-		if e.Time >= lo {
-			out = append(out, e)
+	if !timeSorted(evs) {
+		out := make([]window.CandEvent, 0, len(evs))
+		for _, e := range evs {
+			if e.Time >= lo {
+				out = append(out, e)
+			}
 		}
+		return out
 	}
-	return out
+	k, _ := slices.BinarySearchFunc(evs, lo, byTime)
+	return evs[k:len(evs):len(evs)]
+}
+
+func byTime(e window.CandEvent, t int64) int { return cmp.Compare(e.Time, t) }
+
+func timeSorted(evs []window.CandEvent) bool {
+	return slices.IsSortedFunc(evs, func(a, b window.CandEvent) int { return cmp.Compare(a.Time, b.Time) })
 }

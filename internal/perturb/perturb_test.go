@@ -1,6 +1,8 @@
 package perturb
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"sherlock/internal/sched"
@@ -144,5 +146,74 @@ func TestRefineCanEmptyReleaseWindow(t *testing.T) {
 	}
 	if !out[0].RacyRelease() {
 		t.Error("emptied release window must read as a data-race observation")
+	}
+}
+
+// TestSortedRefineAllocatesOnlyOutput: an extracted window's event lists
+// are time-sorted, so trimming them takes a subslice, and a refine that
+// trims both sides of every window allocates only its output []Window.
+func TestSortedRefineAllocatesOnlyOutput(t *testing.T) {
+	ws := []window.Window{testWindow(), testWindow(), testWindow()}
+	delays := []sched.DelayInstance{
+		{Key: wk("C::x"), Thread: 0, Start: 190, End: 750},  // propagated: acquire trims
+		{Key: wk("C::y"), Thread: 0, Start: 390, End: 1490}, // not propagated: release trims
+	}
+	var out []window.Window
+	allocs := testing.AllocsPerRun(50, func() { out = Refine(ws, delays) })
+	if allocs != 1 {
+		t.Errorf("a sorted refine allocates %.0f times, want 1", allocs)
+	}
+	rel, acq := out[0].RelEvents, out[0].AcqEvents
+	if len(rel) != 1 || rel[0].Time != 200 || len(acq) != 1 || acq[0].Time != 700 {
+		t.Fatalf("refined to release %v, acquire %v", rel, acq)
+	}
+	if cap(rel) != len(rel) || cap(acq) != len(acq) {
+		t.Error("a trimmed list must be capacity-clipped, so appending to it cannot overwrite the window's events")
+	}
+}
+
+// TestRefineUnsortedTrimsLikeCopyingFilter: a window whose event lists
+// are not time-sorted still trims to exactly the events a filter over the
+// whole list keeps, in their order; sorted lists trim the same way.
+func TestRefineUnsortedTrimsLikeCopyingFilter(t *testing.T) {
+	keep := func(evs []window.CandEvent, ok func(int64) bool) []window.CandEvent {
+		var out []window.CandEvent
+		for _, e := range evs {
+			if ok(e.Time) {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		evs := make([]window.CandEvent, rng.Intn(12))
+		for i := range evs {
+			evs[i] = window.CandEvent{Key: wk("C::x"), Time: int64(rng.Intn(20))}
+		}
+		if trial%2 == 0 {
+			slices.SortFunc(evs, func(a, b window.CandEvent) int { return int(a.Time - b.Time) })
+		}
+		cut := int64(rng.Intn(22) - 1)
+		if got, want := filterBefore(evs, cut), keep(evs, func(t int64) bool { return t < cut }); !slices.Equal(got, want) {
+			t.Fatalf("filterBefore(%v, %d) = %v, want %v", evs, cut, got, want)
+		}
+		if got, want := filterAtOrAfter(evs, cut), keep(evs, func(t int64) bool { return t >= cut }); !slices.Equal(got, want) {
+			t.Fatalf("filterAtOrAfter(%v, %d) = %v, want %v", evs, cut, got, want)
+		}
+	}
+
+	w := testWindow()
+	w.RelEvents = []window.CandEvent{{Key: wk("C::y"), Time: 400}, {Key: wk("C::x"), Time: 200}, {Key: wk("C::z"), Time: 380}}
+	w.AcqEvents = []window.CandEvent{{Key: rk("C::p"), Time: 700}, {Key: rk("C::q"), Time: 300}, {Key: rk("C::r"), Time: 800}}
+	out := Refine([]window.Window{w}, []sched.DelayInstance{
+		{Key: wk("C::y"), Thread: 0, Start: 390, End: 1490},
+		{Key: wk("C::x"), Thread: 0, Start: 190, End: 750},
+	})
+	wantRel := []window.CandEvent{{Key: wk("C::x"), Time: 200}, {Key: wk("C::z"), Time: 380}}
+	wantAcq := []window.CandEvent{{Key: rk("C::p"), Time: 700}, {Key: rk("C::r"), Time: 800}}
+	if !slices.Equal(out[0].RelEvents, wantRel) || !slices.Equal(out[0].AcqEvents, wantAcq) {
+		t.Errorf("unsorted window refined to release %v, acquire %v; want %v, %v",
+			out[0].RelEvents, out[0].AcqEvents, wantRel, wantAcq)
 	}
 }

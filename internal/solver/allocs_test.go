@@ -2,6 +2,7 @@ package solver_test
 
 import (
 	"context"
+	"runtime/debug"
 	"testing"
 
 	"sherlock/internal/apps"
@@ -13,16 +14,22 @@ import (
 
 // encoderSolveAllocs bounds the allocations of one NewEncoder plus three
 // Solve rounds (two of them warm) over App-1's first three round
-// snapshots: 2,089 measured with Go 1.24, plus 10%. It is the
+// snapshots: the count measured with Go 1.24, with no margin, so an
+// encoder or solve that rebuilt a pooled buffer fails it. It is the
 // host-independent companion of the campaign CPU figures: allocation
 // counts do not depend on the machine, so a regression in the per-solve
 // buffer layout fails here deterministically.
-const encoderSolveAllocs = 2298
+const encoderSolveAllocs = 1457
 
 // TestEncoderSolveAllocs replays App-1's first three rounds through one
 // shell accumulator, as BenchmarkSolveWarm does, and checks the
-// allocations per replay.
+// allocations per replay. The pools must keep what is put back, so GC is
+// paused and a race-detector build, whose pools drop puts at random,
+// skips it.
 func TestEncoderSolveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop pooled state at random")
+	}
 	app, err := apps.ByName("App-1")
 	if err != nil {
 		t.Fatal(err)
@@ -39,6 +46,8 @@ func TestEncoderSolveAllocs(t *testing.T) {
 	scfg := cfg.Solver
 	scfg.KeepRacyWindows = !cfg.RemoveRacyMP
 	scfg.Parallelism = 1 // worker goroutines would add allocations per CPU
+
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC would empty the pools
 	shell := &window.Observations{}
 	warm := 0
 	allocs := testing.AllocsPerRun(5, func() {

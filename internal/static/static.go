@@ -661,8 +661,8 @@ func (w *walker) windows(testName string) []window.Window {
 	return out
 }
 
-// buildWindow is the static analogue of window.(*Index).Window for the
-// ordered conflict (x first, y second): the release side is x's thread's
+// buildWindow is the static analogue of one window.BuildWindows window for
+// the ordered conflict (x first, y second): the release side is x's thread's
 // operations after x, the acquire side y's thread's operations before y,
 // both bounded by the horizon and filtered to those that could fall
 // between the two accesses under the known happens-before order.

@@ -53,9 +53,10 @@ type CandEvent struct {
 // conflicting pair (a at TA in ThreadA, b at TB in ThreadB) plus the
 // operations that executed between them in each of the two threads.
 //
-// RelEvents and AcqEvents are read-only once a Window is built: the
-// indexed extractor hands out views over a shared per-trace array, so
-// consumers (and refiners like the Perturber) must build new slices
+// RelEvents and AcqEvents are read-only once a Window is built: a
+// trace's windows are carved from one shared array, the Perturber's
+// refined windows are subslices of the windows they refine, and clones
+// of an accumulator share them, so consumers must build new slices
 // instead of mutating in place.
 type Window struct {
 	App, Test string
@@ -142,8 +143,16 @@ type Conflict struct {
 // would have. Per address the walk costs O(accesses + cross-thread pairs
 // visited) instead of O(accesses²) on long same-thread runs.
 func FindConflicts(tr *trace.Trace, cfg Config) []Conflict {
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	return ws.conflicts(tr, cfg)
+}
+
+// conflicts is FindConflicts on this workspace (see FindConflicts).
+func (ws *workspace) conflicts(tr *trace.Trace, cfg Config) []Conflict {
 	evs := tr.Events
-	byAddr := map[uint64][]int32{}
+	clear(ws.addrSlot)
+	ws.lists, ws.addrs = ws.lists[:0], ws.addrs[:0]
 	for i := range evs {
 		e := &evs[i]
 		if !e.ConflictEligible() {
@@ -152,33 +161,33 @@ func FindConflicts(tr *trace.Trace, cfg Config) []Conflict {
 		if e.Lib && !cfg.UseUnsafeAPIs {
 			continue
 		}
-		byAddr[e.Addr] = append(byAddr[e.Addr], int32(i))
+		s, ok := ws.addrSlot[e.Addr]
+		if !ok {
+			s = int32(len(ws.lists))
+			ws.addrSlot[e.Addr] = s
+			ws.lists = nextList(ws.lists)
+			ws.addrs = append(ws.addrs, addrList{e.Addr, s})
+		}
+		ws.lists[s] = append(ws.lists[s], int32(i))
 	}
 	// The per-pair cap below consumes a budget shared across addresses, so
 	// the iteration order decides WHICH conflicts survive once a pair
-	// exceeds the cap. Walk addresses in sorted order — ranging over the
-	// map directly would make the selected set (and every inference
-	// downstream of it) vary between identical runs.
-	addrs := make([]uint64, 0, len(byAddr))
-	longest := 0
-	for a, ix := range byAddr {
-		addrs = append(addrs, a)
-		longest = max(longest, len(ix))
-	}
-	slices.Sort(addrs)
+	// exceeds the cap. Walk addresses in sorted order, not in the order
+	// they first appear: the selected set (and every inference downstream
+	// of it) must not depend on how the trace interleaves addresses.
+	slices.SortFunc(ws.addrs, func(a, b addrList) int { return cmp.Compare(a.addr, b.addr) })
 	// The scheduler emits time-ordered traces, but uploaded ones may run
 	// backwards; the Near cut-off below needs each address's accesses in
 	// time order.
 	byTime := func(i, j int32) int { return cmp.Compare(evs[i].Time, evs[j].Time) }
-	var out []Conflict
-	runStart := make([]int32, 0, longest)
-	perPair := map[PairID]int{}
-	for _, addr := range addrs {
-		ix := byAddr[addr]
+	clear(ws.perPair)
+	ws.found = ws.found[:0]
+	for _, al := range ws.addrs {
+		ix := ws.lists[al.slot]
 		if !slices.IsSortedFunc(ix, byTime) {
 			slices.SortStableFunc(ix, byTime)
 		}
-		runStart = runStart[:0]
+		runStart := ws.runStart[:0]
 		for k := range ix {
 			if k > 0 && evs[ix[k]].Thread == evs[ix[k-1]].Thread {
 				runStart = append(runStart, runStart[k-1])
@@ -186,6 +195,7 @@ func FindConflicts(tr *trace.Trace, cfg Config) []Conflict {
 				runStart = append(runStart, int32(k))
 			}
 		}
+		ws.runStart = runStart
 		for j := 1; j < len(ix); j++ {
 			b := &evs[ix[j]]
 			for i := j - 1; i >= 0; i-- {
@@ -201,14 +211,19 @@ func FindConflicts(tr *trace.Trace, cfg Config) []Conflict {
 					continue
 				}
 				pid := PairID{First: a.Site, Second: b.Site}
-				if perPair[pid] >= cfg.PerPairCap {
+				if ws.perPair[pid] >= cfg.PerPairCap {
 					continue
 				}
-				perPair[pid]++
-				out = append(out, Conflict{A: a, B: b})
+				ws.perPair[pid]++
+				ws.found = append(ws.found, Conflict{A: a, B: b})
 			}
 		}
 	}
+	if len(ws.found) == 0 {
+		return nil
+	}
+	out := slices.Clone(ws.found)
+	clear(ws.found) // drop the pointers into tr before the put
 	return out
 }
 
@@ -216,49 +231,94 @@ func FindConflicts(tr *trace.Trace, cfg Config) []Conflict {
 // trace by pairing Begin/End events per thread with a call stack. Library
 // call sites pair the same way (they never interleave within a thread).
 func MethodDurations(tr *trace.Trace) map[string][]float64 {
-	type open struct {
-		name string
-		t    int64
-	}
-	stacks := map[int][]open{}
-	out := map[string][]float64{}
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		switch e.Kind {
-		case trace.KindBegin:
-			stacks[e.Thread] = append(stacks[e.Thread], open{e.Name, e.Time})
-		case trace.KindEnd:
-			st := stacks[e.Thread]
-			// Pop until the matching Begin (defensive against hidden
-			// methods producing unbalanced logs).
-			for len(st) > 0 {
-				top := st[len(st)-1]
-				st = st[:len(st)-1]
-				if top.name == e.Name {
-					out[e.Name] = append(out[e.Name], float64(e.Time-top.t))
-					break
-				}
-			}
-			stacks[e.Thread] = st
-		}
-	}
-	return out
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	return ws.durations(tr)
 }
 
 // TraceStats returns a trace's per-trace statistics: its method durations
 // (MethodDurations) and its distinct library-API names, sorted. They are
 // what AddStats folds, so a caller can drop the trace once it has them.
 func TraceStats(tr *trace.Trace) (map[string][]float64, []string) {
-	var apis []string
-	seen := map[string]bool{}
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	return ws.durations(tr), ws.libAPIs(tr)
+}
+
+// durations is MethodDurations on this workspace (see MethodDurations).
+// The returned slices are carved, capacity-clipped, from one flat array.
+func (ws *workspace) durations(tr *trace.Trace) map[string][]float64 {
+	clear(ws.threadSlot)
+	clear(ws.nameSlot)
+	ws.stacks, ws.names, ws.samples = ws.stacks[:0], ws.names[:0], ws.samples[:0]
+	total := 0
 	for i := range tr.Events {
-		if e := &tr.Events[i]; e.Lib && !seen[e.Name] {
-			seen[e.Name] = true
-			apis = append(apis, e.Name)
+		e := &tr.Events[i]
+		if e.Kind != trace.KindBegin && e.Kind != trace.KindEnd {
+			continue
+		}
+		s, ok := ws.threadSlot[e.Thread]
+		if !ok {
+			s = int32(len(ws.stacks))
+			ws.threadSlot[e.Thread] = s
+			ws.stacks = nextList(ws.stacks)
+		}
+		st := ws.stacks[s]
+		if e.Kind == trace.KindBegin {
+			ws.stacks[s] = append(st, open{e.Name, e.Time})
+			continue
+		}
+		// Pop until the matching Begin (defensive against hidden methods
+		// producing unbalanced logs).
+		for len(st) > 0 {
+			top := st[len(st)-1]
+			st = st[:len(st)-1]
+			if top.name == e.Name {
+				ws.addSample(e.Name, float64(e.Time-top.t))
+				total++
+				break
+			}
+		}
+		ws.stacks[s] = st
+	}
+	out := make(map[string][]float64, len(ws.names))
+	flat := make([]float64, total)
+	for i, name := range ws.names {
+		n := copy(flat, ws.samples[i])
+		out[name] = flat[:n:n]
+		flat = flat[n:]
+	}
+	return out
+}
+
+func (ws *workspace) addSample(name string, d float64) {
+	s, ok := ws.nameSlot[name]
+	if !ok {
+		s = int32(len(ws.samples))
+		ws.nameSlot[name] = s
+		ws.names = append(ws.names, name)
+		ws.samples = nextList(ws.samples)
+	}
+	ws.samples[s] = append(ws.samples[s], d)
+}
+
+// libAPIs returns tr's distinct library-API names, sorted (nil if none).
+func (ws *workspace) libAPIs(tr *trace.Trace) []string {
+	clear(ws.apiSeen)
+	ws.apis = ws.apis[:0]
+	for i := range tr.Events {
+		if e := &tr.Events[i]; e.Lib {
+			if _, ok := ws.apiSeen[e.Name]; !ok {
+				ws.apiSeen[e.Name] = struct{}{}
+				ws.apis = append(ws.apis, e.Name)
+			}
 		}
 	}
-	sort.Strings(apis)
-	return MethodDurations(tr), apis
+	if len(ws.apis) == 0 {
+		return nil
+	}
+	slices.Sort(ws.apis)
+	return slices.Clone(ws.apis)
 }
 
 // Observations accumulates everything the Solver consumes, across runs

@@ -2,6 +2,7 @@ package window
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -419,25 +420,32 @@ func TestBuildWindowsEquivalence(t *testing.T) {
 	}
 }
 
-// TestNewIndexAllocsFlatInEvents: NewIndex builds each distinct
-// (kind, name) key once per trace, so over a fixed set of threads and
-// pairs its allocation count does not grow with the number of events.
-func TestNewIndexAllocsFlatInEvents(t *testing.T) {
-	build := func(n int) *trace.Trace {
+// TestBuildWindowsAllocsFlatInEvents: BuildWindows copies out only the
+// windowed events and finds their keys in the pooled workspace's table,
+// so for a fixed set of conflicts its allocation count does not grow
+// with the number of events in the trace.
+func TestBuildWindowsAllocsFlatInEvents(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop pooled state at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC would empty the pool
+	build := func(n int) (*trace.Trace, []Conflict) {
 		tr := mkTrace()
 		kinds := []trace.Kind{trace.KindRead, trace.KindWrite, trace.KindBegin, trace.KindEnd}
 		for i := 0; i < n; i++ {
 			tr.Events = append(tr.Events, trace.Event{Time: int64(i), Thread: i % 3,
 				Kind: kinds[i%4], Name: []string{"C::x", "C::y", "C::m"}[i%3]})
 		}
-		return tr
+		evs := tr.Events
+		return tr, []Conflict{{A: &evs[0], B: &evs[31]}, {A: &evs[4], B: &evs[50]}, {A: &evs[60], B: &evs[62]}}
 	}
-	small, large := build(120), build(12_000)
-	allocs := func(tr *trace.Trace) float64 {
-		return testing.AllocsPerRun(20, func() { NewIndex(tr) })
+	allocs := func(n int) float64 {
+		tr, cs := build(n)
+		BuildWindows(tr, cs) // grow the pooled workspace to this trace
+		return testing.AllocsPerRun(20, func() { BuildWindows(tr, cs) })
 	}
-	if a, b := allocs(small), allocs(large); a != b {
-		t.Fatalf("NewIndex allocates %.0f times on 120 events and %.0f on 12,000, want equal", a, b)
+	if a, b := allocs(120), allocs(12_000); a != b {
+		t.Fatalf("BuildWindows allocates %.0f times on 120 events and %.0f on 12,000, want equal", a, b)
 	}
 }
 
