@@ -17,13 +17,62 @@ type Stmt interface {
 	SetSite(int)
 }
 
-// base provides site-id plumbing for every statement type.
+// base provides site-id plumbing and the compiled names for every
+// statement type.
 type base struct {
 	id int
+	c  Compiled
 }
 
 func (b *base) Site() int     { return b.id }
 func (b *base) SetSite(i int) { b.id = i }
+
+// Compiled returns what Program.Finalize resolved the statement's names
+// to (all zero for a statement it never visited).
+func (b *base) Compiled() *Compiled { return &b.c }
+
+// ID is a compiled name: a dense, 1-based index into one of a finalized
+// program's tables (NumNames, NumCells, NumMethods). The zero ID marks a
+// statement Program.Finalize never visited.
+type ID int32
+
+// NoObject is the compiled object of an empty slot name: the statement
+// has no receiver object.
+const NoObject ID = -1
+
+// Compiled is what Program.Finalize resolves a statement's names to, so an
+// executor indexes its per-run state by ID instead of hashing names. A
+// statement uses the fields its type has names for; the rest stay zero.
+//
+// Slot names and resource names share one table: an executor gives both
+// their object ids from one first-use counter. A resource is entered as
+// "$kind$name" (kinds lock, rw, sem, queue, barrier, handle, init), so
+// equal names of different kinds stay apart.
+type Compiled struct {
+	// Obj is the receiver slot's object name: Slot of Read, Write,
+	// SpinUntil, Call, Fork, HiddenFork, ContinueWith, UnsafeCall and
+	// FinalizeObj, and HandlerSlot of Receive. NoObject for an empty slot.
+	Obj ID
+	// Cell is the field instance of Read, Write and SpinUntil: one ID per
+	// distinct (Field, Slot) pair.
+	Cell ID
+	// Res is the named resource: the lock of AcquireLock, ReleaseLock,
+	// HiddenAcquire and HiddenRelease, the reader-writer lock of the RW
+	// statements, the semaphore of SemSet, SemWait, HiddenSignal and
+	// HiddenWait, the queue of Post and Receive, the barrier of
+	// BarrierWait, the class of EnsureInit, and the handle Join, LibWait
+	// and ContinueWith wait on.
+	Res ID
+	// Handle is the handle a spawned thread binds: Handle of Fork and
+	// HiddenFork, NewHandle of ContinueWith.
+	Handle ID
+	// Method is the method the statement runs (see Program.MethodByID):
+	// Method of Call, Fork, HiddenFork, ContinueWith and FinalizeObj,
+	// Handler of Receive (0 when it has none) and Ctor of EnsureInit.
+	Method ID
+	// Sems are WaitAll's semaphores.
+	Sems []ID
+}
 
 // ---------------------------------------------------------------------------
 // Plain computation and heap accesses

@@ -35,10 +35,10 @@ func builtinRun(t *testing.T, app, test string, seed int64) (*prog.Program, *pro
 
 // TestRunAllocBound pins what one scheduler run allocates once the pools
 // are warm: its Result, trace header and delays, and the per-run objects
-// the program's statements create (frames, resource states, wait
-// closures). A machine map or thread struct rebuilt per run would add a
-// dozen or more; with a fresh machine per run GetOrAdd_Concurrent
-// allocates 52 and 62 times. Easter_ManyReaders joins threads that have
+// the program's statements create (frames, reader sets, wait closures).
+// Resource and field state lives in the machine's ID-indexed tables, so
+// it costs nothing per run; a table or thread struct rebuilt per run
+// would add several. Easter_ManyReaders joins threads that have
 // already finished, whose joins allocate nothing: building the wait
 // closures before the thread blocks costs it 2 more allocations per run.
 // Bounds are the measured counts, which are exact for a given Go release;
@@ -52,8 +52,8 @@ func TestRunAllocBound(t *testing.T) {
 		test         string
 		noPlan, plan float64
 	}{
-		{"Tests::GetOrAdd_Concurrent", 20, 27},
-		{"Tests::Easter_ManyReaders", 20, 22},
+		{"Tests::GetOrAdd_Concurrent", 17, 24},
+		{"Tests::Easter_ManyReaders", 16, 18},
 	} {
 		p, test, planned := builtinRun(t, "App-2", c.test, 1)
 		unplanned := planned
@@ -134,10 +134,11 @@ func TestPooledMachineLeavesNoState(t *testing.T) {
 
 // TestReleasedMachineIsEmpty: a machine goes back to the pool holding
 // nothing of its run: every map empty, no pointer into the program, the
-// options, the generator or the Result, and every pooled thread struct
-// zero apart from its emptied stack. Only scalars that newMachine
-// overwrites and the key buffer's bytes survive. The check walks the
-// struct's fields, so a field added later is held to it too.
+// options, the generator or the Result, every ID-indexed table empty with
+// its whole kept capacity zeroed, and every pooled thread struct zero
+// apart from its emptied stack. Only scalars that newMachine overwrites
+// and the key buffer's bytes survive. The check walks the struct's
+// fields, so a field added later is held to it too.
 func TestReleasedMachineIsEmpty(t *testing.T) {
 	p, test, opt := builtinRun(t, "App-1", "TelemetryBufferTests::TwoProducers", 3)
 	opt.StepDist = DistZipf
@@ -159,6 +160,20 @@ func TestReleasedMachineIsEmpty(t *testing.T) {
 			f, name := v.Field(i), v.Type().Field(i).Name
 			switch {
 			case name == "keyBuf" || name == "threads":
+			case name == "names" || name == "cells" || name == "hidden":
+				if f.Len() != 0 {
+					t.Errorf("released machine's %s has length %d", name, f.Len())
+				}
+				if f.Cap() == 0 {
+					t.Errorf("released machine's %s kept no capacity; the check proves nothing", name)
+				}
+				kept := f.Slice(0, f.Cap())
+				for j := 0; j < kept.Len(); j++ {
+					if !kept.Index(j).IsZero() {
+						t.Errorf("released machine's %s keeps state at index %d of its capacity", name, j)
+						break
+					}
+				}
 			case f.Kind() == reflect.Map && f.Len() != 0:
 				t.Errorf("released machine's %s holds %d entries", name, f.Len())
 			case f.Kind() == reflect.Slice || f.Kind() == reflect.Pointer || f.Kind() == reflect.Struct:

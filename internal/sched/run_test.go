@@ -46,7 +46,7 @@ func TestStepSeenStatementAllocFree(t *testing.T) {
 			t.Errorf("%s: stepping a seen Read allocates %.1f times, want 0", name, allocs)
 		}
 
-		exit := &frame{stmts: p.Methods[method].Body, isMethod: true, method: method}
+		exit := &frame{stmts: p.Methods[method].Body, method: p.Methods[method]}
 		step := func() {
 			exit.pc = len(exit.stmts)
 			th.stack = append(th.stack[:1], exit)
