@@ -31,8 +31,10 @@ func stateOf(o *Observations) map[string]any {
 		uids[i] = o.Windows[i].UID
 	}
 	occ := map[trace.Key][2]float64{}
-	for k := range o.occSum {
-		occ[k] = [2]float64{float64(o.occSum[k]), float64(o.winCnt[k])}
+	for id, k := range o.keys {
+		if o.winCnt[id] != 0 {
+			occ[k] = [2]float64{float64(o.occSum[id]), float64(o.winCnt[id])}
+		}
 	}
 	racy := map[PairID]bool{}
 	for p := range o.RacyPairs {

@@ -8,6 +8,7 @@ package window
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -76,16 +77,6 @@ type Window struct {
 	RelEvents []CandEvent
 	// AcqEvents are operations from ThreadB in (TA, TB): acquire candidates.
 	AcqEvents []CandEvent
-}
-
-// uniqInto fills m — cleared first — with per-key occurrence counts,
-// letting accumulation loops reuse one scratch map instead of allocating
-// per window.
-func uniqInto(m map[trace.Key]int, evs []CandEvent) {
-	clear(m)
-	for _, e := range evs {
-		m[e.Key]++
-	}
 }
 
 // RacyRelease reports whether the release side proves no release can
@@ -338,11 +329,24 @@ type Observations struct {
 	// checkpoint folding needs to add only new traces' samples.
 	Durations map[string]*stats.Moments
 
-	// occSum / winCnt track, per candidate key, total occurrences across
-	// windows and the number of windows it appeared in: their ratio is the
-	// "average occurrence time" of Eq. 4.
-	occSum map[trace.Key]int
-	winCnt map[trace.Key]int
+	// The key table: every candidate key an admitted window has held, by
+	// KeyID, with per key its total occurrences across admitted windows
+	// and the number of windows it appeared in (their ratio is the
+	// "average occurrence time" of Eq. 4). A key whose last window is
+	// evicted keeps its ID, with zero counts.
+	keys   []trace.Key
+	keyIDs map[trace.Key]KeyID
+	occSum []int
+	winCnt []int
+
+	// cands locates each admitted window's distinct candidates in arena,
+	// aligned with Windows. The arena only grows by append; a clone shares
+	// it capacity-clipped, so each accumulator writes only its own.
+	cands []windowCands
+	arena []KeyID
+	// seen stamps each key with the last window side that counted it.
+	seen []uint32
+	side uint32
 
 	// LibAPIs records static names seen as library call sites (Single-Role
 	// constraint scope).
@@ -354,9 +358,18 @@ type Observations struct {
 
 	// Runs counts accumulated traces.
 	Runs int
+}
 
-	// scratch is AddWindows' reusable per-window occurrence-count map.
-	scratch map[trace.Key]int
+// KeyID is a candidate key's dense ID in an accumulator's key table: IDs
+// count from 0 in the order the accumulator first admitted the keys, and
+// a clone keeps its source's IDs.
+type KeyID int32
+
+// windowCands locates one admitted window's distinct candidates in the
+// arena: release candidates at [from, mid), acquire candidates at
+// [mid, to), each in the order the window first holds them.
+type windowCands struct {
+	from, mid, to int32
 }
 
 // NewObservations returns an empty accumulator with the given config.
@@ -365,10 +378,82 @@ func NewObservations(cfg Config) *Observations {
 		cfg:       cfg,
 		perPair:   map[PairID]int{},
 		Durations: map[string]*stats.Moments{},
-		occSum:    map[trace.Key]int{},
-		winCnt:    map[trace.Key]int{},
+		keyIDs:    map[trace.Key]KeyID{},
 		LibAPIs:   map[string]bool{},
 		RacyPairs: map[PairID]bool{},
+	}
+}
+
+// NumKeys returns the number of keys in the key table.
+func (o *Observations) NumKeys() int { return len(o.keys) }
+
+// Key returns the candidate key with the given ID.
+func (o *Observations) Key(id KeyID) trace.Key { return o.keys[id] }
+
+// Candidates returns the distinct release and acquire candidates of the
+// admitted window Windows[i], each in the order the window first holds
+// them. The lists are read-only.
+func (o *Observations) Candidates(i int) (rel, acq []KeyID) {
+	c := o.cands[i]
+	return o.arena[c.from:c.mid:c.mid], o.arena[c.mid:c.to:c.to]
+}
+
+// intern returns k's ID, entering k in the key table on first sight.
+func (o *Observations) intern(k trace.Key) KeyID {
+	id, ok := o.keyIDs[k]
+	if !ok {
+		id = KeyID(len(o.keys))
+		o.keyIDs[k] = id
+		o.keys = append(o.keys, k)
+		o.occSum = append(o.occSum, 0)
+		o.winCnt = append(o.winCnt, 0)
+		o.seen = append(o.seen, 0)
+	}
+	return id
+}
+
+// count adds one admitted window's statistics and appends its distinct
+// candidates to the arena.
+func (o *Observations) count(w *Window) windowCands {
+	c := windowCands{from: int32(len(o.arena))}
+	o.countSide(w.RelEvents)
+	c.mid = int32(len(o.arena))
+	o.countSide(w.AcqEvents)
+	c.to = int32(len(o.arena))
+	return c
+}
+
+// countSide counts one window side: every occurrence into occSum, every
+// distinct key once into winCnt and onto the arena.
+func (o *Observations) countSide(evs []CandEvent) {
+	if len(evs) == 0 {
+		return
+	}
+	if o.side++; o.side == 0 { // the stamps wrapped: forget them all
+		clear(o.seen)
+		o.side = 1
+	}
+	for _, e := range evs {
+		id := o.intern(e.Key)
+		o.occSum[id]++
+		if o.seen[id] != o.side {
+			o.seen[id] = o.side
+			o.winCnt[id]++
+			o.arena = append(o.arena, id)
+		}
+	}
+}
+
+// uncount reverses count for an evicted window. Its arena entries stay
+// behind, unreferenced.
+func (o *Observations) uncount(w *Window, c windowCands) {
+	for _, side := range [2][]CandEvent{w.RelEvents, w.AcqEvents} {
+		for _, e := range side {
+			o.occSum[o.keyIDs[e.Key]]--
+		}
+	}
+	for _, id := range o.arena[c.from:c.to] {
+		o.winCnt[id]--
 	}
 }
 
@@ -379,10 +464,8 @@ func (o *Observations) Config() Config { return o.cfg }
 // accumulator, enforcing the cross-run per-pair cap and recording data-race
 // observations.
 func (o *Observations) AddWindows(ws []Window) {
-	if o.scratch == nil {
-		o.scratch = map[trace.Key]int{}
-	}
-	for _, w := range ws {
+	for i := range ws {
+		w := &ws[i]
 		if o.perPair[w.Pair] >= o.cfg.PerPairCap {
 			continue
 		}
@@ -390,18 +473,8 @@ func (o *Observations) AddWindows(ws []Window) {
 		if w.Racy() {
 			o.RacyPairs[w.Pair] = true
 		}
-		o.Windows = append(o.Windows, w)
-		// Map iteration order is irrelevant here: the updates commute.
-		uniqInto(o.scratch, w.RelEvents)
-		for k, n := range o.scratch {
-			o.occSum[k] += n
-			o.winCnt[k]++
-		}
-		uniqInto(o.scratch, w.AcqEvents)
-		for k, n := range o.scratch {
-			o.occSum[k] += n
-			o.winCnt[k]++
-		}
+		o.Windows = append(o.Windows, *w)
+		o.cands = append(o.cands, o.count(w))
 	}
 }
 
@@ -453,12 +526,17 @@ func (o *Observations) Clone() *Observations {
 		cw := *w
 		c.Durations[name] = &cw
 	}
-	for k, n := range o.occSum {
-		c.occSum[k] = n
-	}
-	for k, n := range o.winCnt {
-		c.winCnt[k] = n
-	}
+	// The key list and the arena only grow by append, never written in
+	// place, so the clone shares them capacity-clipped: its first append
+	// copies them instead of writing into its source's spare capacity.
+	c.keys = slices.Clip(o.keys)
+	c.arena = slices.Clip(o.arena)
+	c.keyIDs = maps.Clone(o.keyIDs)
+	c.occSum = slices.Clone(o.occSum)
+	c.winCnt = slices.Clone(o.winCnt)
+	c.cands = slices.Clone(o.cands)
+	c.seen = slices.Clone(o.seen)
+	c.side = o.side
 	for api := range o.LibAPIs {
 		c.LibAPIs[api] = true
 	}
@@ -521,9 +599,6 @@ func splitUID(uid string) (prefix string, ord int, ok bool) {
 // identified windows. Mixing AddWindows and AddWindowsCanonical on one
 // accumulator is unsupported.
 func (o *Observations) AddWindowsCanonical(ws []Window) {
-	if o.scratch == nil {
-		o.scratch = map[trace.Key]int{}
-	}
 	for i := range ws {
 		o.insertCanonical(&ws[i])
 	}
@@ -551,22 +626,11 @@ func (o *Observations) insertCanonical(w *Window) {
 		}
 		o.evictAt(last)
 	}
-	o.Windows = append(o.Windows, Window{})
-	copy(o.Windows[pos+1:], o.Windows[pos:])
-	o.Windows[pos] = *w
+	o.Windows = slices.Insert(o.Windows, pos, *w)
+	o.cands = slices.Insert(o.cands, pos, o.count(w))
 	o.perPair[w.Pair]++
 	if w.Racy() {
 		o.RacyPairs[w.Pair] = true
-	}
-	uniqInto(o.scratch, w.RelEvents)
-	for k, n := range o.scratch {
-		o.occSum[k] += n
-		o.winCnt[k]++
-	}
-	uniqInto(o.scratch, w.AcqEvents)
-	for k, n := range o.scratch {
-		o.occSum[k] += n
-		o.winCnt[k]++
 	}
 }
 
@@ -574,28 +638,12 @@ func (o *Observations) insertCanonical(w *Window) {
 // contribution to every derived statistic.
 func (o *Observations) evictAt(i int) {
 	w := o.Windows[i]
-	copy(o.Windows[i:], o.Windows[i+1:])
-	o.Windows = o.Windows[:len(o.Windows)-1]
+	o.uncount(&w, o.cands[i])
+	o.Windows = slices.Delete(o.Windows, i, i+1)
+	o.cands = slices.Delete(o.cands, i, i+1)
 	o.perPair[w.Pair]--
-	uniqInto(o.scratch, w.RelEvents)
-	for k, n := range o.scratch {
-		o.decOcc(k, n)
-	}
-	uniqInto(o.scratch, w.AcqEvents)
-	for k, n := range o.scratch {
-		o.decOcc(k, n)
-	}
 	if w.Racy() {
 		o.recomputeRacy(w.Pair)
-	}
-}
-
-func (o *Observations) decOcc(k trace.Key, n int) {
-	o.occSum[k] -= n
-	o.winCnt[k]--
-	if o.winCnt[k] <= 0 {
-		delete(o.winCnt, k)
-		delete(o.occSum, k)
 	}
 }
 
@@ -614,10 +662,19 @@ func (o *Observations) recomputeRacy(p PairID) {
 // AvgOccurrence returns the average number of times key occurs in the
 // windows it appears in (Eq. 4's coefficient input); 0 if never seen.
 func (o *Observations) AvgOccurrence(k trace.Key) float64 {
-	if o.winCnt[k] == 0 {
+	id, ok := o.keyIDs[k]
+	if !ok {
 		return 0
 	}
-	return float64(o.occSum[k]) / float64(o.winCnt[k])
+	return o.AvgOccurrenceOf(id)
+}
+
+// AvgOccurrenceOf is AvgOccurrence by key ID.
+func (o *Observations) AvgOccurrenceOf(id KeyID) float64 {
+	if o.winCnt[id] == 0 {
+		return 0
+	}
+	return float64(o.occSum[id]) / float64(o.winCnt[id])
 }
 
 // CVPercentiles returns, for every method with duration samples, the

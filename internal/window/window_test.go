@@ -241,15 +241,27 @@ func TestWindowRacyRules(t *testing.T) {
 	}
 }
 
+// TestUniqueCounts: a window side counts every occurrence of a key into
+// its occurrence sum but the key only once into its window count and its
+// distinct-candidate list, and a key the previous side held is not
+// carried over.
 func TestUniqueCounts(t *testing.T) {
+	o := NewObservations(DefaultConfig())
 	k := trace.KeyFor(trace.KindRead, "C::f")
-	m := map[trace.Key]int{trace.KeyFor(trace.KindWrite, "C::stale"): 1}
-	uniqInto(m, []CandEvent{{Key: k}, {Key: k}, {Key: k}})
-	if got := m[k]; got != 3 {
-		t.Errorf("occurrence count = %d, want 3", got)
+	stale := trace.KeyFor(trace.KindWrite, "C::stale")
+	o.countSide([]CandEvent{{Key: stale}})
+	from := len(o.arena)
+	o.countSide([]CandEvent{{Key: k}, {Key: k}, {Key: k}})
+	got := o.arena[from:]
+	id := o.keyIDs[k]
+	if len(got) != 1 || got[0] != id {
+		t.Errorf("distinct candidates = %v, want [%d]", got, id)
 	}
-	if len(m) != 1 {
-		t.Error("unique keys must deduplicate, and the map must be cleared first")
+	if o.occSum[id] != 3 || o.winCnt[id] != 1 {
+		t.Errorf("occurrences %d in %d windows, want 3 in 1", o.occSum[id], o.winCnt[id])
+	}
+	if o.winCnt[o.keyIDs[stale]] != 1 {
+		t.Error("the earlier side's key was counted again")
 	}
 }
 
