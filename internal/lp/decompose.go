@@ -39,7 +39,7 @@ type decomposition struct {
 	compOf   []int32 // per variable: its component
 	local    []int32 // per variable: its structural column in the component
 	ubLocal  []int32 // per variable: its upper-bound row in the component, -1 if none
-	rowComp  []int32 // per constraint: its component, -1 if in none
+	rowComp  []int32 // per constraint: its component
 	rowLocal []int32 // per constraint: its row in the component
 }
 
@@ -61,9 +61,9 @@ func (d *decomposition) rowAt(ref, ci int32) int {
 
 // decompose partitions p's variables and constraints into connected
 // components via union-find over shared variables, in ws. Variables with
-// no constraints form singleton components (their solve is trivial). A
-// problem that does not split stays one component holding every row,
-// empty ones included.
+// no constraints form singleton components (their solve is trivial). p
+// has at least one variable and no empty row: presolve checks and drops
+// empty rows, and solveSparse answers a problem without variables itself.
 func (ws *workspace) decompose(p *Problem) *decomposition {
 	n, nr := len(p.names), len(p.constraints)
 	buf := carver{i32: resize(&ws.decBuf, 5*n+3*nr)}
@@ -107,19 +107,9 @@ func (ws *workspace) decompose(p *Problem) *decomposition {
 			d.compOf[v] = d.compOf[root]
 		}
 	}
-	whole := nComps <= 1
-	if whole {
-		nComps = 1
-		clear(d.compOf)
-	}
 	d.comps = resize(&ws.comps, nComps)
 	for ri := range p.constraints {
-		d.rowComp[ri] = -1
-		if idx := p.constraints[ri].idx; len(idx) > 0 {
-			d.rowComp[ri] = d.compOf[idx[0]]
-		} else if whole {
-			d.rowComp[ri] = 0
-		}
+		d.rowComp[ri] = d.compOf[p.constraints[ri].idx[0]]
 	}
 	// Carve each component's variable and row lists from vars and rows,
 	// sized by a count, then fill them in ascending order.
@@ -128,9 +118,7 @@ func (ws *workspace) decompose(p *Problem) *decomposition {
 		counts[c]++
 	}
 	for _, c := range d.rowComp {
-		if c >= 0 {
-			counts[nComps+int(c)]++
-		}
+		counts[nComps+int(c)]++
 	}
 	for ci := range d.comps {
 		k := int(counts[ci])
@@ -144,9 +132,6 @@ func (ws *workspace) decompose(p *Problem) *decomposition {
 		c.vars = append(c.vars, int32(v))
 	}
 	for ri, ci := range d.rowComp {
-		if ci < 0 {
-			continue // empty rows cannot appear post-presolve; defensive
-		}
 		c := &d.comps[ci]
 		d.rowLocal[ri] = int32(len(c.rows))
 		c.rows = append(c.rows, int32(ri))

@@ -275,7 +275,7 @@ type Solution struct {
 	Iters     int       // simplex pivots performed, all phases and components
 
 	// Components is the number of independent blocks the problem split
-	// into (1 when it did not decompose; 0 when presolve solved it whole).
+	// into (1 when it did not decompose; 0 when it has no variables).
 	Components int
 	// RowsPresolved / ColsPresolved count the constraint rows and variables
 	// eliminated by presolve before the simplex ran.

@@ -97,25 +97,119 @@ func TestEqualityConstraint(t *testing.T) {
 	}
 }
 
-func TestInfeasible(t *testing.T) {
-	p := NewProblem()
-	x := p.AddVariable("x")
-	p.AddConstraint(map[int]float64{x: 1}, GE, 5)
-	p.SetUpperBound(x, 1)
-	s, err := p.Solve()
-	if err == nil || s.Status != Infeasible {
-		t.Fatalf("want infeasible, got status %s err %v", s.Status, err)
+// addVars adds one variable per (cost, upper bound) pair, named x0, x1, …;
+// an upper bound of -1 leaves the variable unbounded above.
+func addVars(p *Problem, costUpper ...float64) {
+	for k := 0; k+1 < len(costUpper); k += 2 {
+		v := p.AddVariable(fmt.Sprintf("x%d", k/2))
+		p.AddCost(v, costUpper[k])
+		if u := costUpper[k+1]; u >= 0 {
+			p.SetUpperBound(v, u)
+		}
 	}
 }
 
+// TestInfeasible covers each way a problem proves infeasible: singleton
+// rows outside the column's bounds, rows their activity bounds cannot
+// meet, and an empty row that no choice of x satisfies. The dense oracle
+// must agree on every case.
+func TestInfeasible(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(p *Problem)
+	}{
+		{"GE singleton above u", func(p *Problem) { // x ≥ 5, x ≤ 1
+			addVars(p, 0, 1)
+			p.AddConstraint(map[int]float64{0: 1}, GE, 5)
+		}},
+		{"EQ singleton above u", func(p *Problem) { // x = 3, x ≤ 1
+			addVars(p, 0, 1)
+			p.AddConstraint(map[int]float64{0: 1}, EQ, 3)
+		}},
+		{"EQ singleton below 0", func(p *Problem) { // 2x = -2
+			addVars(p, 0, 1)
+			p.AddConstraint(map[int]float64{0: 2}, EQ, -2)
+		}},
+		{"LE singleton below 0", func(p *Problem) { // x ≤ -1
+			addVars(p, 0, -1)
+			p.AddConstraint(map[int]float64{0: 1}, LE, -1)
+		}},
+		{"GE row above its maximum activity", func(p *Problem) { // x + y ≥ 5, x ≤ 1, y ≤ 2
+			addVars(p, 0, 1, 0, 2)
+			p.AddConstraint(map[int]float64{0: 1, 1: 1}, GE, 5)
+		}},
+		{"EQ row that cannot be met", func(p *Problem) { // x + y = 3, x ≤ 1, y ≤ 1
+			addVars(p, 0, 1, 0, 1)
+			p.AddConstraint(map[int]float64{0: 1, 1: 1}, EQ, 3)
+		}},
+		// A rowless negative-cost column, unbounded above, beside an empty
+		// row 0 ≤ -3: the empty row makes the problem infeasible, however
+		// far the free column could improve the objective.
+		{"empty row beside a rowless unbounded column", func(p *Problem) {
+			addVars(p, -3, -1, 0, 0)
+			p.AddRow("empty", nil, nil, LE, -3)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewProblem()
+			tc.build(p)
+			if s, err := p.Solve(); err == nil || s.Status != Infeasible {
+				t.Errorf("Solve: want infeasible, got status %s err %v", s.Status, err)
+			}
+			if s, err := p.SolveDense(); err == nil || s.Status != Infeasible {
+				t.Errorf("SolveDense: want infeasible, got status %s err %v", s.Status, err)
+			}
+		})
+	}
+}
+
+// TestUnbounded covers negative-cost columns: unbounded when nothing caps
+// them, optimal when an upper bound (zero included) or a row that only
+// x = 0 satisfies does. The dense oracle must agree on every case.
 func TestUnbounded(t *testing.T) {
-	p := NewProblem()
-	x := p.AddVariable("x")
-	p.AddCost(x, -1) // maximize x with no bound
-	p.AddConstraint(map[int]float64{x: 1}, GE, 0)
-	s, err := p.Solve()
-	if err == nil || s.Status != Unbounded {
-		t.Fatalf("want unbounded, got status %s err %v", s.Status, err)
+	for _, tc := range []struct {
+		name  string
+		build func(p *Problem)
+		want  Status
+		x     []float64 // the optimum, when want is Optimal
+	}{
+		{"GE row open above", func(p *Problem) { // max x s.t. x ≥ 0
+			addVars(p, -1, -1)
+			p.AddConstraint(map[int]float64{0: 1}, GE, 0)
+		}, Unbounded, nil},
+		{"rowless column without upper bound", func(p *Problem) {
+			addVars(p, -1, -1)
+		}, Unbounded, nil},
+		{"rowless column with finite u", func(p *Problem) {
+			addVars(p, -1, 2.5)
+		}, Optimal, []float64{2.5}},
+		{"u = 0 column", func(p *Problem) { // min -x + y s.t. x + y ≥ 1, x ≤ 0
+			addVars(p, -1, 0, 1, -1)
+			p.AddConstraint(map[int]float64{0: 1, 1: 1}, GE, 1)
+		}, Optimal, []float64{0, 1}},
+		{"forcing row x + y ≤ 0", func(p *Problem) { // min -x - y s.t. x + y ≤ 0
+			addVars(p, -1, -1, -1, -1)
+			p.AddConstraint(map[int]float64{0: 1, 1: 1}, LE, 0)
+		}, Optimal, []float64{0, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewProblem()
+			tc.build(p)
+			for _, solve := range []struct {
+				name string
+				fn   func() (*Solution, error)
+			}{{"Solve", p.Solve}, {"SolveDense", p.SolveDense}} {
+				s, err := solve.fn()
+				if s.Status != tc.want || (err == nil) != (tc.want == Optimal) {
+					t.Fatalf("%s: want %s, got status %s err %v", solve.name, tc.want, s.Status, err)
+				}
+				for v, want := range tc.x {
+					if math.Abs(s.X[v]-want) > 1e-9 {
+						t.Errorf("%s: x%d = %v, want %v", solve.name, v, s.X[v], want)
+					}
+				}
+			}
+		})
 	}
 }
 

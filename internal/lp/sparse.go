@@ -20,10 +20,10 @@
 //     row/column identity, fill the uncovered rows and refactorize it
 //     against the current problem data; a basis that is singular or
 //     primal infeasible there falls back to a cold start.
-//   - Before a solve, a presolve pass (presolve.go) fixes pinned variables
-//     and drops redundant rows; independent connected components of the
-//     reduced problem are solved separately, concurrently when
-//     Problem.Parallel allows (decompose.go).
+//   - Before a solve, a presolve pass (presolve.go) drops empty and
+//     redundant ≥-rows and merges duplicated ε rows; independent connected
+//     components of the reduced problem are solved separately,
+//     concurrently when Problem.Parallel allows (decompose.go).
 //
 // Memory: a solve allocates only its answer. Problem rows are windows
 // into flat entry arrays (lp.go); a counting pass sizes every
@@ -918,24 +918,15 @@ func solveSparse(p *Problem, warm *Basis) (*Solution, error) {
 	}()
 	ps := ws.presolve(p)
 	if ps.status == Infeasible {
-		sol := &Solution{Status: Infeasible, RowsPresolved: ps.rowsOut, ColsPresolved: ps.colsOut}
+		sol := &Solution{Status: Infeasible, RowsPresolved: ps.rowsOut}
 		return sol, statusErr(Infeasible)
 	}
-	if ps.solved() {
-		// Presolve pinned everything; no simplex needed.
-		x := ps.postsolve(nil)
-		obj := 0.0
-		for v, c := range p.cost {
-			obj += c * x[v]
-		}
-		sol := &Solution{
-			Status: Optimal, X: x, Objective: obj,
-			RowsPresolved: ps.rowsOut, ColsPresolved: ps.colsOut,
-			Basis: &Basis{},
-		}
-		return sol, nil
+	if len(p.names) == 0 {
+		// No variables, and every row was empty and held: nothing is left
+		// for decompose and the simplex.
+		return &Solution{Status: Optimal, X: []float64{}, RowsPresolved: ps.rowsOut, Basis: &Basis{}}, nil
 	}
-	sol := ws.solveDecomposed(ps.reduced(), warm)
+	sol := ws.solveDecomposed(ps.red, warm)
 	sol.RowsPresolved, sol.ColsPresolved = ps.rowsOut, ps.colsOut
 	if sol.Status != Optimal {
 		return sol, statusErr(sol.Status)

@@ -20,14 +20,9 @@ type workspace struct {
 	// presolve: its result and reduced problem, and its working state.
 	ps                      presolved
 	red                     Problem
-	fixed, dropRow          []bool
-	fixVal, u, cost, effRhs []float64
-	dupOf, origIdx          []int
-	live, colLive           []int
-	occRow                  [][]int32
-	occVal                  [][]float64
-	occRowBuf               []int32
-	occValBuf               []float64
+	dropRow                 []bool
+	cost                    []float64
+	dupOf, origIdx, colLive []int
 
 	// mergeDuplicates' representatives and hash chains.
 	reps          []repInfo
