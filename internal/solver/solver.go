@@ -133,24 +133,6 @@ type Result struct {
 	WarmStarted bool
 }
 
-// Syncs returns the union of inferred acquire and release keys with roles.
-func (r *Result) Syncs() map[trace.Key]trace.Role {
-	out := map[trace.Key]trace.Role{}
-	for _, k := range r.AcquireSet {
-		out[k] = trace.RoleAcquire
-	}
-	for _, k := range r.ReleaseSet {
-		out[k] = trace.RoleRelease
-	}
-	return out
-}
-
-// IsRelease reports whether the solver currently believes key is a release
-// (Perturber input).
-func (r *Result) IsRelease(k trace.Key) bool {
-	return r.Releases[k] >= 0.9
-}
-
 // varPair holds the per-key LP variable ids (−1 when the role variable does
 // not exist under the Read-Acquire & Write-Release property).
 type varPair struct {

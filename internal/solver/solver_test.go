@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sherlock/internal/trace"
@@ -315,13 +316,13 @@ func TestResultSyncsMap(t *testing.T) {
 		RelEvents: cands(wk("C::f")),
 		AcqEvents: cands(rk("C::f")),
 	})
-	r := solveOK(t, o, DefaultConfig())
-	m := r.Syncs()
-	if m[wk("C::f")] != trace.RoleRelease || m[rk("C::f")] != trace.RoleAcquire {
-		t.Errorf("Syncs() = %v", m)
+	cfg := DefaultConfig()
+	r := solveOK(t, o, cfg)
+	if !slices.Equal(r.ReleaseSet, []trace.Key{wk("C::f")}) || !slices.Equal(r.AcquireSet, []trace.Key{rk("C::f")}) {
+		t.Errorf("ReleaseSet %v AcquireSet %v, want the write released and the read acquired", r.ReleaseSet, r.AcquireSet)
 	}
-	if !r.IsRelease(wk("C::f")) || r.IsRelease(rk("C::f")) {
-		t.Error("IsRelease misreports")
+	if r.Releases[wk("C::f")] < cfg.Threshold || r.Releases[rk("C::f")] >= cfg.Threshold {
+		t.Errorf("Releases = %v misreports the roles", r.Releases)
 	}
 }
 

@@ -193,16 +193,6 @@ func (r Role) String() string {
 	return "release"
 }
 
-// NaturalRole returns the role an operation kind can naturally serve under
-// the Read-Acquire & Write-Release property (Section 2): reads and method
-// entries acquire; writes and method exits release.
-func NaturalRole(k Kind) Role {
-	if k == KindRead || k == KindBegin {
-		return RoleAcquire
-	}
-	return RoleRelease
-}
-
 // AcquireCapable reports whether kind k can serve as an acquire under the
 // Read-Acquire & Write-Release property.
 func AcquireCapable(k Kind) bool { return k == KindRead || k == KindBegin }

@@ -41,12 +41,6 @@ func TestKeyClassMember(t *testing.T) {
 }
 
 func TestNaturalRolesAndCapabilities(t *testing.T) {
-	if NaturalRole(KindRead) != RoleAcquire || NaturalRole(KindBegin) != RoleAcquire {
-		t.Error("reads and begins must be acquires")
-	}
-	if NaturalRole(KindWrite) != RoleRelease || NaturalRole(KindEnd) != RoleRelease {
-		t.Error("writes and ends must be releases")
-	}
 	if !AcquireCapable(KindRead) || AcquireCapable(KindWrite) {
 		t.Error("acquire capability wrong for field ops")
 	}

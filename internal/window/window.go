@@ -218,26 +218,20 @@ func (ws *workspace) conflicts(tr *trace.Trace, cfg Config) []Conflict {
 	return out
 }
 
-// MethodDurations extracts per-method duration samples (virtual ns) from a
-// trace by pairing Begin/End events per thread with a call stack. Library
-// call sites pair the same way (they never interleave within a thread).
-func MethodDurations(tr *trace.Trace) map[string][]float64 {
-	ws := workspaces.Get().(*workspace)
-	defer workspaces.Put(ws)
-	return ws.durations(tr)
-}
-
-// TraceStats returns a trace's per-trace statistics: its method durations
-// (MethodDurations) and its distinct library-API names, sorted. They are
-// what AddStats folds, so a caller can drop the trace once it has them.
+// TraceStats returns a trace's per-trace statistics: its per-method
+// duration samples (virtual ns) and its distinct library-API names,
+// sorted. They are what AddStats folds, so a caller can drop the trace
+// once it has them.
 func TraceStats(tr *trace.Trace) (map[string][]float64, []string) {
 	ws := workspaces.Get().(*workspace)
 	defer workspaces.Put(ws)
 	return ws.durations(tr), ws.libAPIs(tr)
 }
 
-// durations is MethodDurations on this workspace (see MethodDurations).
-// The returned slices are carved, capacity-clipped, from one flat array.
+// durations extracts per-method duration samples from tr by pairing
+// Begin/End events per thread with a call stack. Library call sites pair
+// the same way (they never interleave within a thread). The returned
+// slices are carved, capacity-clipped, from one flat array.
 func (ws *workspace) durations(tr *trace.Trace) map[string][]float64 {
 	clear(ws.threadSlot)
 	clear(ws.nameSlot)

@@ -274,7 +274,7 @@ func TestMethodDurations(t *testing.T) {
 		trace.Event{Time: 120, Thread: 1, Kind: trace.KindBegin, Name: "C::inner"},
 		trace.Event{Time: 180, Thread: 1, Kind: trace.KindEnd, Name: "C::inner"},
 	)
-	d := MethodDurations(tr)
+	d, _ := TraceStats(tr)
 	if len(d["C::outer"]) != 1 || d["C::outer"][0] != 300 {
 		t.Errorf("outer durations = %v", d["C::outer"])
 	}

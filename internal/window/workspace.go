@@ -1,6 +1,6 @@
 // Per-call scratch for window extraction. FindConflicts, BuildWindows and
-// TraceStats (with MethodDurations) each borrow one workspace from a
-// package-level pool and put it back before they return, so a campaign's
+// TraceStats each borrow one workspace from a package-level pool and put
+// it back before they return, so a campaign's
 // thousands of runs reuse the same per-address lists, per-thread indexes,
 // call stacks and sample lists instead of rebuilding and dropping them
 // for every trace. A workspace is never held across calls: keeping one

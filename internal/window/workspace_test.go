@@ -218,9 +218,9 @@ func TestKeyTableBounded(t *testing.T) {
 	}
 }
 
-// methodDurationsRef is MethodDurations as it was before the workspace: a
-// fresh map of stacks and a fresh sample map per trace. It stays as the
-// oracle for the pooled version.
+// methodDurationsRef is TraceStats' durations as they were before the
+// workspace: a fresh map of stacks and a fresh sample map per trace. It
+// stays as the oracle for the pooled version.
 func methodDurationsRef(tr *trace.Trace) map[string][]float64 {
 	stacks := map[int][]open{}
 	out := map[string][]float64{}
