@@ -63,9 +63,6 @@ func InferIncremental(ctx context.Context, ck *Checkpoint, src KeyedSource, cfg 
 	if ck == nil {
 		ck = NewCheckpoint(cfg)
 	}
-	if ck.Version != "" && ck.Version != CheckpointVersion {
-		return nil, nil, fmt.Errorf("core: incremental: checkpoint version %q (want %q)", ck.Version, CheckpointVersion)
-	}
 	if sig := ConfigSignature(cfg); ck.ConfigSig != sig {
 		return nil, nil, fmt.Errorf("core: incremental: checkpoint config signature %s does not match config %s", ck.ConfigSig, sig)
 	}
@@ -116,7 +113,7 @@ func InferIncremental(ctx context.Context, ck *Checkpoint, src KeyedSource, cfg 
 		// stripped): fall through and solve what is covered.
 	}
 
-	next := &Checkpoint{Version: CheckpointVersion, App: ck.App, ConfigSig: ck.ConfigSig}
+	next := &Checkpoint{ConfigSig: ck.ConfigSig}
 	next.Extracts = make([]TraceExtract, 0, len(ck.Extracts)+len(fresh))
 	next.Extracts = append(next.Extracts, ck.Extracts...)
 	next.Extracts = append(next.Extracts, fresh...)
@@ -125,9 +122,9 @@ func InferIncremental(ctx context.Context, ck *Checkpoint, src KeyedSource, cfg 
 	// Canonical fold: the accumulator's state under AddWindowsCanonical is
 	// a function of the extract set, not arrival order, so only the fresh
 	// extracts need folding — an O(new traces) step. A checkpoint carrying
-	// a memoized accumulator (any checkpoint InferIncremental returned this
-	// process) hands it over by clone; one decoded from storage pays a
-	// one-time replay of its covered extracts to rebuild the memo. Either
+	// a memoized accumulator (any checkpoint InferIncremental returned)
+	// hands it over by clone; one built from the exported fields alone pays
+	// a one-time replay of its covered extracts to rebuild the memo. Either
 	// way the result is bit-identical to replaying everything from scratch
 	// in sorted-key order.
 	res := &Result{}
@@ -174,7 +171,6 @@ func InferIncremental(ctx context.Context, ck *Checkpoint, src KeyedSource, cfg 
 	}}
 	cfg.notifyRound(res.Rounds[0], acc)
 
-	next.App = res.App
 	next.Basis = basis
 	next.Result = res
 	next.acc = acc

@@ -2,9 +2,9 @@
 // (row, basic column) identity pairs — nothing numerical. An identity is
 // a (kind, name) value: a constraint row or a variable's upper-bound row,
 // and a structural, slack or artificial column, each named by the
-// variable or constraint it stands for. No identity string is ever built
-// during a solve; serialize.go renders them ("ub(x)", "v:x", "s:row",
-// "a:row") only at the JSON boundary.
+// variable or constraint it stands for. A basis lives in memory only (a
+// core.Checkpoint carries one from fold to fold), so no identity is ever
+// rendered as a string.
 //
 // Because the SherLock encodings grow incrementally (each Perturber round
 // mostly appends windows, i.e. new rows and columns, to the previous
@@ -23,8 +23,6 @@
 // rows cut the carried vertex off) restarts cold.
 package lp
 
-import "strings"
-
 // idKind says what a row or column identity names.
 type idKind uint8
 
@@ -36,25 +34,13 @@ const (
 	idSlackUB               // slack column of variable name's upper-bound row
 	idArt                   // artificial column of constraint row name
 	idArtUB                 // artificial column of variable name's upper-bound row
-	idOther                 // a decoded string no solve produces: matches nothing
 )
 
-// ident identifies a standard-form row or column across problems. Two
-// identities are equal exactly when their rendered strings are, because
-// rowIdent normalizes a constraint named like an upper-bound row.
+// ident identifies a standard-form row or column across problems by what
+// it stands for: its kind and the variable or constraint name.
 type ident struct {
 	kind idKind
 	name string
-}
-
-// rowIdent is the identity of the constraint row named name.
-func rowIdent(name string) ident {
-	if inner, ok := strings.CutPrefix(name, "ub("); ok {
-		if inner, ok := strings.CutSuffix(inner, ")"); ok {
-			return ident{idUB, inner}
-		}
-	}
-	return ident{idRow, name}
 }
 
 // slackOf and artOf name the slack and artificial columns of a row.
@@ -138,23 +124,14 @@ func (ws *workspace) newWarmIndex(p *Problem, b *Basis) *warmIndex {
 		claim(vars, name, int32(v))
 	}
 	rows := emptyMap(&ws.rows, len(p.constraints))
-	ubNamed := emptyMap(&ws.ubNamed, 0) // constraints named like an upper-bound row, by variable
 	for ri := range p.constraints {
-		switch id := rowIdent(p.constraints[ri].name); id.kind {
-		case idRow:
-			claim(rows, id.name, int32(ri))
-		case idUB:
-			claim(ubNamed, id.name, int32(ri))
-		}
+		claim(rows, p.constraints[ri].name, int32(ri))
 	}
 	// rowRef resolves a row identity to a row ref.
 	rowRef := func(kind idKind, name string) (int32, bool) {
 		if kind == idRow {
 			ref, ok := rows[name]
 			return ref, ok
-		}
-		if ref, ok := ubNamed[name]; ok {
-			return ref, true
 		}
 		if v, ok := vars[name]; ok && p.upper[v] < infUB {
 			return -v - 1, true

@@ -332,7 +332,7 @@ func (sf *standardForm) rawRow(i int) (Sense, float64) {
 // rowIdent returns row i's identity.
 func (sf *standardForm) rowIdent(i int) ident {
 	if ref := sf.rowRef[i]; ref >= 0 {
-		return rowIdent(sf.p.constraints[ref].name)
+		return ident{idRow, sf.p.constraints[ref].name}
 	}
 	return ident{idUB, sf.p.names[-sf.rowRef[i]-1]}
 }
@@ -859,8 +859,8 @@ func (r *revised) extract(x []float64) {
 // pairs into rows and bcol — the identities a warm start on a related
 // problem maps onto its own standard form before refactorizing.
 // Numerical state is never carried: the next solve rebuilds it from its
-// own problem data, which is what makes the snapshot trivially
-// serializable and immune to coefficient changes (see applyWarm).
+// own problem data, which is what makes the snapshot immune to
+// coefficient changes (see applyWarm).
 func (r *revised) snapshot(rows, bcol []ident) {
 	for i, c := range r.basis {
 		rows[i] = r.sf.rowIdent(i)

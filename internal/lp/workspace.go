@@ -46,8 +46,8 @@ type workspace struct {
 	outs   []outcome
 
 	// The warm index and the name maps it is resolved through.
-	warm                warmIndex
-	vars, rows, ubNamed map[string]int32
+	warm       warmIndex
+	vars, rows map[string]int32
 }
 
 var workspaces = sync.Pool{New: func() any { return new(workspace) }}
@@ -59,7 +59,6 @@ func (ws *workspace) release() {
 	ws.red.Reset()
 	clear(ws.vars)
 	clear(ws.rows)
-	clear(ws.ubNamed)
 	for k := range ws.pool {
 		ws.pool[k].sf.p, ws.pool[k].r.p = nil, nil
 	}

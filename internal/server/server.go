@@ -133,7 +133,6 @@ type Server struct {
 
 	watchActive  *Gauge
 	watchUpdates *Counter
-	watchResumes *Counter
 
 	staticReports *Counter
 }
@@ -195,7 +194,6 @@ func New(cfg Config) (*Server, error) {
 
 		watchActive:  reg.Gauge("sherlock_watch_subscriptions", "Active watch subscriptions."),
 		watchUpdates: reg.Counter("sherlock_watch_updates_total", "Watch result versions published."),
-		watchResumes: reg.Counter("sherlock_watch_resumes_total", "Watch subscriptions resumed from a persisted checkpoint."),
 
 		staticReports: reg.Counter("sherlock_static_reports_total", "Static inference reports computed on this node (not cached, not proxied)."),
 	}

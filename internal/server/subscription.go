@@ -5,10 +5,10 @@
 // core.Checkpoint via InferIncremental, and publishes the result into the
 // content-addressed cache under the SAME key a one-shot trace_keys job
 // over that trace set would use — the incremental byte-identity invariant
-// makes the two cache-coherent. The checkpoint is persisted in the corpus
-// (store.SaveCheckpoint) under a name derived from the app and the
-// config signature, so a restarted daemon resumes instead of re-solving
-// from scratch.
+// makes the two cache-coherent. The checkpoint lives in memory only: the
+// corpus is the one durable store, so a restarted daemon's first update
+// folds every matching corpus key from nil and republishes the same bytes
+// under the same key.
 package server
 
 import (
@@ -29,8 +29,7 @@ const maxSubscriptions = 256
 
 // watchAppPattern constrains watch_app values: they name corpus
 // metadata. Besides the classic name alphabet it admits the generator
-// namespace's ':', ',' and '=' ("gen:7,profile=go"); core.CheckpointName
-// folds those back into the store's stricter checkpoint alphabet.
+// namespace's ':', ',' and '=' ("gen:7,profile=go").
 var watchAppPattern = regexp.MustCompile(`^[A-Za-z0-9.,:=_-]{1,100}$`)
 
 // subscription is the server-side state of one watch job.
@@ -40,8 +39,7 @@ type subscription struct {
 	app string
 	cfg core.Config
 
-	ckName string // persisted checkpoint name: watch-<app>-<config-sig>
-	ck     *core.Checkpoint
+	ck *core.Checkpoint
 
 	notify chan struct{} // coalescing wake signal (capacity 1)
 	stop   chan struct{} // closed by DELETE /v1/jobs/{id}
@@ -55,7 +53,6 @@ func newSubscription(s *Server, j *Job, cfg core.Config) *subscription {
 		j:      j,
 		app:    j.Spec.WatchApp,
 		cfg:    cfg,
-		ckName: core.CheckpointName("watch", j.Spec.WatchApp) + "-" + core.ConfigSignature(cfg),
 		notify: make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 	}
@@ -91,7 +88,6 @@ const (
 // behind — SIGTERM stops the goroutine AND its retry state cleanly.
 func (sub *subscription) run() {
 	defer sub.s.subDone(sub)
-	sub.loadCheckpoint()
 	backoff := watchRetryMin
 	timer := time.NewTimer(0)
 	if !timer.Stop() {
@@ -128,28 +124,6 @@ func (sub *subscription) run() {
 	}
 }
 
-// loadCheckpoint tries to resume from a checkpoint a previous process
-// persisted for the same (app, config) pair. A checkpoint covering traces
-// the current corpus does not hold is stale (different corpus directory)
-// and is discarded.
-func (sub *subscription) loadCheckpoint() {
-	data, err := sub.s.corpus.LoadCheckpoint(sub.ckName)
-	if err != nil || data == nil {
-		return
-	}
-	ck, err := core.DecodeCheckpoint(data)
-	if err != nil || ck.ConfigSig != core.ConfigSignature(sub.cfg) {
-		return
-	}
-	for _, key := range ck.Covered() {
-		if _, ok := sub.s.corpus.Entry(key); !ok {
-			return
-		}
-	}
-	sub.ck = ck
-	sub.s.watchResumes.Inc()
-}
-
 // matchingKeys lists the corpus keys bound to this subscription, in the
 // corpus's deterministic (sorted) order.
 func (sub *subscription) matchingKeys() []string {
@@ -163,7 +137,7 @@ func (sub *subscription) matchingKeys() []string {
 }
 
 // update runs one watch cycle: list, solve incrementally if anything is
-// new, persist the advanced checkpoint, fill the cache, publish. It
+// new, keep the advanced checkpoint, fill the cache, publish. It
 // reports whether the cycle succeeded; a false return makes the run loop
 // retry with backoff.
 func (sub *subscription) update() bool {
@@ -190,11 +164,12 @@ func (sub *subscription) update() bool {
 		ctx, cancel = context.WithTimeout(ctx, sub.s.cfg.JobTimeout)
 		defer cancel()
 	}
-	// The empty-key case matters: a resumed checkpoint can already cover
-	// every matching key, and corpus.Source with zero keys means "the whole
-	// corpus" — which would fold every other app's traces into this
-	// subscription's checkpoint. Feed an explicitly empty source instead;
-	// InferIncremental then republishes the checkpoint's stored result.
+	// The empty-key case matters: a retry after a failed publish comes back
+	// with an advanced checkpoint that already covers every matching key,
+	// and corpus.Source with zero keys means "the whole corpus" — which
+	// would fold every other app's traces into this subscription's
+	// checkpoint. Feed an explicitly empty source instead; InferIncremental
+	// then republishes the checkpoint's stored result.
 	var src core.KeyedSource = core.KeyedSlice(nil)
 	if len(fresh) > 0 {
 		src = sub.s.corpus.Source(fresh...)
@@ -205,11 +180,6 @@ func (sub *subscription) update() bool {
 		return false
 	}
 	sub.ck = next
-	if data, err := core.EncodeCheckpoint(next); err == nil {
-		// Best-effort: losing the checkpoint only costs a cold re-solve
-		// after a restart, never correctness.
-		_ = sub.s.corpus.SaveCheckpoint(sub.ckName, data)
-	}
 
 	// The publish key is the content address a one-shot trace_keys job
 	// over the same (sorted) trace set computes — watch results and

@@ -1,6 +1,6 @@
 // Integration tests for watch subscriptions: upload-while-watching version
 // bumps, cache coherence with one-shot corpus jobs, long-poll delivery,
-// cancelation, checkpoint resume across server restarts, and the
+// cancelation, the same publish after a server restart, and the
 // GET /v1/jobs listing.
 package server
 
@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -207,14 +209,13 @@ func TestWatchJobStreamsVersions(t *testing.T) {
 	}
 }
 
-// TestWatchResumesFromCheckpoint restarts the daemon over the same corpus
-// directory and verifies a new subscription resumes from the persisted
-// checkpoint instead of starting cold, publishing the same content key
-// and the same result body. The corpus deliberately also holds a trace
-// of ANOTHER app: a resumed checkpoint covering every matching key must
-// republish its stored result, not re-solve over the whole corpus and
-// fold foreign-app traces into the subscription (and its checkpoint).
-func TestWatchResumesFromCheckpoint(t *testing.T) {
+// TestWatchRestartRepublishes restarts the daemon over the same corpus
+// directory and verifies a new subscription, folding the corpus from
+// scratch, publishes the same content key and the same result body. The
+// corpus deliberately also holds a trace of ANOTHER app, which must not
+// be folded into the subscription. Checkpoints live in memory only, so
+// neither daemon writes one into the corpus.
+func TestWatchRestartRepublishes(t *testing.T) {
 	dir := t.TempDir()
 	cfg := fastConfig()
 	cfg.CorpusDir = dir
@@ -249,27 +250,13 @@ func TestWatchResumesFromCheckpoint(t *testing.T) {
 		t.Fatalf("second daemon: version %d, want 1", v2.Version)
 	}
 	if v2.Key != v1.Key {
-		t.Errorf("resumed key %s != original %s", v2.Key, v1.Key)
+		t.Errorf("restarted key %s != original %s", v2.Key, v1.Key)
 	}
 	if got := normalizedResult(t, ts2, v2.Key); string(got) != string(want) {
-		t.Errorf("resumed result differs from original (foreign traces folded in?)\n got: %s\nwant: %s", got, want)
+		t.Errorf("restarted result differs from original (foreign traces folded in?)\n got: %s\nwant: %s", got, want)
 	}
-	if got := s2.watchResumes.Value(); got != 1 {
-		t.Errorf("watch_resumes_total = %d, want 1 (checkpoint not loaded)", got)
-	}
-
-	// The persisted checkpoint must still cover exactly the App-1 trace.
-	jcfg := JobSpec{WatchApp: "App-1"}.effectiveConfig(cfg.Inference)
-	data, err := s2.corpus.LoadCheckpoint("watch-App-1-" + core.ConfigSignature(jcfg))
-	if err != nil || data == nil {
-		t.Fatalf("load persisted checkpoint: data=%v err=%v", data != nil, err)
-	}
-	ck, err := core.DecodeCheckpoint(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if covered := ck.Covered(); len(covered) != 1 {
-		t.Errorf("checkpoint covers %d traces %v, want only the App-1 trace", len(covered), covered)
+	if _, err := os.Stat(filepath.Join(dir, "checkpoints")); !os.IsNotExist(err) {
+		t.Errorf("corpus has a checkpoints/ entry (stat err %v), want none", err)
 	}
 }
 
@@ -424,20 +411,14 @@ func TestJobListPaginationBeyondPadding(t *testing.T) {
 	}
 }
 
-// TestCheckpointNamesPinned pins the persisted checkpoint names of watch
-// subscriptions and refine posteriors. Both are store file names that
-// outlive the process, so a renamed checkpoint is one a restarted daemon
-// or a later refine run can no longer find.
+// TestCheckpointNamesPinned pins the persisted checkpoint names of refine
+// posteriors. They are store file names that outlive the process, so a
+// renamed checkpoint is one a later refine run can no longer find.
 func TestCheckpointNamesPinned(t *testing.T) {
-	cfg := fastConfig().Inference
-	for _, c := range []struct{ app, watch, posterior string }{
-		{"App-1", "watch-App-1-f885afbc852c569b", "posterior-App-1"},
-		{"gen:7,profile=go", "watch-gen_7_profile_go-022ad795-f885afbc852c569b", "posterior-gen_7_profile_go-022ad795"},
+	for _, c := range []struct{ app, posterior string }{
+		{"App-1", "posterior-App-1"},
+		{"gen:7,profile=go", "posterior-gen_7_profile_go-022ad795"},
 	} {
-		j := newWatchJob("job-pin", JobSpec{WatchApp: c.app}, cfg, time.Now())
-		if got := newSubscription(nil, j, cfg).ckName; got != c.watch {
-			t.Errorf("watch checkpoint for %q = %q, want %q", c.app, got, c.watch)
-		}
 		if got := core.CheckpointName("posterior", c.app); got != c.posterior {
 			t.Errorf("posterior checkpoint for %q = %q, want %q", c.app, got, c.posterior)
 		}

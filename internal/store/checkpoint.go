@@ -1,12 +1,12 @@
-// Named checkpoint blobs. Unlike trace blobs, checkpoints are mutable
-// state addressed by name (one per subscription stream, overwritten on
-// every advance), so they live beside — not inside — the content-addressed
-// blob tree:
+// Named checkpoint blobs: the refine posteriors (core.Posterior). Unlike
+// trace blobs, checkpoints are mutable state addressed by name (one per
+// app, overwritten by every refine run), so they live beside — not
+// inside — the content-addressed blob tree:
 //
 //	<dir>/checkpoints/<name>   one opaque blob per name
 //
 // The store treats checkpoint bytes as opaque — encoding and versioning
-// belong to internal/core's checkpoint codec — but writes them with the
+// belong to internal/core's posterior codec — but writes them with the
 // same atomic stage-then-rename discipline as trace blobs, so a crash
 // never leaves a torn checkpoint: readers see the old state or the new
 // one, nothing in between.
