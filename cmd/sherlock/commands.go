@@ -1,9 +1,10 @@
 // Subcommand interface for the sherlock CLI. Each verb owns its flag set:
 //
 //	sherlock capture [-corpus DIR | -traces DIR -app App-4] [-seed 1]
-//	sherlock infer   [-app App-4 | -corpus DIR | -traces DIR | -all | -list]
+//	sherlock infer   [-app App-4 | -corpus DIR | -traces DIR]
 //	                 [-refine -corpus DIR]
 //	sherlock static  [-app App-4 | -all]
+//	sherlock eval
 //	sherlock upload  -server URL FILE...
 //	sherlock submit  -server URL [-app X | -keys k1,k2 |
 //	                 -watch-app X | -static-app X] [-wait]
@@ -21,7 +22,6 @@ import (
 	"sherlock/internal/apps"
 	"sherlock/internal/core"
 	"sherlock/internal/exper"
-	"sherlock/internal/report"
 )
 
 // runCommand dispatches one subcommand; returns false if the verb is
@@ -34,6 +34,8 @@ func runCommand(ctx context.Context, verb string, args []string) bool {
 		cmdInfer(ctx, args)
 	case "static":
 		cmdStatic(ctx, args)
+	case "eval":
+		cmdEval(ctx, args)
 	case "upload":
 		cmdUpload(ctx, args)
 	case "submit":
@@ -74,8 +76,6 @@ Local:
       offline inference over a captured corpus
   sherlock infer -traces DIR
       offline inference over JSONL trace files
-  sherlock infer -all | -list
-      Table 2 over every application / the application inventory
   sherlock infer -app App-4 -refine -corpus DIR
       refine campaign: warm-start from (and persist) the posterior
       checkpoint stored in the corpus
@@ -84,6 +84,9 @@ Local:
   sherlock static -all
       static-only precision/recall sweep over everything the program
       registry exposes (built-ins + generator samples)
+  sherlock eval
+      the paper's whole evaluation: Tables 1-9, Figure 4, TSVD, overhead
+      and the extensions (takes no flags)
 
 Against a sherlockd daemon:
   sherlock upload -server URL FILE...
@@ -133,8 +136,6 @@ func cmdInfer(ctx context.Context, args []string) {
 	appName := fs.String("app", "", "application id (App-1..App-8 or gen:<seed>[,profile=...][,size=...]); with -corpus, a filter")
 	corpus := fs.String("corpus", "", "offline: infer from this trace corpus")
 	tracesDir := fs.String("traces", "", "offline: infer from the JSONL traces in this directory")
-	all := fs.Bool("all", false, "run every application and print Table 2")
-	list := fs.Bool("list", false, "print the application inventory (Table 1)")
 	rounds := fs.Int("rounds", 3, "rounds per test input")
 	lambda := fs.Float64("lambda", 0.2, "Mostly-Protected trade-off knob")
 	near := fs.Int64("near", 1_000_000, "conflict window in virtual ns")
@@ -147,12 +148,6 @@ func cmdInfer(ctx context.Context, args []string) {
 	fs.Parse(args)
 
 	switch {
-	case *list:
-		report.Table1(os.Stdout)
-	case *all:
-		rows, runs, err := exper.Table2(ctx)
-		die(err)
-		report.Table2(os.Stdout, rows, exper.UniqueCorrect(runs))
 	case *refine:
 		// Before the plain -corpus case: with -refine, -corpus names the
 		// checkpoint store for the campaign, not an offline trace source.
@@ -182,7 +177,7 @@ func cmdInfer(ctx context.Context, args []string) {
 		die(firstErr(err, closeLog()))
 		printResult(app, res, *verbose)
 	default:
-		die(fmt.Errorf("infer: one of -app, -corpus, -traces, -all, or -list is required"))
+		die(fmt.Errorf("infer: one of -app, -corpus, or -traces is required"))
 	}
 }
 
@@ -216,6 +211,17 @@ func cmdStatic(ctx context.Context, args []string) {
 	default:
 		die(fmt.Errorf("static: -app or -all is required"))
 	}
+}
+
+// cmdEval runs the paper's whole evaluation and prints every section. It
+// takes no flags: EXPERIMENTS.md and internal/exper's golden file are
+// checked against exactly this output.
+func cmdEval(ctx context.Context, args []string) {
+	if len(args) > 0 {
+		usage(os.Stderr)
+		os.Exit(2)
+	}
+	die(exper.Evaluate(ctx, os.Stdout))
 }
 
 func cmdUpload(ctx context.Context, args []string) {

@@ -5,7 +5,8 @@
 //	sherlock capture -corpus DIR [-app App-4] [-seed 1]
 //	sherlock capture -traces DIR -app App-4 [-seed 1]
 //	sherlock infer   -app App-4 [-rounds 3] [-lambda 0.2] [-near 1000000] [-v]
-//	sherlock infer   -corpus DIR | -traces DIR | -all | -list
+//	sherlock infer   -corpus DIR | -traces DIR
+//	sherlock eval
 //	sherlock upload  -server http://localhost:8419 trace.bin ...
 //	sherlock submit  -server URL -app App-4 [-wait]
 //	sherlock submit  -server URL -keys key1,key2 [-wait]

@@ -1,5 +1,5 @@
 // Batch inference: run whole applications concurrently. This is the shape
-// of the evaluation workloads (cmd/sweep, the benchmark harness): eight
+// of the evaluation workloads (internal/exper, `sherlock eval`): eight
 // campaigns with no data dependencies between them, each internally
 // parallel across its tests.
 package core

@@ -1,12 +1,14 @@
 // Package exper drives every experiment of the paper's evaluation
 // (Section 5): it runs the SherLock engine over the benchmark applications
-// under the parameterizations each table/figure calls for and returns
-// structured results for internal/report to render and for the benchmark
-// harness to assert on.
+// under the parameterizations each table/figure calls for, returns
+// structured results for tests to assert on, and renders them as ASCII
+// tables shaped like the paper's (render.go). Evaluate is the one entry
+// point that runs and prints the whole evaluation.
 package exper
 
 import (
 	"context"
+	"io"
 	"sort"
 
 	"sherlock/internal/apps"
@@ -79,12 +81,8 @@ type Table2Row struct {
 	Missed      int
 }
 
-// Table2 runs the default configuration over all apps.
-func Table2(ctx context.Context) ([]Table2Row, []AppRun, error) {
-	runs, err := RunAll(ctx, core.DefaultConfig())
-	if err != nil {
-		return nil, nil, err
-	}
+// Table2 classifies the default campaign's inferences per app.
+func Table2(runs []AppRun) []Table2Row {
 	rows := make([]Table2Row, 0, len(runs))
 	for _, r := range runs {
 		rows = append(rows, Table2Row{
@@ -96,7 +94,7 @@ func Table2(ctx context.Context) ([]Table2Row, []AppRun, error) {
 			Missed:      len(r.Score.Missed),
 		})
 	}
-	return rows, runs, nil
+	return rows
 }
 
 // ---------------------------------------------------------------------------
@@ -105,15 +103,10 @@ func Table2(ctx context.Context) ([]Table2Row, []AppRun, error) {
 
 // Table3 compares the two detector variants per app, using each app's own
 // inference result for SherLock_dr.
-func Table3(ctx context.Context) ([]*race.Comparison, error) {
-	all := apps.All()
-	results, err := core.InferAll(ctx, all, core.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*race.Comparison, 0, len(all))
-	for i, app := range all {
-		cmp, err := race.Compare(ctx, app, results[i].SyncKeys(), race.DefaultCompareConfig())
+func Table3(ctx context.Context, runs []AppRun) ([]*race.Comparison, error) {
+	out := make([]*race.Comparison, 0, len(runs))
+	for _, r := range runs {
+		cmp, err := race.Compare(ctx, r.App, r.Result.SyncKeys(), race.DefaultCompareConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -243,14 +236,17 @@ type Figure4Series struct {
 	Correct []int // index = round-1, summed unique across apps
 }
 
-// Figure4 runs each feedback setting for the given number of rounds.
-func Figure4(ctx context.Context, rounds int) ([]Figure4Series, error) {
+// Figure4Rounds is the number of rounds Figure 4 plots.
+const Figure4Rounds = 5
+
+// Figure4 runs each feedback setting for Figure4Rounds rounds.
+func Figure4(ctx context.Context) ([]Figure4Series, error) {
 	out := make([]Figure4Series, 0, len(FeedbackSettings))
 	for _, fs := range FeedbackSettings {
 		cfg := core.DefaultConfig()
-		cfg.Rounds = rounds
+		cfg.Rounds = Figure4Rounds
 		fs.Apply(&cfg)
-		perRound := make([]map[trace.Key]bool, rounds)
+		perRound := make([]map[trace.Key]bool, Figure4Rounds)
 		for i := range perRound {
 			perRound[i] = map[trace.Key]bool{}
 		}
@@ -276,7 +272,7 @@ func Figure4(ctx context.Context, rounds int) ([]Figure4Series, error) {
 				}
 			}
 		}
-		series := Figure4Series{Name: fs.Name, Correct: make([]int, rounds)}
+		series := Figure4Series{Name: fs.Name, Correct: make([]int, Figure4Rounds)}
 		for i := range perRound {
 			series.Correct[i] = len(perRound[i])
 		}
@@ -389,25 +385,132 @@ type TSVDRow struct {
 	SherSynced  int
 }
 
-// TSVDEnhancement runs the TSVD experiment on every app.
-func TSVDEnhancement(ctx context.Context) ([]TSVDRow, error) {
-	all := apps.All()
-	results, err := core.InferAll(ctx, all, core.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	out := make([]TSVDRow, 0, len(all))
-	for i, app := range all {
-		t, err := tsvd.Analyze(ctx, app, results[i].SyncKeys(), tsvd.DefaultConfig())
+// TSVDEnhancement runs the TSVD experiment on every app, using each app's
+// own inference result.
+func TSVDEnhancement(ctx context.Context, runs []AppRun) ([]TSVDRow, error) {
+	out := make([]TSVDRow, 0, len(runs))
+	for _, r := range runs {
+		t, err := tsvd.Analyze(ctx, r.App, r.Result.SyncKeys(), tsvd.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, TSVDRow{
-			App:         app.Name,
+			App:         r.App.Name,
 			Conflicting: len(t.Conflicting),
 			TSVDSynced:  len(t.TSVDSynced),
 			SherSynced:  len(t.SherSynced),
 		})
 	}
 	return out, nil
+}
+
+// ---------------------------------------------------------------------------
+// Extensions beyond the paper
+// ---------------------------------------------------------------------------
+
+// BarrierRoles records which roles of App-5's Barrier::SignalAndWait — a
+// double-role API whose arrival releases and whose return acquires — the
+// hard and the soft (Section 5.5 future work) Single-Role constraint infer.
+type BarrierRoles struct {
+	HardAcquire, HardRelease bool
+	SoftAcquire, SoftRelease bool
+}
+
+// SoftSingleRole reruns App-5 with Single-Role as a soft constraint and
+// reads the barrier's roles from both runs; runs supplies the hard one.
+func SoftSingleRole(ctx context.Context, runs []AppRun) (BarrierRoles, error) {
+	const barrier = "System.Threading.Barrier::SignalAndWait"
+	var out BarrierRoles
+	for _, r := range runs {
+		if r.App.Name != "App-5" {
+			continue
+		}
+		cfg := core.DefaultConfig()
+		cfg.Solver.SoftSingleRole = true
+		soft, err := core.Infer(ctx, r.App, cfg)
+		if err != nil {
+			return out, err
+		}
+		hardSet, softSet := r.Result.SyncKeys(), soft.SyncKeys()
+		_, out.HardAcquire = hardSet["begin:"+barrier]
+		_, out.HardRelease = hardSet["end:"+barrier]
+		_, out.SoftAcquire = softSet["begin:"+barrier]
+		_, out.SoftRelease = softSet["end:"+barrier]
+	}
+	return out, nil
+}
+
+// ---------------------------------------------------------------------------
+// The whole evaluation
+// ---------------------------------------------------------------------------
+
+// Evaluation holds every experiment's structured result.
+type Evaluation struct {
+	// Runs is the default-configuration campaign over all apps. Tables 2,
+	// 3, 4, 8/9, the TSVD comparison and both extensions share it.
+	Runs     []AppRun
+	Table3   []*race.Comparison
+	Table5   []Table5Row
+	Figure4  []Figure4Series
+	Table6   []SweepRow
+	Table7   []SweepRow
+	TSVD     []TSVDRow
+	Overhead []OverheadRow
+	Barrier  BarrierRoles
+	// ProbabilisticCorrect is the unique correct count when each delay is
+	// injected with probability 0.5 (the paper's footnote 1).
+	ProbabilisticCorrect int
+}
+
+// Run runs every experiment once. The ablation and sweep tables run their
+// default-configuration point on their own, so their agreement with Runs
+// is a check, not a copy.
+func Run(ctx context.Context) (*Evaluation, error) {
+	e := &Evaluation{}
+	var err error
+	if e.Runs, err = RunAll(ctx, core.DefaultConfig()); err != nil {
+		return nil, err
+	}
+	if e.Table3, err = Table3(ctx, e.Runs); err != nil {
+		return nil, err
+	}
+	if e.Table5, err = Table5(ctx); err != nil {
+		return nil, err
+	}
+	if e.Figure4, err = Figure4(ctx); err != nil {
+		return nil, err
+	}
+	if e.Table6, err = Table6(ctx); err != nil {
+		return nil, err
+	}
+	if e.Table7, err = Table7(ctx); err != nil {
+		return nil, err
+	}
+	if e.TSVD, err = TSVDEnhancement(ctx, e.Runs); err != nil {
+		return nil, err
+	}
+	if e.Overhead, err = Overhead(ctx); err != nil {
+		return nil, err
+	}
+	if e.Barrier, err = SoftSingleRole(ctx, e.Runs); err != nil {
+		return nil, err
+	}
+	cfg := core.DefaultConfig()
+	cfg.DelayProbability = 0.5
+	prob, err := RunAll(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	e.ProbabilisticCorrect = UniqueCorrect(prob)
+	return e, nil
+}
+
+// Evaluate runs the whole evaluation and writes every section to w.
+func Evaluate(ctx context.Context, w io.Writer) error {
+	e, err := Run(ctx)
+	if err != nil {
+		return err
+	}
+	e.Render(w)
+	return nil
 }

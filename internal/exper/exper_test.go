@@ -33,10 +33,11 @@ func TestRunAllAndUniqueCounting(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	rows, runs, err := Table2(context.Background())
+	runs, err := RunAll(context.Background(), core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := Table2(runs)
 	if len(rows) != 8 || len(runs) != 8 {
 		t.Fatalf("rows/runs = %d/%d", len(rows), len(runs))
 	}
@@ -87,7 +88,7 @@ func TestTable4JoinsScoresAndRaceCauses(t *testing.T) {
 }
 
 func TestFigure4SeriesShape(t *testing.T) {
-	series, err := Figure4(context.Background(), 2)
+	series, err := Figure4(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +96,8 @@ func TestFigure4SeriesShape(t *testing.T) {
 		t.Fatalf("series = %d, want %d", len(series), len(FeedbackSettings))
 	}
 	for _, s := range series {
-		if len(s.Correct) != 2 {
-			t.Errorf("%s: rounds = %d, want 2", s.Name, len(s.Correct))
+		if len(s.Correct) != Figure4Rounds {
+			t.Errorf("%s: rounds = %d, want %d", s.Name, len(s.Correct), Figure4Rounds)
 		}
 		for _, c := range s.Correct {
 			if c <= 0 {
@@ -123,7 +124,11 @@ func TestListings(t *testing.T) {
 }
 
 func TestTSVDEnhancementShape(t *testing.T) {
-	rows, err := TSVDEnhancement(context.Background())
+	runs, err := RunAll(context.Background(), core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := TSVDEnhancement(context.Background(), runs)
 	if err != nil {
 		t.Fatal(err)
 	}
