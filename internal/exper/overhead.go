@@ -26,8 +26,7 @@ type OverheadRow struct {
 }
 
 // Overhead measures every app. Wall-clock results depend on the host; the
-// paper reports 24%–800% per test with a 278% average — the shape to
-// compare is "tracing dominates, solving is the second-largest cost".
+// paper reports 24%–800% per test with a 278% average.
 func Overhead(ctx context.Context) ([]OverheadRow, error) {
 	rows := make([]OverheadRow, 0, 8)
 	for _, app := range apps.All() {
