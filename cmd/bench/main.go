@@ -17,7 +17,7 @@
 //   - store: binary trace codec against JSON lines over the 8-app corpus.
 //   - obs: no-sink tracing overhead against DisableTracing.
 //   - incremental: folding k traces into a checkpoint vs re-solving.
-//   - static: run-free quality and refine-campaign convergence per app.
+//   - static: run-free quality and reproducibility per app.
 //   - gen: precision/recall over 100 generated apps vs machine truth.
 //   - cluster: 1/2/4-node in-process clusters under a zipfian workload.
 //

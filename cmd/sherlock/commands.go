@@ -2,7 +2,6 @@
 //
 //	sherlock capture [-corpus DIR | -traces DIR -app App-4] [-seed 1]
 //	sherlock infer   [-app App-4 | -corpus DIR | -traces DIR]
-//	                 [-refine -corpus DIR]
 //	sherlock static  [-app App-4 | -all]
 //	sherlock eval
 //	sherlock upload  -server URL FILE...
@@ -76,9 +75,6 @@ Local:
       offline inference over a captured corpus
   sherlock infer -traces DIR
       offline inference over JSONL trace files
-  sherlock infer -app App-4 -refine -corpus DIR
-      refine campaign: warm-start from (and persist) the posterior
-      checkpoint stored in the corpus
   sherlock static -app App-4 [-v]
       run-free static inference on one application, scored vs truth
   sherlock static -all
@@ -144,20 +140,9 @@ func cmdInfer(ctx context.Context, args []string) {
 	parallel := fs.Int("p", 0, "worker pool size per round (0 = GOMAXPROCS)")
 	verbose := fs.Bool("v", false, "print per-round snapshots")
 	traceOut := fs.String("trace-out", "", "write the campaign's span event log as JSON lines to this file")
-	refine := fs.Bool("refine", false, "with -app and -corpus: warm-start from (and persist) the corpus posterior checkpoint")
 	fs.Parse(args)
 
 	switch {
-	case *refine:
-		// Before the plain -corpus case: with -refine, -corpus names the
-		// checkpoint store for the campaign, not an offline trace source.
-		if *appName == "" || *corpus == "" {
-			die(fmt.Errorf("infer: -refine requires both -app and -corpus"))
-		}
-		app, err := apps.ByName(*appName)
-		die(err)
-		cfg := campaignConfig(*rounds, *lambda, *near, *seed, *parallel, *dist)
-		die(refineCampaign(ctx, app, *corpus, cfg, *verbose))
 	case *corpus != "":
 		observer, closeLog, err := traceObserver(*traceOut)
 		die(err)
@@ -169,9 +154,15 @@ func cmdInfer(ctx context.Context, args []string) {
 	case *appName != "":
 		app, err := apps.ByName(*appName)
 		die(err)
-		cfg := campaignConfig(*rounds, *lambda, *near, *seed, *parallel, *dist)
 		observer, closeLog, err := traceObserver(*traceOut)
 		die(err)
+		cfg := core.DefaultConfig()
+		cfg.Rounds = *rounds
+		cfg.Solver.Lambda = *lambda
+		cfg.Window.Near = *near
+		cfg.Seed = *seed
+		cfg.Parallelism = *parallel
+		cfg.StepDist = *dist
 		cfg.Observer = observer
 		res, err := core.Infer(ctx, app, cfg)
 		die(firstErr(err, closeLog()))
@@ -179,18 +170,6 @@ func cmdInfer(ctx context.Context, args []string) {
 	default:
 		die(fmt.Errorf("infer: one of -app, -corpus, or -traces is required"))
 	}
-}
-
-// campaignConfig assembles a core.Config from the shared campaign flags.
-func campaignConfig(rounds int, lambda float64, near, seed int64, parallel int, dist string) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Rounds = rounds
-	cfg.Solver.Lambda = lambda
-	cfg.Window.Near = near
-	cfg.Seed = seed
-	cfg.Parallelism = parallel
-	cfg.StepDist = dist
-	return cfg
 }
 
 // cmdStatic runs static (run-free) inference locally. A daemon computes

@@ -1,16 +1,12 @@
-// `sherlock static` — run-free inference — plus the refine campaign
-// helper behind `sherlock infer -refine`.
+// `sherlock static` — run-free inference.
 package main
 
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"sherlock/internal/apps"
 	"sherlock/internal/core"
-	"sherlock/internal/prog"
-	"sherlock/internal/store"
 	"sherlock/internal/trace"
 )
 
@@ -95,47 +91,4 @@ func recall(s *core.Score) float64 {
 		return 0
 	}
 	return float64(len(s.Correct)) / float64(denom)
-}
-
-// refineCampaign runs `sherlock infer -app X -refine -corpus DIR`: the
-// campaign warm-starts from the posterior checkpoint a previous refine
-// run stored in the corpus, and persists its own posterior for the next
-// one. The first run is cold (no checkpoint yet) but still saves one.
-func refineCampaign(ctx context.Context, app *prog.Program, corpusDir string, cfg core.Config, verbose bool) error {
-	c, err := store.Open(corpusDir)
-	if err != nil {
-		return err
-	}
-	name := core.CheckpointName("posterior", app.Name)
-	warm := false
-	if data, err := c.LoadCheckpoint(name); err == nil {
-		post, derr := core.DecodePosterior(data)
-		if derr != nil {
-			fmt.Fprintf(os.Stderr, "sherlock: ignoring stored posterior %s: %v\n", name, derr)
-		} else if pri, perr := post.Priors(cfg); perr != nil {
-			fmt.Fprintf(os.Stderr, "sherlock: ignoring stored posterior %s: %v\n", name, perr)
-		} else {
-			cfg.StaticPriors = pri
-			warm = true
-			fmt.Printf("warm-starting from posterior %s (%d rounds of evidence)\n", name, post.Rounds)
-		}
-	}
-	res, err := core.Infer(ctx, app, cfg)
-	if err != nil {
-		return err
-	}
-	data, err := core.EncodePosterior(core.PosteriorFromResult(res, cfg))
-	if err != nil {
-		return err
-	}
-	if err := c.SaveCheckpoint(name, data); err != nil {
-		return fmt.Errorf("save posterior: %w", err)
-	}
-	mode := "cold (posterior saved for the next run)"
-	if warm {
-		mode = fmt.Sprintf("warm, converged in %d/%d rounds", res.RoundsToConverge(), len(res.Rounds))
-	}
-	fmt.Printf("refine campaign: %s\n\n", mode)
-	printResult(app, res, verbose)
-	return nil
 }

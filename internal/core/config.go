@@ -53,16 +53,11 @@ type Config struct {
 	// MaxStepsPerTest bounds each simulated test (0 = scheduler default).
 	MaxStepsPerTest int
 
-	// StaticPriors, when non-nil, seeds a refine campaign with a previous
-	// campaign's posterior (Posterior.Priors). It changes only round 0's
-	// reported snapshot: round 0 is re-solved with the prior-tilted
-	// objective and that solve's sets are what RoundSnapshot 1 reports.
-	// The round-0 delay plan, the carried basis and every later round stay
-	// with the evidence-only solve, so the executions, the accumulated
-	// evidence and the final inferred set are exactly the unseeded
-	// campaign's; a good prior only makes the reported sets reach the
-	// final set earlier.
-	StaticPriors *solver.Priors
+	// StaticPriors is a tombstone of the removed refine mode. It has no
+	// effect, and no package outside core can make it non-nil: its type
+	// is unexported. It stays only because perfbench still compares it
+	// with nil; delete it together with that comparison.
+	StaticPriors *removedPriors
 
 	// ColdStart disables cross-round solver reuse: every round encodes from
 	// scratch and solves the LP from a cold basis, exactly like the
@@ -83,6 +78,9 @@ type Config struct {
 	// ruling tracing out when bisecting performance.
 	DisableTracing bool
 }
+
+// removedPriors is the type of the Config.StaticPriors tombstone.
+type removedPriors struct{}
 
 // DefaultConfig mirrors the paper's default operating point.
 func DefaultConfig() Config {

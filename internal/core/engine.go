@@ -192,33 +192,10 @@ func Infer(ctx context.Context, app *prog.Program, cfg Config) (*Result, error) 
 		if sr.WarmStarted {
 			res.Overhead.WarmRounds++
 		}
-		reported := sr
-		if round == 0 && cfg.StaticPriors != nil && cfg.Rounds > 1 {
-			// Refine seed: re-solve round 0 with the prior-tilted objective
-			// and report THAT snapshot — the posterior anticipates what later
-			// rounds' evidence confirms, so the campaign's reported sets
-			// converge earlier. The feedback plan and the carried basis stay
-			// with the evidence-only solve: the execution schedule — and
-			// with it the accumulated evidence and the final inferred set —
-			// is exactly the unseeded campaign's, bit for bit. The re-solve
-			// warm-starts from the evidence optimum, which only the costs
-			// changed, so primal pivots re-price it from a feasible basis.
-			enc.SetPriors(cfg.StaticPriors)
-			t1 := time.Now()
-			hr, _, herr := enc.SolveSpan(acc, basis, rspan)
-			res.Overhead.SolveWall += time.Since(t1)
-			enc.SetPriors(nil)
-			if herr != nil {
-				rspan.End()
-				return nil, fmt.Errorf("core: %s seeded round %d solve: %w", app.Name, round+1, herr)
-			}
-			tr.Count("lp.pivots", int64(hr.Iters))
-			reported = hr
-		}
 		snap := RoundSnapshot{
 			Round:    round + 1,
-			Acquires: append([]trace.Key(nil), reported.AcquireSet...),
-			Releases: append([]trace.Key(nil), reported.ReleaseSet...),
+			Acquires: append([]trace.Key(nil), sr.AcquireSet...),
+			Releases: append([]trace.Key(nil), sr.ReleaseSet...),
 			Windows:  len(acc.Windows),
 			LPIters:  sr.Iters,
 			Warm:     sr.WarmStarted,

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"sherlock/internal/apps"
@@ -195,6 +198,69 @@ func TestIncrementalCorpusBatchesMatchFromScratch(t *testing.T) {
 	}
 	if gotB, wantB := resultBytes(t, got), resultBytes(t, want); !bytes.Equal(gotB, wantB) {
 		t.Errorf("two-batch incremental result differs from from-scratch\n got: %s\nwant: %s", gotB, wantB)
+	}
+}
+
+// TestCorpusWithLeftoverCheckpoints: corpora written by the removed refine
+// mode hold a checkpoints/ directory of posterior blobs beside blobs/. Such
+// a corpus still opens, from its manifest or by rebuilding it from the
+// blobs, lists the same keys, verifies clean, and infers the same result.
+func TestCorpusWithLeftoverCheckpoints(t *testing.T) {
+	ctx := context.Background()
+	cfg := DefaultConfig()
+	dir := t.TempDir()
+	corpus, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kt := range captureKeyed(t, "App-2", 1) {
+		if _, _, err := corpus.Ingest(kt.Trace); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := InferFromSource(ctx, corpus.Source(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantKeys := corpus.Source().Keys()
+
+	ckDir := filepath.Join(dir, "checkpoints")
+	if err := os.MkdirAll(ckDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	posterior := []byte(`{"version":"sherlock-posterior-v1","app":"App-2","rounds":3}`)
+	if err := os.WriteFile(filepath.Join(ckDir, "posterior-App-2"), posterior, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name         string
+		dropManifest bool
+	}{{"manifest", false}, {"rebuilt", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.dropManifest {
+				if err := os.Remove(filepath.Join(dir, "manifest.json")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := c.Source().Keys(); !slices.Equal(got, wantKeys) {
+				t.Fatalf("keys %v, want %v", got, wantKeys)
+			}
+			if rep, err := c.Verify(); err != nil || !rep.Clean() {
+				t.Fatalf("verify: %v, report %+v", err, rep)
+			}
+			got, err := InferFromSource(ctx, c.Source(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotB, wantB := resultBytes(t, got), resultBytes(t, want); !bytes.Equal(gotB, wantB) {
+				t.Errorf("result differs with checkpoints/ present\n got: %s\nwant: %s", gotB, wantB)
+			}
+		})
 	}
 }
 

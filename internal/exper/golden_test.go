@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"sherlock/internal/core"
@@ -16,6 +17,22 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/evaluation.golden from the current code")
 
 var goldenPath = filepath.Join("testdata", "evaluation.golden")
+
+// evaluation runs the whole evaluation once per test binary; every test
+// that needs campaign results reads this one Run.
+var evaluation = sync.OnceValues(func() (*Evaluation, error) {
+	return Run(context.Background())
+})
+
+// sharedEvaluation returns the shared Run, failing t if it failed.
+func sharedEvaluation(t *testing.T) *Evaluation {
+	t.Helper()
+	e, err := evaluation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
 
 // maskWallClock replaces the overhead section's host-dependent columns —
 // baseline, tracing, solving and overhead % — with "*". Every other byte
@@ -139,10 +156,7 @@ func assertShapes(t *testing.T, e *Evaluation) {
 // wall-clock columns masked. Run with -update to rewrite the file after a
 // deliberate change of results.
 func TestEvaluationGolden(t *testing.T) {
-	e, err := Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := sharedEvaluation(t)
 	assertShapes(t, e)
 	if t.Failed() {
 		t.FailNow()

@@ -137,7 +137,9 @@ func renderFigure4(w io.Writer, series []Figure4Series) {
 			header += fmt.Sprintf(" round%-2d", i+1)
 		}
 	}
-	line(w, "%s", header)
+	// The last " round%-2d" pads with a space; the rule keeps the
+	// padded width, which is the rows' width.
+	line(w, "%s", strings.TrimRight(header, " "))
 	rule(w, len(header))
 	for _, s := range series {
 		row := fmt.Sprintf("%-22s", s.Name)

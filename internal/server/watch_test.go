@@ -410,17 +410,3 @@ func TestJobListPaginationBeyondPadding(t *testing.T) {
 		t.Fatalf("page 2: %+v next=%q, want just %s", page2.Jobs, page2.NextAfter, ids[2])
 	}
 }
-
-// TestCheckpointNamesPinned pins the persisted checkpoint names of refine
-// posteriors. They are store file names that outlive the process, so a
-// renamed checkpoint is one a later refine run can no longer find.
-func TestCheckpointNamesPinned(t *testing.T) {
-	for _, c := range []struct{ app, posterior string }{
-		{"App-1", "posterior-App-1"},
-		{"gen:7,profile=go", "posterior-gen_7_profile_go-022ad795"},
-	} {
-		if got := core.CheckpointName("posterior", c.app); got != c.posterior {
-			t.Errorf("posterior checkpoint for %q = %q, want %q", c.app, got, c.posterior)
-		}
-	}
-}

@@ -160,8 +160,7 @@ type varPair struct {
 // An Encoder is not safe for concurrent use. The zero value is not usable;
 // construct with NewEncoder.
 type Encoder struct {
-	cfg    Config
-	priors *Priors // nil = no objective priors (see SetPriors)
+	cfg Config
 
 	lastObs *window.Observations // accumulator the cache was built from
 	nCached int                  // windows ingested so far
@@ -396,7 +395,7 @@ func (e *Encoder) SolveSpan(obs *window.Observations, warm *lp.Basis, parent *ob
 		prob.Reset()
 		problems.Put(prob)
 	}()
-	b := &builder{cfg: e.cfg, priors: e.priors, obs: obs, prob: prob,
+	b := &builder{cfg: e.cfg, obs: obs, prob: prob,
 		vars: make([]varPair, 0, len(e.keys))}
 	// Rough dimension hint: two role variables per key, two ε per window,
 	// and change for the pairing/single-role auxiliaries. A window row holds
@@ -627,11 +626,10 @@ func (e *Encoder) planTerms() *termPlan {
 
 // builder assembles one round's lp.Problem.
 type builder struct {
-	cfg    Config
-	priors *Priors
-	obs    *window.Observations
-	prob   *lp.Problem
-	vars   []varPair // per key position
+	cfg  Config
+	obs  *window.Observations
+	prob *lp.Problem
+	vars []varPair // per key position
 
 	// The row under construction, reused from row to row (lp.AddRow
 	// copies it into the problem).
@@ -776,26 +774,19 @@ func (b *builder) addWindowTerm(rowName string, cands []*keyInfo, role trace.Rol
 	b.idx, b.coeffs = b.idx[:0], b.coeffs[:0]
 }
 
-// addRareness adds Eq. 3's regularization and Eq. 4's occurrence penalty,
-// discounted per role by any installed Priors (a believed synchronization
-// pays less for being rare).
+// addRareness adds Eq. 3's regularization and Eq. 4's occurrence penalty.
 func (b *builder) addRareness(keys []*keyInfo) {
 	if !b.cfg.Hyp.SyncsAreRare {
 		return
 	}
 	for i, in := range keys {
 		pen := b.cfg.Lambda * (1 + b.cfg.RareCoef*b.obs.AvgOccurrenceOf(in.id))
-		acqPen, relPen := pen, pen
-		if b.priors != nil {
-			acqPen *= b.priors.discount(b.priors.Acquires[in.key])
-			relPen *= b.priors.discount(b.priors.Releases[in.key])
-		}
 		vp := b.vars[i]
 		if vp.acq >= 0 {
-			b.prob.AddCost(vp.acq, acqPen)
+			b.prob.AddCost(vp.acq, pen)
 		}
 		if vp.rel >= 0 {
-			b.prob.AddCost(vp.rel, relPen)
+			b.prob.AddCost(vp.rel, pen)
 		}
 	}
 }

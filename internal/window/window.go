@@ -454,9 +454,9 @@ func (o *Observations) uncount(w *Window, c windowCands) {
 // Config returns the extraction configuration.
 func (o *Observations) Config() Config { return o.cfg }
 
-// AddWindows folds a set of (possibly Perturber-refined) windows into the
-// accumulator, enforcing the cross-run per-pair cap and recording data-race
-// observations.
+// AddWindows folds a set of windows, possibly refined by the Perturber,
+// into the accumulator, enforcing the cross-run per-pair cap and recording
+// data-race observations.
 func (o *Observations) AddWindows(ws []Window) {
 	for i := range ws {
 		w := &ws[i]
