@@ -97,8 +97,10 @@ func (m *MemorySink) Tree() []*Node { return BuildTree(m.Events()) }
 // parallelism levels for the same campaign.
 func (m *MemorySink) Render() string { return RenderEvents(m.Events()) }
 
-// jsonEvent is the JSONL wire schema. Wall clock is RFC3339Nano; the
-// duration is nanoseconds. Attribute values keep their native JSON types.
+// jsonEvent is the JSONL wire schema, which JSONLSink writes with
+// appendEvent (json.go) and ParseJSONL reads. Wall clock is RFC3339Nano;
+// the duration is nanoseconds. Attribute values keep their native JSON
+// types.
 type jsonEvent struct {
 	Ev     string         `json:"ev"`
 	ID     string         `json:"id,omitempty"`
@@ -116,29 +118,6 @@ type jsonEvent struct {
 // use a plain "_ns" suffix, which stays an integer).
 const durSuffix = "_wall_ns"
 
-// attrMap converts attrs to their JSON representation.
-func attrMap(attrs []Attr) map[string]any {
-	if len(attrs) == 0 {
-		return nil
-	}
-	out := make(map[string]any, len(attrs))
-	for _, a := range attrs {
-		switch a.Kind {
-		case KindStr:
-			out[a.Key] = a.Str
-		case KindInt:
-			out[a.Key] = a.Int
-		case KindFloat:
-			out[a.Key] = a.Flt
-		case KindBool:
-			out[a.Key] = a.Int != 0
-		case KindDur:
-			out[a.Key+durSuffix] = a.Int
-		}
-	}
-	return out
-}
-
 // JSONLSink streams one JSON object per event to a writer — the on-disk
 // event-log format of `sherlock -trace-out`. Safe for concurrent use; each
 // event is written atomically under the sink's lock.
@@ -155,16 +134,7 @@ func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{w: w} }
 
 // Emit writes one JSON line.
 func (j *JSONLSink) Emit(e Event) {
-	line, err := json.Marshal(jsonEvent{
-		Ev:     e.Type.String(),
-		ID:     e.ID,
-		Parent: e.Parent,
-		Name:   e.Name,
-		Wall:   e.Wall.UTC().Format(time.RFC3339Nano),
-		DurNS:  int64(e.Dur),
-		Delta:  e.Delta,
-		Attrs:  attrMap(e.Attrs),
-	})
+	line, err := appendEvent(nil, e)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {

@@ -8,7 +8,6 @@
 package server
 
 import (
-	"encoding/json"
 	"strings"
 	"sync"
 
@@ -57,24 +56,29 @@ func (s *spanHistSink) Emit(e obs.Event) {
 	h.Observe(e.Dur.Seconds())
 }
 
-// spansBody is the GET /v1/jobs/{id}/spans response schema.
-type spansBody struct {
-	Job      string        `json:"job"`
-	Spans    []*obs.Node   `json:"spans"`
-	Counters []obs.Counter `json:"counters,omitempty"`
-}
-
-// renderSpans serializes a job's collected span events. Span IDs, tree
-// shape, attributes and counters are deterministic for a given job spec;
-// only the dur_ns fields vary between runs.
+// renderSpans serializes a job's collected span events as the GET
+// /v1/jobs/{id}/spans body, {"job","spans","counters"} with counters
+// omitted when there are none, in one pass of the obs JSON appenders.
+// Span IDs, tree shape, attributes and counters are deterministic for a
+// given job spec; only the dur_ns fields vary between runs. The result is
+// an exact-size copy: a job record holds it for the record's lifetime.
 func renderSpans(jobID string, sink *obs.MemorySink) ([]byte, error) {
 	events := sink.Events()
 	if len(events) == 0 {
 		return nil, nil
 	}
-	return json.Marshal(spansBody{
-		Job:      jobID,
-		Spans:    obs.BuildTree(events),
-		Counters: obs.CounterTotals(events),
-	})
+	// A served tree renders to about 90 bytes per event.
+	b := append(make([]byte, 0, 128*len(events)), `{"job":`...)
+	b = obs.AppendStringJSON(b, jobID)
+	b = append(b, `,"spans":`...)
+	b, err := obs.AppendTreeJSON(b, obs.BuildTree(events))
+	if err != nil {
+		return nil, err
+	}
+	if counters := obs.CounterTotals(events); len(counters) > 0 {
+		b = append(b, `,"counters":`...)
+		b = obs.AppendCountersJSON(b, counters)
+	}
+	b = append(b, '}')
+	return append(make([]byte, 0, len(b)), b...), nil
 }
