@@ -73,9 +73,9 @@ type Config struct {
 
 	// DisableTracing turns span construction off entirely: the engine runs
 	// with a nil tracer and every span operation is inert. Tracing with no
-	// Observer already costs < 2% of a campaign (cmd/bench -suite obs keeps
-	// it honest); this toggle exists for that benchmark's baseline and for
-	// ruling tracing out when bisecting performance.
+	// Observer costs a few percent of a campaign's CPU time (cmd/bench
+	// -suite obs gates it at 5%); this toggle exists for that benchmark's
+	// baseline and for ruling tracing out when bisecting performance.
 	DisableTracing bool
 }
 

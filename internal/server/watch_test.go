@@ -23,7 +23,7 @@ import (
 )
 
 // captureAppTraces returns n distinct traces of the named app.
-func captureAppTraces(t *testing.T, name string, n int) []*trace.Trace {
+func captureAppTraces(t testing.TB, name string, n int) []*trace.Trace {
 	t.Helper()
 	app, err := apps.ByName(name)
 	if err != nil {
