@@ -93,7 +93,7 @@ func (c *Cluster) antiEntropyCycle(ctx context.Context) {
 
 // healLocal audits the local corpus and drops any blob that fails its
 // content check, so the anti-entropy pull path restores a clean replica.
-// Orphan blobs (no manifest entry) are left alone — they cost disk, not
+// Orphan blobs (no index entry) are left alone — they cost disk, not
 // correctness, and deleting data is not this loop's job.
 func (c *Cluster) healLocal() {
 	rep, err := c.srv.Corpus().Verify()
@@ -105,7 +105,7 @@ func (c *Cluster) healLocal() {
 			c.healed.Inc()
 		}
 	}
-	// Missing blobs (manifest entry, no file) need no drop — just count
+	// Missing blobs (index entry, no file) need no drop — just count
 	// them as healing work for the pull path.
 	c.healed.Add(len(rep.Missing))
 }

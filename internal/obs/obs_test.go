@@ -200,6 +200,17 @@ func TestBuildTreeSortsAndFinalizesAttrs(t *testing.T) {
 	if len(nodes) != 1 || len(nodes[0].Attrs) != 1 || nodes[0].Attrs[0].Str != "v" {
 		t.Fatalf("unended span lost start attrs: %+v", nodes)
 	}
+	// A parent cycle is cut at its smallest ID: a span naming itself is a
+	// root, and of two spans naming each other the smaller is the root.
+	cyclic := []Event{
+		{Type: EvSpanStart, ID: "self", Name: "self", Parent: "self"},
+		{Type: EvSpanStart, ID: "b", Name: "b", Parent: "a"},
+		{Type: EvSpanStart, ID: "a", Name: "a", Parent: "b"},
+		{Type: EvSpanStart, ID: "c", Name: "c", Parent: "b"},
+	}
+	if got, want := RenderEvents(cyclic), "a\n  b\n    c\nself\n"; got != want {
+		t.Fatalf("cyclic parents rendered\n%s\nwant\n%s", got, want)
+	}
 }
 
 func TestCounterTotals(t *testing.T) {

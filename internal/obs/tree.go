@@ -33,7 +33,10 @@ func (n *Node) MarshalJSON() ([]byte, error) { return appendNode(nil, n) }
 // BuildTree reconstructs the span forest from events. Nodes are created
 // from start events and finalized (attrs, duration) by end events; spans
 // that never ended keep their start-time attrs. Roots and children are
-// sorted by ID. Counter events are ignored here (see CounterTotals).
+// sorted by ID. A parent cycle (a span naming itself, or spans naming
+// each other) is cut at its smallest ID, which becomes a root, so every
+// span appears exactly once. Counter events are ignored here (see
+// CounterTotals).
 func BuildTree(events []Event) []*Node {
 	// The nodes and their attribute copies live in two arrays, one
 	// allocation each: a served job's tree has hundreds of spans. A span
@@ -74,10 +77,18 @@ func BuildTree(events []Event) []*Node {
 			n.Attrs = copyAttrs(e.Attrs)
 		}
 	}
+	parent := make([]int, len(nodes))
+	for i := range nodes {
+		parent[i] = -1
+		if p, ok := index[parents[i]]; ok && parents[i] != "" {
+			parent[i] = p
+		}
+	}
+	breakCycles(nodes, parent)
 	// nodes is complete: pointers into it stay valid from here on.
 	var roots []*Node
 	for i := range nodes {
-		if p, ok := index[parents[i]]; ok && parents[i] != "" {
+		if p := parent[i]; p >= 0 {
 			nodes[p].Children = append(nodes[p].Children, &nodes[i])
 		} else {
 			roots = append(roots, &nodes[i])
@@ -85,6 +96,41 @@ func BuildTree(events []Event) []*Node {
 	}
 	sortNodes(roots)
 	return roots
+}
+
+// breakCycles makes the smallest ID on every cycle of parent links a root
+// (parent -1). Each node has one parent, so a walk up from any node ends
+// at a root or runs into a cycle; every node is walked over once.
+func breakCycles(nodes []Node, parent []int) {
+	const (
+		unseen = iota
+		onPath
+		done
+	)
+	state := make([]uint8, len(nodes))
+	var path []int
+	for i := range nodes {
+		path = path[:0]
+		j := i
+		for j >= 0 && state[j] == unseen {
+			state[j] = onPath
+			path = append(path, j)
+			j = parent[j]
+		}
+		if j >= 0 && state[j] == onPath {
+			// The walk came back to j: j's cycle has no root yet.
+			least := j
+			for k := parent[j]; k != j; k = parent[k] {
+				if nodes[k].ID < nodes[least].ID {
+					least = k
+				}
+			}
+			parent[least] = -1
+		}
+		for _, k := range path {
+			state[k] = done
+		}
+	}
 }
 
 func sortNodes(ns []*Node) {

@@ -201,7 +201,8 @@ func New(cfg Config) (*Server, error) {
 	// Corpus codec spans (ingest/decode timings) feed the same phase
 	// histograms as campaign spans.
 	corpus.SetTracer(obs.New(s.spanSink))
-	// Every durable ingest wakes the subscriptions bound to its app.
+	// Every ingest renamed into place wakes the subscriptions bound to
+	// its app.
 	corpus.OnIngest(s.notifySubscriptions)
 	s.exec = s.runJob
 	s.q = newQueue(ctx, cfg.QueueSize, cfg.Workers, cfg.JobTimeout,

@@ -209,7 +209,8 @@ func (j *Job) watchVersion() uint64 {
 }
 
 // notifySubscriptions wakes every subscription bound to app. Runs on the
-// ingesting goroutine (corpus OnIngest hook), after the blob is durable.
+// ingesting goroutine (corpus OnIngest hook), after the blob is renamed
+// into place.
 func (s *Server) notifySubscriptions(entry store.Entry) {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()

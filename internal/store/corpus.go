@@ -1,9 +1,9 @@
 // Content-addressed trace corpus: a directory of canonical binary trace
-// blobs keyed by the SHA-256 of their encoding, plus a manifest index.
+// blobs keyed by the SHA-256 of their encoding. The blob tree is the
+// only record: Open builds the in-memory index by scanning it.
 //
 // Layout:
 //
-//	<dir>/manifest.json        index of every entry (manifest.go)
 //	<dir>/blobs/<kk>/<key>     one blob per unique trace, where <kk> is
 //	                           the first two hex digits of the key
 //	<dir>/tmp/                 staging area for atomic write-then-rename
@@ -12,8 +12,10 @@
 // under tmp/ on the same filesystem and renamed into place, so a crash
 // never leaves a partial blob at a final path, and re-ingesting a trace
 // that is already present (same content, hence same key) is a no-op dedup
-// hit. Iteration order is deterministic (sorted by key). All methods are
-// safe for concurrent use.
+// hit. An ingest is committed once its rename succeeds; nothing calls
+// fsync, so a machine crash may still lose recent renames. Iteration
+// order is deterministic (sorted by key). All methods are safe for
+// concurrent use.
 package store
 
 import (
@@ -51,8 +53,8 @@ type Corpus struct {
 
 // OnIngest registers a hook called after every Ingest that stores a new
 // blob (dedup hits never fire it). Hooks run outside the corpus lock, on
-// the ingesting goroutine, after the blob and manifest are durably in
-// place — a hook that reads the corpus sees the new entry. The serving
+// the ingesting goroutine, after the blob is renamed into place and
+// indexed — a hook that reads the corpus sees the new entry. The serving
 // layer uses this to notify corpus-prefix subscriptions. Safe for
 // concurrent use with ingestion; registration order is invocation order.
 func (c *Corpus) OnIngest(fn func(Entry)) {
@@ -78,9 +80,11 @@ func spanKey(key string) string {
 	return key
 }
 
-// Open opens (creating if needed) the corpus at dir. A missing or corrupt
-// manifest is rebuilt by decoding every blob, so the blobs alone are the
-// source of truth.
+// Open opens (creating if needed) the corpus at dir and indexes it by
+// hashing and decoding every blob. A file whose name is not a key, or
+// whose bytes fail the hash or decode check, stays on disk but out of
+// the index: Open still succeeds, Verify lists the file as an orphan,
+// and ingesting or pulling that key again replaces it with a good copy.
 func Open(dir string) (*Corpus, error) {
 	for _, d := range []string{dir, filepath.Join(dir, "blobs"), filepath.Join(dir, "tmp")} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
@@ -88,28 +92,47 @@ func Open(dir string) (*Corpus, error) {
 		}
 	}
 	c := &Corpus{dir: dir, entries: make(map[string]Entry)}
-	entries, err := loadManifest(c.manifestPath())
-	if err == nil {
-		for _, e := range entries {
-			c.entries[e.Key] = e
-		}
-		return c, nil
-	}
-	if err := c.rebuild(); err != nil {
+	keys, err := c.scanBlobs()
+	if err != nil {
 		return nil, err
 	}
-	if len(c.entries) > 0 {
-		if err := c.saveManifestLocked(); err != nil {
-			return nil, err
+	for _, key := range keys {
+		if !ValidKey(key) {
+			continue
+		}
+		data, err := os.ReadFile(c.BlobPath(key))
+		if os.IsNotExist(err) {
+			continue // a key-named file outside its fan-out directory
+		}
+		if err != nil {
+			return nil, fmt.Errorf("store: open corpus: %w", err)
+		}
+		if e, ok := blobEntry(key, data); ok {
+			c.entries[key] = e
 		}
 	}
 	return c, nil
 }
 
+// blobEntry derives the index entry of a blob from its bytes; ok is false
+// when they do not hash to key or do not decode.
+func blobEntry(key string, data []byte) (e Entry, ok bool) {
+	sum := sha256.Sum256(data)
+	if hex.EncodeToString(sum[:]) != key {
+		return Entry{}, false
+	}
+	t, err := DecodeTrace(data)
+	if err != nil {
+		return Entry{}, false
+	}
+	return Entry{
+		Key: key, App: t.App, Test: t.Test, Seed: t.Seed,
+		Events: len(t.Events), Size: int64(len(data)),
+	}, true
+}
+
 // Dir returns the corpus root directory.
 func (c *Corpus) Dir() string { return c.dir }
-
-func (c *Corpus) manifestPath() string { return filepath.Join(c.dir, "manifest.json") }
 
 // BlobPath returns the on-disk path of a key's blob (which may not exist).
 func (c *Corpus) BlobPath(key string) string {
@@ -188,8 +211,8 @@ func (c *Corpus) Ingest(t *trace.Trace) (Entry, bool, error) {
 		if _, err := os.Stat(c.BlobPath(key)); err == nil {
 			return prev, false, nil
 		}
-		// Manifest entry without a blob (manual deletion): fall through
-		// and rewrite it.
+		// Index entry without a blob (DropBlob or manual deletion): fall
+		// through and rewrite it.
 	}
 
 	final := c.BlobPath(key)
@@ -216,9 +239,6 @@ func (c *Corpus) Ingest(t *trace.Trace) (Entry, bool, error) {
 	}
 
 	c.entries[key] = entry
-	if err := c.saveManifestLocked(); err != nil {
-		return Entry{}, false, err
-	}
 	added = true
 	return entry, true, nil
 }
@@ -286,20 +306,21 @@ func (c *Corpus) Stats() (traces int, bytes int64, events int64) {
 
 // VerifyReport is the machine-readable outcome of a full corpus
 // integrity scan. Key lists are sorted; an all-empty report (Clean) means
-// every manifest entry has a bit-exact blob and every blob is indexed.
+// every index entry has a bit-exact blob and every blob is indexed.
 // The serving layer exposes it at GET /v1/corpus/verify, and cluster
 // anti-entropy uses Corrupt/Missing as its repair work-list: dropping a
 // corrupt blob and re-pulling it from a replica heals bit rot.
 type VerifyReport struct {
-	// Checked counts the manifest entries scanned.
+	// Checked counts the index entries scanned.
 	Checked int `json:"checked"`
 	// Corrupt lists keys whose blob exists but fails verification: the
 	// bytes hash to a different key, fail to decode, or decode to
-	// metadata that contradicts the manifest entry.
+	// metadata that contradicts the index entry.
 	Corrupt []string `json:"corrupt,omitempty"`
-	// Missing lists manifest keys with no blob on disk.
+	// Missing lists index keys with no blob on disk.
 	Missing []string `json:"missing,omitempty"`
-	// Orphans lists blob files on disk that no manifest entry claims.
+	// Orphans lists files under blobs/ that no index entry claims: a
+	// blob that failed Open's check, or a stray file.
 	Orphans []string `json:"orphans,omitempty"`
 }
 
@@ -317,10 +338,10 @@ func (r *VerifyReport) Err() error {
 		len(r.Corrupt), len(r.Missing), len(r.Orphans), r.Checked)
 }
 
-// Verify scans the whole corpus: every manifest entry must have a blob
+// Verify scans the whole corpus: every index entry must have a blob
 // whose bytes hash to its key (which also re-verifies every block CRC on
-// the way in, via decode) and whose metadata matches the manifest, and
-// every blob on disk must appear in the manifest. Unlike a fail-fast
+// the way in, via decode) and whose metadata matches the entry, and
+// every file under blobs/ must be indexed. Unlike a fail-fast
 // check it classifies every problem into the returned report; the error
 // is reserved for I/O failures that prevent scanning at all.
 func (c *Corpus) Verify() (*VerifyReport, error) {
@@ -336,18 +357,7 @@ func (c *Corpus) Verify() (*VerifyReport, error) {
 			}
 			return nil, fmt.Errorf("store: verify %s: %w", e.Key, err)
 		}
-		sum := sha256.Sum256(data)
-		if got := hex.EncodeToString(sum[:]); got != e.Key {
-			rep.Corrupt = append(rep.Corrupt, e.Key)
-			continue
-		}
-		t, err := DecodeTrace(data)
-		if err != nil {
-			rep.Corrupt = append(rep.Corrupt, e.Key)
-			continue
-		}
-		if t.App != e.App || t.Test != e.Test || t.Seed != e.Seed || len(t.Events) != e.Events ||
-			int64(len(data)) != e.Size {
+		if got, ok := blobEntry(e.Key, data); !ok || got != e {
 			rep.Corrupt = append(rep.Corrupt, e.Key)
 		}
 	}
@@ -365,11 +375,13 @@ func (c *Corpus) Verify() (*VerifyReport, error) {
 	return rep, nil
 }
 
-// HasBlob reports whether key's blob file is present on disk (a cheap
-// stat — no hashing; Verify does the expensive bit-exact check). An
-// invalid key (see ValidKey) is never present.
+// HasBlob reports whether this corpus holds key: it is indexed and its
+// blob file is on disk (a cheap stat — no hashing; Verify does the
+// expensive bit-exact check). A file that failed Open's check, or that
+// another process wrote, is not held, so replication pulls it again. An
+// invalid key (see ValidKey) is never held.
 func (c *Corpus) HasBlob(key string) bool {
-	if !ValidKey(key) {
+	if _, ok := c.Entry(key); !ok {
 		return false
 	}
 	_, err := os.Stat(c.BlobPath(key))
@@ -394,10 +406,10 @@ func (c *Corpus) ReadBlob(key string) ([]byte, error) {
 	return data, nil
 }
 
-// DropBlob removes key's blob file while keeping its manifest entry — a
+// DropBlob removes key's blob file while keeping its index entry — a
 // repair primitive: a corrupt blob is dropped and then re-ingested (or
 // re-pulled from a cluster replica), and Ingest rewrites the file when
-// the manifest entry survives without one. Missing blobs, and invalid
+// the index entry survives without one. Missing blobs, and invalid
 // keys (see ValidKey), are a no-op.
 func (c *Corpus) DropBlob(key string) error {
 	if !ValidKey(key) {
@@ -409,34 +421,8 @@ func (c *Corpus) DropBlob(key string) error {
 	return nil
 }
 
-// rebuild reconstructs the index from the blobs directory.
-func (c *Corpus) rebuild() error {
-	keys, err := c.scanBlobs()
-	if err != nil {
-		return err
-	}
-	for _, key := range keys {
-		data, err := os.ReadFile(c.BlobPath(key))
-		if err != nil {
-			return fmt.Errorf("store: rebuild: %w", err)
-		}
-		sum := sha256.Sum256(data)
-		if got := hex.EncodeToString(sum[:]); got != key {
-			return fmt.Errorf("store: rebuild: blob named %s hashes to %s", key, got)
-		}
-		t, err := DecodeTrace(data)
-		if err != nil {
-			return fmt.Errorf("store: rebuild: blob %s: %w", key, err)
-		}
-		c.entries[key] = Entry{
-			Key: key, App: t.App, Test: t.Test, Seed: t.Seed,
-			Events: len(t.Events), Size: int64(len(data)),
-		}
-	}
-	return nil
-}
-
-// scanBlobs lists every blob key on disk, sorted.
+// scanBlobs lists the name of every file under blobs/, sorted: blob keys,
+// and any stray name Open skips and Verify reports as an orphan.
 func (c *Corpus) scanBlobs() ([]string, error) {
 	var keys []string
 	root := filepath.Join(c.dir, "blobs")

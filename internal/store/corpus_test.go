@@ -123,42 +123,103 @@ func TestCorpusDeterministicIteration(t *testing.T) {
 	}
 }
 
-// Open rebuilds a lost manifest from the blobs alone.
-func TestCorpusManifestRebuild(t *testing.T) {
+// TestCorpusReopen: Open indexes the blob tree as it finds it. A blob
+// renamed into place by an ingest that never returned is indexed; a
+// byte-flipped blob and a stray file stay on disk but out of the index
+// without failing Open, and re-ingesting the flipped trace repairs it.
+func TestCorpusReopen(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, _, err := c.Ingest(sampleTrace())
+	var kept []Entry
+	for seed := int64(0); seed < 3; seed++ {
+		tr := sampleTrace()
+		tr.Seed = seed
+		e, _, err := c.Ingest(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, e)
+	}
+	flipped := kept[1]
+	kept = append(kept[:1], kept[2:]...)
+
+	// The crash-after-rename state: a valid blob in place, never ingested.
+	crashed := sampleTrace()
+	crashed.Seed = 99
+	data, err := EncodeTrace(crashed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, "manifest.json")); err != nil {
+	crashedKey, err := Key(crashed)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := os.MkdirAll(filepath.Dir(c.BlobPath(crashedKey)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(c.BlobPath(crashedKey), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bad, err := os.ReadFile(c.BlobPath(flipped.Key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad[len(bad)-3] ^= 0x01
+	if err := os.WriteFile(c.BlobPath(flipped.Key), bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stray := filepath.Join(dir, "blobs", "zz", "not-a-key")
+	if err := os.MkdirAll(filepath.Dir(stray), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(stray, []byte("junk"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	c2, err := Open(dir)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("one bad file must not fail Open: %v", err)
 	}
-	got, ok := c2.Entry(e.Key)
-	if !ok || !reflect.DeepEqual(got, e) {
-		t.Fatalf("rebuilt entry %+v != original %+v", got, e)
+	e, ok := c2.Entry(crashedKey)
+	if !ok || e.Seed != 99 || e.Size != int64(len(data)) {
+		t.Fatalf("renamed-but-uncommitted blob not indexed: %+v ok=%v", e, ok)
 	}
-	// The rebuild also rewrote the manifest.
-	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err != nil {
-		t.Fatal("rebuild did not persist the manifest")
+	if !c2.HasBlob(crashedKey) {
+		t.Fatal("HasBlob disagrees with Entry on the reopened blob")
 	}
-	// A corrupt manifest is likewise rebuilt, not fatal.
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
+	if _, ok := c2.Entry(flipped.Key); ok || c2.HasBlob(flipped.Key) {
+		t.Fatal("a blob failing its hash check must stay out of the index")
 	}
-	c3, err := Open(dir)
+	for _, e := range kept {
+		if got, ok := c2.Entry(e.Key); !ok || got != e {
+			t.Fatalf("entry %s after reopen: %+v ok=%v, want %+v", e.Key, got, ok, e)
+		}
+	}
+	if c2.Len() != len(kept)+1 {
+		t.Fatalf("reopened corpus has %d entries, want %d", c2.Len(), len(kept)+1)
+	}
+
+	var fired []string
+	c2.OnIngest(func(e Entry) { fired = append(fired, e.Key) })
+	tr := sampleTrace()
+	tr.Seed = flipped.Seed
+	e, added, err := c2.Ingest(tr)
+	if err != nil || !added || e != flipped {
+		t.Fatalf("re-ingest of the flipped trace: %+v added=%v err=%v", e, added, err)
+	}
+	if !reflect.DeepEqual(fired, []string{flipped.Key}) {
+		t.Fatalf("OnIngest fired for %v, want the flipped key", fired)
+	}
+	rep, err := c2.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c3.Entry(e.Key); !ok {
-		t.Fatal("corrupt manifest not rebuilt")
+	want := &VerifyReport{Checked: len(kept) + 2, Orphans: []string{"not-a-key"}}
+	if !reflect.DeepEqual(rep, want) {
+		t.Fatalf("verify after repair: %+v, want %+v", rep, want)
 	}
 }
 

@@ -2,29 +2,46 @@
 # Smoke-test the serving stack end to end: start sherlockd on a random
 # port, submit a small application job, poll it to completion, resubmit
 # the identical job and assert it is answered from the result cache, then
-# scrape /metrics and verify the hit is visible. Finishes with a SIGTERM
-# graceful drain.
+# scrape /metrics and verify the hit is visible. Drains on SIGTERM, then
+# restarts on the same corpus directory and checks the upload survived.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BIN=$(mktemp -d)/sherlockd
-LOG=$(mktemp)
+CORPUS=$(mktemp -d)
 go build -o "$BIN" ./cmd/sherlockd
 
-"$BIN" -addr 127.0.0.1:0 -workers 2 -rounds 1 -pprof >"$LOG" 2>&1 &
-PID=$!
-trap 'kill "$PID" 2>/dev/null || true' EXIT
+# start_daemon: boot sherlockd on $CORPUS with a fresh log; sets LOG, PID
+# and BASE. The daemon prints "listening on HOST:PORT" once the socket is
+# bound.
+start_daemon() {
+  LOG=$(mktemp)
+  "$BIN" -addr 127.0.0.1:0 -workers 2 -rounds 1 -pprof -corpus "$CORPUS" >"$LOG" 2>&1 &
+  PID=$!
+  local addr=""
+  for _ in $(seq 1 100); do
+    addr=$(sed -n 's/^sherlockd: listening on \(.*\)$/\1/p' "$LOG" | head -1)
+    [ -n "$addr" ] && break
+    sleep 0.1
+  done
+  [ -n "$addr" ] || { echo "sherlockd never started"; cat "$LOG"; exit 1; }
+  BASE="http://$addr"
+  echo "smoke: daemon at $BASE"
+}
 
-# The daemon prints "listening on HOST:PORT" once the socket is bound.
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(sed -n 's/^sherlockd: listening on \(.*\)$/\1/p' "$LOG" | head -1)
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "sherlockd never started"; cat "$LOG"; exit 1; }
-BASE="http://$ADDR"
-echo "smoke: daemon at $BASE"
+# drain_daemon: SIGTERM the daemon and assert it drains gracefully.
+drain_daemon() {
+  kill -TERM "$PID"
+  for _ in $(seq 1 100); do
+    kill -0 "$PID" 2>/dev/null || break
+    sleep 0.1
+  done
+  if kill -0 "$PID" 2>/dev/null; then echo "daemon did not drain"; exit 1; fi
+  grep -q "drained, bye" "$LOG" || { echo "no graceful-drain message"; cat "$LOG"; exit 1; }
+}
+
+start_daemon
+trap 'kill "$PID" 2>/dev/null || true' EXIT
 
 curl -fsS "$BASE/healthz" | grep -q '"ok"' || { echo "healthz not ok"; exit 1; }
 
@@ -183,12 +200,24 @@ curl -fsS "$BASE/v1/results/$CKEY" | grep -q '"Inferred"' || { echo "watch resul
 echo "smoke: upload-while-watching ok"
 
 # Graceful drain on SIGTERM (with the watch subscription still active).
-kill -TERM "$PID"
-for _ in $(seq 1 100); do
-  kill -0 "$PID" 2>/dev/null || break
-  sleep 0.1
-done
-if kill -0 "$PID" 2>/dev/null; then echo "daemon did not drain"; exit 1; fi
-grep -q "drained, bye" "$LOG" || { echo "no graceful-drain message"; cat "$LOG"; exit 1; }
+drain_daemon
 echo "smoke: graceful drain ok"
+
+# Restart on the same corpus: the index is rebuilt from the blob tree
+# alone, so the upload is still listed, the corpus verifies clean, and no
+# separate index file was ever written.
+start_daemon
+LIST=$(curl -fsS "$BASE/v1/traces")
+case "$LIST" in
+  *'"count":1'*"\"key\":\"$TKEY\""*) ;;
+  *) echo "restarted daemon lost the upload: $LIST"; exit 1 ;;
+esac
+VERIFY=$(curl -fsS "$BASE/v1/corpus/verify")
+case "$VERIFY" in
+  *'"clean":true'*) ;;
+  *) echo "restarted corpus does not verify clean: $VERIFY"; exit 1 ;;
+esac
+[ ! -e "$CORPUS/manifest.json" ] || { echo "corpus wrote manifest.json"; exit 1; }
+drain_daemon
+echo "smoke: restart on the same corpus ok"
 echo "smoke: PASS"

@@ -108,7 +108,8 @@ type (
 
 	// Corpus is a content-addressed on-disk trace corpus (OpenCorpus):
 	// binary blobs keyed by SHA-256 of their canonical encoding, with
-	// dedup, a manifest index, and integrity verification.
+	// dedup, an index rebuilt from the blobs at open, and integrity
+	// verification.
 	Corpus = store.Corpus
 	// CorpusEntry is one corpus trace's index record.
 	CorpusEntry = store.Entry
