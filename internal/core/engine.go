@@ -165,7 +165,7 @@ func Infer(ctx context.Context, app *prog.Program, cfg Config) (*Result, error) 
 		rspan := campaign.Childf("round:%02d", round+1)
 		specs := planRound(app, cfg, round, plan)
 		exec := rspan.Child("execute", obs.Int("runs", len(specs)))
-		outs := executeRound(ctx, app, specs, cfg, exec)
+		outs := executeRound(ctx, app, specs, cfg, acc.FullPairs(), exec)
 		exec.End()
 		tr.Count("runs", int64(len(specs)))
 		prevWindows := len(acc.Windows)

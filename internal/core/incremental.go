@@ -4,7 +4,11 @@
 // results (modulo wall-clock overhead fields) to InferFromSource over the
 // same trace set in sorted-key order, for any arrival order and with
 // duplicate deliveries ignored — see checkpoint.go for why the replay
-// construction guarantees it.
+// construction guarantees it. One known exception breaks it: App-5's
+// traces captured at seed 2, folded one at a time, end on another
+// optimal basis of the same degenerate vertex from fold 43 on, and one
+// probability differs from a from-scratch solve in its last bit
+// (ROADMAP item 1).
 package core
 
 import (

@@ -41,7 +41,7 @@ func mergeRound(app *prog.Program, specs []runSpec, outs []runOutput, res *Resul
 		res.Overhead.DelayVirtual += out.delay
 		res.Overhead.Events += out.events
 		obs.AddWindows(out.windows)
-		obs.AddStats(out.durations, out.libAPIs)
+		obs.AddStatsByID(out.stats)
 	}
 	return errors.Join(errs...)
 }

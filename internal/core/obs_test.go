@@ -65,6 +65,46 @@ func TestSpanTreeGoldenAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestExtractSpanCountsCapped: every conflict a run finds is either built
+// into a window or dropped because its pair was at the per-pair cap when
+// the round began, so each extract span's windows and capped sum to its
+// conflicts. App-1's default campaign fills pairs, so some are capped.
+func TestExtractSpanCountsCapped(t *testing.T) {
+	app, err := apps.ByName("App-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := obs.NewMemorySink()
+	cfg := DefaultConfig()
+	cfg.Observer = SinkObserver(mem)
+	if _, err := Infer(context.Background(), app, cfg); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]map[string]int64{}
+	for _, e := range mem.Events() {
+		if e.Name != "extract" {
+			continue
+		}
+		if spans[e.ID] == nil {
+			spans[e.ID] = map[string]int64{}
+		}
+		for _, a := range e.Attrs {
+			spans[e.ID][a.Key] = a.Int
+		}
+	}
+	var windows, capped int64
+	for id, at := range spans {
+		if at["windows"]+at["capped"] != at["conflicts"] {
+			t.Fatalf("%s: %d windows + %d capped != %d conflicts", id, at["windows"], at["capped"], at["conflicts"])
+		}
+		windows += at["windows"]
+		capped += at["capped"]
+	}
+	if windows == 0 || capped == 0 {
+		t.Fatalf("%d extract spans built %d windows and capped %d: the check proves little", len(spans), windows, capped)
+	}
+}
+
 // TestDisableTracingStillInfers: the benchmark-baseline escape hatch must
 // not change inference results, only suppress span construction.
 func TestDisableTracingStillInfers(t *testing.T) {

@@ -12,6 +12,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,31 +26,32 @@ import (
 
 // runOutput is everything one execution contributes to the round.
 type runOutput struct {
-	windows   []window.Window      // refined acquire/release windows
-	durations map[string][]float64 // per-method duration samples (window.TraceStats)
-	libAPIs   []string             // sorted library-API names (window.TraceStats)
-	events    int                  // trace length
-	delay     int64                // total injected virtual delay
-	wall      time.Duration        // wall time inside sched.Run (summed into Overhead.RunWall)
-	err       error                // execution failure
-	deadlock  bool                 // the run deadlocked (contributes nothing else)
-	canceled  bool                 // context expired before this run started
+	windows   []window.Window // refined acquire/release windows
+	stats     window.Stats    // duration samples and library APIs by name ID
+	events    int             // trace length
+	delay     int64           // total injected virtual delay
+	wall      time.Duration   // wall time inside sched.Run (summed into Overhead.RunWall)
+	err       error           // execution failure
+	deadlock  bool            // the run deadlocked (contributes nothing else)
+	canceled  bool            // context expired before this run started
 	cancelErr error
 }
 
 // executeRound runs every spec, at most cfg.workers() concurrently, and
-// returns the outputs indexed like specs. The context is checked between
-// executions: once it expires, remaining runs are marked canceled instead
-// of executed, so a mid-campaign abort returns promptly without waiting
-// for work that hasn't started.
-func executeRound(ctx context.Context, app *prog.Program, specs []runSpec, cfg Config, span *obs.Span) []runOutput {
+// returns the outputs indexed like specs. full holds the static pairs at
+// the per-pair cap when the round began (Observations.FullPairs); their
+// windows are not built. The context is checked between executions: once
+// it expires, remaining runs are marked canceled instead of executed, so
+// a mid-campaign abort returns promptly without waiting for work that
+// hasn't started.
+func executeRound(ctx context.Context, app *prog.Program, specs []runSpec, cfg Config, full map[window.PairID]bool, span *obs.Span) []runOutput {
 	outs := make([]runOutput, len(specs))
 	forEach(len(specs), cfg.workers(), func(i int) {
 		if err := ctx.Err(); err != nil {
 			outs[i] = runOutput{canceled: true, cancelErr: err}
 			return
 		}
-		outs[i] = executeOne(ctx, app, specs[i], cfg.Window, span)
+		outs[i] = executeOne(ctx, app, specs[i], cfg.Window, full, span)
 	})
 	return outs
 }
@@ -77,11 +79,15 @@ func forEach(n, workers int, fn func(i int)) {
 // executeOne performs one scheduler run plus its Observer post-processing
 // (conflict pairing, window extraction, Perturber refinement, trace
 // statistics), then recycles the run's event buffer: nothing downstream
-// reads the trace itself. The heavy per-run work all happens here, inside
-// the worker — including the run's span, whose ID is keyed by test index
-// (not worker or completion order), so the span tree is identical at
-// every parallelism level.
-func executeOne(ctx context.Context, app *prog.Program, spec runSpec, wcfg window.Config, parent *obs.Span) runOutput {
+// reads the trace itself. Extraction reads the run's event names by ID in
+// the program's table (sched.Result.NameIDs), so it hashes no name. The
+// conflicts of pairs in full are dropped before their windows are built:
+// the merge's AddWindows would drop every one of them, since a pair's
+// admitted count only grows. The heavy per-run work all happens here,
+// inside the worker — including the run's span, whose ID is keyed by test
+// index (not worker or completion order), so the span tree is identical
+// at every parallelism level.
+func executeOne(ctx context.Context, app *prog.Program, spec runSpec, wcfg window.Config, full map[window.PairID]bool, parent *obs.Span) runOutput {
 	rs := parent.Child(fmt.Sprintf("run:%02d", spec.testIdx),
 		obs.Str("test", spec.test.Name),
 		obs.Int64("seed", spec.opt.Seed))
@@ -101,16 +107,24 @@ func executeOne(ctx context.Context, app *prog.Program, spec runSpec, wcfg windo
 	}
 	es := rs.Child("extract")
 	conflicts := window.FindConflicts(run.Trace, wcfg)
-	ws := window.BuildWindows(run.Trace, conflicts)
+	found := len(conflicts)
+	if len(full) > 0 {
+		conflicts = slices.DeleteFunc(conflicts, func(c window.Conflict) bool {
+			return full[window.PairID{First: c.A.Site, Second: c.B.Site}]
+		})
+	}
+	names := app.EventNames()
+	ws := window.BuildWindowsByID(run.Trace, names, run.NameIDs, conflicts)
 	out.windows = perturb.Refine(ws, run.Delays)
-	out.durations, out.libAPIs = window.TraceStats(run.Trace)
+	out.stats = window.TraceStatsByID(run.Trace, names, run.NameIDs)
 	out.events = run.Trace.Len()
 	for _, d := range run.Delays {
 		out.delay += d.End - d.Start
 	}
 	es.Annotate(
-		obs.Int("conflicts", len(conflicts)),
+		obs.Int("conflicts", found),
 		obs.Int("windows", len(ws)),
+		obs.Int("capped", found-len(ws)),
 		obs.Int("refined", len(out.windows)))
 	es.End()
 	return out

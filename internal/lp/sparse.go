@@ -39,8 +39,10 @@
 // identical problems yield bit-identical solutions at any parallelism.
 // After the last pivot the final basis is refactorized from the problem
 // data and the basic values recomputed from scratch, so the extracted
-// vertex depends only on the final basis, not on the pivot path that
-// reached it — the property the warm==cold golden suites rely on.
+// values are a function of the final basis, not of the pivot path that
+// reached it. They are not a function of the vertex alone: a warm and a
+// cold solve can end on different optimal bases of one degenerate vertex,
+// whose values may differ in the last bit (ROADMAP item 1).
 package lp
 
 import "math"
@@ -824,9 +826,10 @@ func (r *revised) optimize() Status {
 }
 
 // finalize refactorizes the final basis from the problem data and
-// recomputes the basic values, so the extracted vertex is a function of
-// the final basis alone — identical whether the solve was warm or cold,
-// one eta file or another.
+// recomputes the basic values, so the extracted values are a function of
+// the final basis alone, whatever eta file reached it. A warm and a cold
+// solve that end on the same basis agree bit for bit; two optimal bases
+// of one degenerate vertex may not.
 func (r *revised) finalize() {
 	if r.etas.len() > 0 {
 		if !r.refactor() {

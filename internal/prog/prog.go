@@ -10,6 +10,7 @@
 package prog
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"sync"
@@ -41,12 +42,18 @@ type Method struct {
 	Name string // fully qualified "Class::Member"
 	Body []Stmt
 
-	id ID // set by Program.Finalize
+	id   ID           // set by Program.Finalize
+	name trace.NameID // set by Program.Finalize
 }
 
 // ID returns the method's compiled ID (0 for a method Program.Finalize
 // never saw).
 func (m *Method) ID() ID { return m.id }
+
+// NameID returns the ID of the method's name in the program's event-name
+// table (EventNames), which its Begin and End events carry (0 for a
+// method Program.Finalize never saw).
+func (m *Method) NameID() trace.NameID { return m.name }
 
 // Test is one unit test. Init, when non-empty, names a method the test
 // framework runs before the body with a framework-enforced (hidden)
@@ -167,7 +174,8 @@ type Program struct {
 	numSites  int
 	numNames  int
 	numCells  int
-	methods   []*Method // by ID; index 0 unused
+	methods   []*Method    // by ID; index 0 unused
+	events    *trace.Names // every name an event can carry
 }
 
 // New returns an empty program with allocated maps.
@@ -220,14 +228,21 @@ func (p *Program) NumMethods() int { return max(len(p.methods)-1, 0) }
 // Finalize, for IDs in 1..NumMethods).
 func (p *Program) MethodByID(id ID) *Method { return p.methods[id] }
 
+// EventNames returns the program's event-name table (valid after
+// Finalize): every field, library API, method and test-body name the
+// program's events can carry. The scheduler reports each event's ID in
+// it (sched.Result.NameIDs). The table is sealed: no name can be added.
+func (p *Program) EventNames() *trace.Names { return p.events }
+
 // Finalize assigns unique static site ids to every statement (in
 // deterministic order), compiles every statement's names to dense IDs
-// (Compiled) and validates that every referenced method exists. It must
-// be called after construction and is idempotent. Finalize is safe for
-// concurrent use: the first caller performs the (mutating) compilation
-// under a lock, every later caller returns immediately. Do not add
-// methods, tests or statements after the first Finalize: an executor
-// refuses a statement whose IDs are zero.
+// (Compiled), enters every name an event can carry in the event-name
+// table (EventNames) and validates that every referenced method exists.
+// It must be called after construction and is idempotent. Finalize is
+// safe for concurrent use: the first caller performs the (mutating)
+// compilation under a lock, every later caller returns immediately. Do
+// not add methods, tests or statements after the first Finalize: an
+// executor refuses a statement whose IDs are zero.
 func (p *Program) Finalize() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -239,7 +254,7 @@ func (p *Program) Finalize() error {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	c := compiler{p: p, site: 1, names: map[string]ID{}, cells: map[[2]string]ID{}} // site 0 is "no site"
+	c := compiler{p: p, site: 1, names: map[string]ID{}, cells: map[[2]string]ID{}, events: trace.NewNames()} // site 0 is "no site"
 	p.methods = append(p.methods[:0], nil)
 	for _, n := range names {
 		c.addMethod(p.Methods[n])
@@ -263,23 +278,28 @@ func (p *Program) Finalize() error {
 	}
 	p.numSites = c.site
 	p.numNames, p.numCells = len(c.names), len(c.cells)
+	c.events.Seal()
+	p.events = c.events
 	p.finalized = true
 	return nil
 }
 
-// compiler is one Finalize pass: the next site id, the name and cell
-// tables being built and the first unknown-method error.
+// compiler is one Finalize pass: the next site id, the name, cell and
+// event-name tables being built and the first unknown-method error.
 type compiler struct {
-	p     *Program
-	site  int
-	names map[string]ID
-	cells map[[2]string]ID
-	err   error
+	p      *Program
+	site   int
+	names  map[string]ID
+	cells  map[[2]string]ID
+	events *trace.Names
+	err    error
 }
 
-// addMethod gives m the next method ID.
+// addMethod gives m the next method ID and enters its name as an event
+// name.
 func (c *compiler) addMethod(m *Method) {
 	m.id = ID(len(c.p.methods))
+	m.name = c.events.Intern(m.Name)
 	c.p.methods = append(c.p.methods, m)
 }
 
@@ -300,54 +320,56 @@ func (c *compiler) body(owner string, ss []Stmt) {
 func (c *compiler) stmt(owner string, s Stmt) {
 	switch st := s.(type) {
 	case *Read:
-		st.c = Compiled{Obj: c.slot(st.Slot), Cell: c.cell(st.Field, st.Slot)}
+		st.c = Compiled{Obj: c.slot(st.Slot), Cell: c.cell(st.Field, st.Slot), Name: c.event(st.Field)}
 	case *Write:
-		st.c = Compiled{Obj: c.slot(st.Slot), Cell: c.cell(st.Field, st.Slot)}
+		st.c = Compiled{Obj: c.slot(st.Slot), Cell: c.cell(st.Field, st.Slot), Name: c.event(st.Field)}
 	case *SpinUntil:
-		st.c = Compiled{Obj: c.slot(st.Slot), Cell: c.cell(st.Field, st.Slot)}
+		st.c = Compiled{Obj: c.slot(st.Slot), Cell: c.cell(st.Field, st.Slot), Name: c.event(st.Field)}
 	case *Call:
 		st.c = Compiled{Obj: c.slot(st.Slot), Method: c.method(owner, st.Method)}
 	case *Fork:
-		st.c = Compiled{Obj: c.slot(st.Slot), Handle: c.res("handle", st.Handle), Method: c.method(owner, st.Method)}
+		st.c = Compiled{Obj: c.slot(st.Slot), Handle: c.res("handle", st.Handle), Method: c.method(owner, st.Method),
+			Name: c.event(st.API.APIName())}
 	case *HiddenFork:
 		st.c = Compiled{Obj: c.slot(st.Slot), Handle: c.res("handle", st.Handle), Method: c.method(owner, st.Method)}
 	case *ContinueWith:
 		st.c = Compiled{Obj: c.slot(st.Slot), Res: c.res("handle", st.Handle),
-			Handle: c.res("handle", st.NewHandle), Method: c.method(owner, st.Method)}
+			Handle: c.res("handle", st.NewHandle), Method: c.method(owner, st.Method), Name: c.event(APIContinueWith)}
 	case *Join:
-		st.c = Compiled{Res: c.res("handle", st.Handle)}
+		st.c = Compiled{Res: c.res("handle", st.Handle), Name: c.event(st.API.APIName())}
 	case *LibWait:
-		st.c = Compiled{Res: c.res("handle", st.Handle)}
+		st.c = Compiled{Res: c.res("handle", st.Handle), Name: c.event(st.API)}
 	case *Post:
-		st.c = Compiled{Res: c.res("queue", st.Queue)}
+		st.c = Compiled{Res: c.res("queue", st.Queue), Name: c.event(cmp.Or(st.API, APIPost))}
 	case *Receive:
-		st.c = Compiled{Obj: c.slot(st.HandlerSlot), Res: c.res("queue", st.Queue), Method: c.method(owner, st.Handler)}
+		st.c = Compiled{Obj: c.slot(st.HandlerSlot), Res: c.res("queue", st.Queue), Method: c.method(owner, st.Handler),
+			Name: c.event(cmp.Or(st.API, APIReceive))}
 	case *FinalizeObj:
 		st.c = Compiled{Obj: c.slot(st.Slot), Method: c.method(owner, st.Method)}
 	case *UnsafeCall:
-		st.c = Compiled{Obj: c.slot(st.Slot)}
+		st.c = Compiled{Obj: c.slot(st.Slot), Name: c.event(st.API)}
 	case *EnsureInit:
 		st.c = Compiled{Res: c.res("init", st.Class), Method: c.method(owner, st.Ctor)}
 	case *AcquireLock:
-		st.c = Compiled{Res: c.res("lock", st.Lock)}
+		st.c = Compiled{Res: c.res("lock", st.Lock), Name: c.event(APIMonitorEnter)}
 	case *ReleaseLock:
-		st.c = Compiled{Res: c.res("lock", st.Lock)}
+		st.c = Compiled{Res: c.res("lock", st.Lock), Name: c.event(APIMonitorExit)}
 	case *HiddenAcquire:
 		st.c = Compiled{Res: c.res("lock", st.Lock)}
 	case *HiddenRelease:
 		st.c = Compiled{Res: c.res("lock", st.Lock)}
 	case *RWAcquireRead:
-		st.c = Compiled{Res: c.res("rw", st.Lock)}
+		st.c = Compiled{Res: c.res("rw", st.Lock), Name: c.event(APIRWAcquireRead)}
 	case *RWReleaseRead:
-		st.c = Compiled{Res: c.res("rw", st.Lock)}
+		st.c = Compiled{Res: c.res("rw", st.Lock), Name: c.event(APIRWReleaseRead)}
 	case *RWUpgrade:
-		st.c = Compiled{Res: c.res("rw", st.Lock)}
+		st.c = Compiled{Res: c.res("rw", st.Lock), Name: c.event(APIRWUpgrade)}
 	case *RWDowngrade:
-		st.c = Compiled{Res: c.res("rw", st.Lock)}
+		st.c = Compiled{Res: c.res("rw", st.Lock), Name: c.event(APIRWDowngrade)}
 	case *SemSet:
-		st.c = Compiled{Res: c.res("sem", st.Sem)}
+		st.c = Compiled{Res: c.res("sem", st.Sem), Name: c.event(APISemSet)}
 	case *SemWait:
-		st.c = Compiled{Res: c.res("sem", st.Sem)}
+		st.c = Compiled{Res: c.res("sem", st.Sem), Name: c.event(APISemWait)}
 	case *HiddenSignal:
 		st.c = Compiled{Res: c.res("sem", st.Sem)}
 	case *HiddenWait:
@@ -357,11 +379,14 @@ func (c *compiler) stmt(owner string, s Stmt) {
 		for i, sem := range st.Sems {
 			sems[i] = c.res("sem", sem)
 		}
-		st.c = Compiled{Sems: sems}
+		st.c = Compiled{Sems: sems, Name: c.event(APIWaitAll)}
 	case *BarrierWait:
-		st.c = Compiled{Res: c.res("barrier", st.Barrier)}
+		st.c = Compiled{Res: c.res("barrier", st.Barrier), Name: c.event(APIBarrier)}
 	}
 }
+
+// event enters an event name in the event-name table.
+func (c *compiler) event(name string) trace.NameID { return c.events.Intern(name) }
 
 // name returns s's ID in the name table, entering it on first sight.
 func (c *compiler) name(s string) ID {

@@ -72,6 +72,13 @@ type Compiled struct {
 	Method ID
 	// Sems are WaitAll's semaphores.
 	Sems []ID
+	// Name is the name the statement's own events carry, in the
+	// program's event-name table (Program.EventNames): Field of Read,
+	// Write and SpinUntil, and the library API of every call-site
+	// statement (Post's and Receive's default API when theirs is empty).
+	// 0 for a statement that emits no event of its own; a method's
+	// events carry its Method.NameID.
+	Name trace.NameID
 }
 
 // ---------------------------------------------------------------------------

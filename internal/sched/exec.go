@@ -68,7 +68,7 @@ func (m *machine) step(th *thread) {
 		m.emit(trace.Event{
 			Time: th.clock, Thread: th.id, Kind: trace.KindRead,
 			Name: st.Field, Addr: c.addr, Site: st.Site(), Acc: trace.AccRead,
-		})
+		}, st.Compiled().Name)
 		f.pc++
 
 	case *prog.Write:
@@ -78,7 +78,7 @@ func (m *machine) step(th *thread) {
 		m.emit(trace.Event{
 			Time: th.clock, Thread: th.id, Kind: trace.KindWrite,
 			Name: st.Field, Addr: c.addr, Site: st.Site(), Acc: trace.AccWrite,
-		})
+		}, st.Compiled().Name)
 		f.pc++
 
 	case *prog.SpinUntil:
@@ -87,7 +87,7 @@ func (m *machine) step(th *thread) {
 		m.emit(trace.Event{
 			Time: th.clock, Thread: th.id, Kind: trace.KindRead,
 			Name: st.Field, Addr: c.addr, Site: st.Site(), Acc: trace.AccRead,
-		})
+		}, st.Compiled().Name)
 		if c.val == st.Want {
 			f.pc++
 		} else {
@@ -108,10 +108,10 @@ func (m *machine) step(th *thread) {
 
 	case *prog.AcquireLock:
 		l, a := m.resource(st.Compiled().Res)
-		m.libBegin(th, prog.APIMonitorEnter, st.Site(), a, 0, nil)
+		m.libBegin(th, st.Compiled().Name, st.Site(), a, 0, nil)
 		finishAcq := func(now int64) {
 			l.held = true
-			m.libEnd(th, prog.APIMonitorEnter, st.Site(), a, 0, nil)
+			m.libEnd(th, st.Compiled().Name, st.Site(), a, 0, nil)
 			f.pc++
 		}
 		if !l.held {
@@ -122,26 +122,26 @@ func (m *machine) step(th *thread) {
 
 	case *prog.ReleaseLock:
 		l, a := m.resource(st.Compiled().Res)
-		m.libBegin(th, prog.APIMonitorExit, st.Site(), a, 0, nil)
+		m.libBegin(th, st.Compiled().Name, st.Site(), a, 0, nil)
 		l.held = false
-		m.libEnd(th, prog.APIMonitorExit, st.Site(), a, 0, nil)
+		m.libEnd(th, st.Compiled().Name, st.Site(), a, 0, nil)
 		f.pc++
 		m.wakeBlocked(th.clock)
 
 	case *prog.SemSet:
 		sem, a := m.resource(st.Compiled().Res)
-		m.libBegin(th, prog.APISemSet, st.Site(), a, 0, nil)
+		m.libBegin(th, st.Compiled().Name, st.Site(), a, 0, nil)
 		sem.count++
-		m.libEnd(th, prog.APISemSet, st.Site(), a, 0, nil)
+		m.libEnd(th, st.Compiled().Name, st.Site(), a, 0, nil)
 		f.pc++
 		m.wakeBlocked(th.clock)
 
 	case *prog.SemWait:
 		sem, a := m.resource(st.Compiled().Res)
-		m.libBegin(th, prog.APISemWait, st.Site(), a, 0, nil)
+		m.libBegin(th, st.Compiled().Name, st.Site(), a, 0, nil)
 		finish := func(now int64) {
 			sem.count--
-			m.libEnd(th, prog.APISemWait, st.Site(), a, 0, nil)
+			m.libEnd(th, st.Compiled().Name, st.Site(), a, 0, nil)
 			f.pc++
 		}
 		if sem.count > 0 {
@@ -160,7 +160,7 @@ func (m *machine) step(th *thread) {
 		if len(ids) > 0 {
 			first = ids[0]
 		}
-		m.libBegin(th, prog.APIWaitAll, st.Site(), first, 0, ids)
+		m.libBegin(th, st.Compiled().Name, st.Site(), first, 0, ids)
 		ready := func(int64) bool {
 			for _, id := range sems {
 				if m.state(id).count <= 0 {
@@ -173,7 +173,7 @@ func (m *machine) step(th *thread) {
 			for _, id := range sems {
 				m.state(id).count--
 			}
-			m.libEnd(th, prog.APIWaitAll, st.Site(), first, 0, ids)
+			m.libEnd(th, st.Compiled().Name, st.Site(), first, 0, ids)
 			f.pc++
 		}
 		if ready(th.clock) {
@@ -183,28 +183,20 @@ func (m *machine) step(th *thread) {
 		}
 
 	case *prog.Post:
-		api := st.API
-		if api == "" {
-			api = prog.APIPost
-		}
 		q, a := m.resource(st.Compiled().Res)
-		m.libBegin(th, api, st.Site(), a, 0, nil)
+		m.libBegin(th, st.Compiled().Name, st.Site(), a, 0, nil)
 		q.count++
-		m.libEnd(th, api, st.Site(), a, 0, nil)
+		m.libEnd(th, st.Compiled().Name, st.Site(), a, 0, nil)
 		f.pc++
 		m.wakeBlocked(th.clock)
 
 	case *prog.Receive:
-		api := st.API
-		if api == "" {
-			api = prog.APIReceive
-		}
 		c := st.Compiled()
 		q, a := m.resource(c.Res)
-		m.libBegin(th, api, st.Site(), a, 0, nil)
+		m.libBegin(th, st.Compiled().Name, st.Site(), a, 0, nil)
 		finish := func(now int64) {
 			q.count--
-			m.libEnd(th, api, st.Site(), a, 0, nil)
+			m.libEnd(th, st.Compiled().Name, st.Site(), a, 0, nil)
 			f.pc++
 			if st.Handler != "" {
 				m.pushCall(th, m.method(c.Method), m.object(c.Obj))
@@ -217,37 +209,35 @@ func (m *machine) step(th *thread) {
 		}
 
 	case *prog.Fork:
-		api := st.API.APIName()
 		c := st.Compiled()
-		m.libBegin(th, api, st.Site(), 0, 0, nil)
+		m.libBegin(th, st.Compiled().Name, st.Site(), 0, 0, nil)
 		child := m.newThread(th.clock + spawnGap + costLib)
 		m.bind(child, c.Handle, st.Handle)
-		m.libEnd(th, api, st.Site(), 0, child.id, nil)
+		m.libEnd(th, st.Compiled().Name, st.Site(), 0, child.id, nil)
 		f.pc++
 		child.clock = th.clock + spawnGap
 		m.pushCall(child, m.method(c.Method), m.object(c.Obj))
 
 	case *prog.Join:
-		api := st.API.APIName()
 		h := &m.state(st.Compiled().Res).handle
 		jc := h.tid
-		m.libBegin(th, api, st.Site(), 0, jc, nil)
+		m.libBegin(th, st.Compiled().Name, st.Site(), 0, jc, nil)
 		// The wait closures are built only when the thread blocks: a
 		// closure passed to block escapes, so building it up front would
 		// cost an allocation on every join of a finished thread.
 		if h.done {
-			m.libEnd(th, api, st.Site(), 0, jc, nil)
+			m.libEnd(th, st.Compiled().Name, st.Site(), 0, jc, nil)
 			f.pc++
 		} else {
 			m.block(th, func(int64) bool { return h.done }, func(int64) {
-				m.libEnd(th, api, st.Site(), 0, jc, nil)
+				m.libEnd(th, st.Compiled().Name, st.Site(), 0, jc, nil)
 				f.pc++
 			})
 		}
 
 	case *prog.ContinueWith:
 		c := st.Compiled()
-		m.libBegin(th, prog.APIContinueWith, st.Site(), 0, 0, nil)
+		m.libBegin(th, st.Compiled().Name, st.Site(), 0, 0, nil)
 		h := &m.state(c.Res).handle
 		obj := m.object(c.Obj)
 		fire := func(now int64) {
@@ -264,7 +254,7 @@ func (m *machine) step(th *thread) {
 		} else {
 			h.conts = append(h.conts, fire)
 		}
-		m.libEnd(th, prog.APIContinueWith, st.Site(), 0, 0, nil)
+		m.libEnd(th, st.Compiled().Name, st.Site(), 0, 0, nil)
 		f.pc++
 
 	case *prog.UnsafeCall:
@@ -274,7 +264,7 @@ func (m *machine) step(th *thread) {
 			Time: th.clock, Thread: th.id, Kind: trace.KindBegin,
 			Name: st.API, Addr: obj, Site: st.Site(),
 			Lib: true, Unsafe: true, Acc: st.Acc,
-		})
+		}, st.Compiled().Name)
 		dur := st.Dur
 		if dur == 0 {
 			dur = costLib
@@ -283,15 +273,15 @@ func (m *machine) step(th *thread) {
 		m.emit(trace.Event{
 			Time: th.clock, Thread: th.id, Kind: trace.KindEnd,
 			Name: st.API, Addr: obj, Site: st.Site(), Lib: true,
-		})
+		}, st.Compiled().Name)
 		f.pc++
 
 	case *prog.RWAcquireRead:
 		l, a := m.rwlock(st.Compiled().Res)
-		m.libBegin(th, prog.APIRWAcquireRead, st.Site(), a, 0, nil)
+		m.libBegin(th, st.Compiled().Name, st.Site(), a, 0, nil)
 		finish := func(now int64) {
 			l.readers[th.id] = true
-			m.libEnd(th, prog.APIRWAcquireRead, st.Site(), a, 0, nil)
+			m.libEnd(th, st.Compiled().Name, st.Site(), a, 0, nil)
 			f.pc++
 		}
 		if !l.writing {
@@ -302,9 +292,9 @@ func (m *machine) step(th *thread) {
 
 	case *prog.RWReleaseRead:
 		l, a := m.rwlock(st.Compiled().Res)
-		m.libBegin(th, prog.APIRWReleaseRead, st.Site(), a, 0, nil)
+		m.libBegin(th, st.Compiled().Name, st.Site(), a, 0, nil)
 		delete(l.readers, th.id)
-		m.libEnd(th, prog.APIRWReleaseRead, st.Site(), a, 0, nil)
+		m.libEnd(th, st.Compiled().Name, st.Site(), a, 0, nil)
 		f.pc++
 		m.wakeBlocked(th.clock)
 
@@ -312,13 +302,13 @@ func (m *machine) step(th *thread) {
 		// Double-role API: releases the caller's read hold, then acquires
 		// the write hold — all inside one library call.
 		l, a := m.rwlock(st.Compiled().Res)
-		m.libBegin(th, prog.APIRWUpgrade, st.Site(), a, 0, nil)
+		m.libBegin(th, st.Compiled().Name, st.Site(), a, 0, nil)
 		delete(l.readers, th.id)
 		m.wakeBlocked(th.clock)
 		ready := func(int64) bool { return !l.writing && len(l.readers) == 0 }
 		finish := func(now int64) {
 			l.writing = true
-			m.libEnd(th, prog.APIRWUpgrade, st.Site(), a, 0, nil)
+			m.libEnd(th, st.Compiled().Name, st.Site(), a, 0, nil)
 			f.pc++
 		}
 		if ready(th.clock) {
@@ -329,10 +319,10 @@ func (m *machine) step(th *thread) {
 
 	case *prog.RWDowngrade:
 		l, a := m.rwlock(st.Compiled().Res)
-		m.libBegin(th, prog.APIRWDowngrade, st.Site(), a, 0, nil)
+		m.libBegin(th, st.Compiled().Name, st.Site(), a, 0, nil)
 		l.writing = false
 		l.readers[th.id] = true
-		m.libEnd(th, prog.APIRWDowngrade, st.Site(), a, 0, nil)
+		m.libEnd(th, st.Compiled().Name, st.Site(), a, 0, nil)
 		f.pc++
 		m.wakeBlocked(th.clock)
 
@@ -377,21 +367,21 @@ func (m *machine) step(th *thread) {
 	case *prog.BarrierWait:
 		bs, a := m.resource(st.Compiled().Res)
 		b := &bs.barrier
-		m.libBegin(th, prog.APIBarrier, st.Site(), a, 0, nil)
+		m.libBegin(th, st.Compiled().Name, st.Site(), a, 0, nil)
 		gen := b.generation
 		b.arrived++
 		if b.arrived >= st.Parties {
 			// Last arrival trips the barrier: new generation, wake all.
 			b.arrived = 0
 			b.generation++
-			m.libEnd(th, prog.APIBarrier, st.Site(), a, 0, nil)
+			m.libEnd(th, st.Compiled().Name, st.Site(), a, 0, nil)
 			f.pc++
 			m.wakeBlocked(th.clock)
 		} else {
 			m.block(th,
 				func(int64) bool { return b.generation != gen },
 				func(now int64) {
-					m.libEnd(th, prog.APIBarrier, st.Site(), a, 0, nil)
+					m.libEnd(th, st.Compiled().Name, st.Site(), a, 0, nil)
 					f.pc++
 				})
 		}
@@ -399,13 +389,13 @@ func (m *machine) step(th *thread) {
 	case *prog.LibWait:
 		h := &m.state(st.Compiled().Res).handle
 		jc := h.tid
-		m.libBegin(th, st.API, st.Site(), 0, jc, nil)
+		m.libBegin(th, st.Compiled().Name, st.Site(), 0, jc, nil)
 		if h.done { // closures only when blocking, as for Join
-			m.libEnd(th, st.API, st.Site(), 0, jc, nil)
+			m.libEnd(th, st.Compiled().Name, st.Site(), 0, jc, nil)
 			f.pc++
 		} else {
 			m.block(th, func(int64) bool { return h.done }, func(int64) {
-				m.libEnd(th, st.API, st.Site(), 0, jc, nil)
+				m.libEnd(th, st.Compiled().Name, st.Site(), 0, jc, nil)
 				f.pc++
 			})
 		}
@@ -459,27 +449,28 @@ func (m *machine) step(th *thread) {
 	}
 }
 
-// libBegin emits the immediately-before call-site event of a library API.
+// libBegin emits the immediately-before call-site event of a library API,
+// given as its ID in the program's event-name table.
 // Delay injection for the API's candidate keys happened in the preceding
 // delay phase (see serveDelay). addr identifies the resource the call
 // operates on (lock, semaphore, queue), child the thread it spawns/joins,
 // extra any additional resources (WaitAll handles) — information real
 // instrumentation reads from the call's arguments.
-func (m *machine) libBegin(th *thread, api string, site int, addr uint64, child int, extra []uint64) {
+func (m *machine) libBegin(th *thread, api trace.NameID, site int, addr uint64, child int, extra []uint64) {
 	th.clock += m.jitter(20, 0.3)
 	m.emit(trace.Event{
 		Time: th.clock, Thread: th.id, Kind: trace.KindBegin,
-		Name: api, Site: site, Lib: true, Addr: addr, Child: child, Extra: extra,
-	})
+		Name: m.evNames.Name(api), Site: site, Lib: true, Addr: addr, Child: child, Extra: extra,
+	}, api)
 }
 
 // libEnd emits the immediately-after call-site event.
-func (m *machine) libEnd(th *thread, api string, site int, addr uint64, child int, extra []uint64) {
+func (m *machine) libEnd(th *thread, api trace.NameID, site int, addr uint64, child int, extra []uint64) {
 	th.clock += m.jitter(costLib, 0.3)
 	m.emit(trace.Event{
 		Time: th.clock, Thread: th.id, Kind: trace.KindEnd,
-		Name: api, Site: site, Lib: true, Addr: addr, Child: child, Extra: extra,
-	})
+		Name: m.evNames.Name(api), Site: site, Lib: true, Addr: addr, Child: child, Extra: extra,
+	}, api)
 }
 
 // access resolves a field access's receiver object, taking its object id

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sherlock/internal/apps"
+	"sherlock/internal/gen"
 	"sherlock/internal/prog"
 	"sherlock/internal/trace"
 )
@@ -210,5 +211,57 @@ func BenchmarkRun(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestNameIDsNameEveryEvent: a run reports, aligned with its events after
+// the time sort, each event's name ID in the program's event-name table,
+// over every built-in and generated app of the campaign mix with a delay
+// plan (so the sort moves events) and the apps' hidden methods; Recycle
+// drops the IDs with the events.
+func TestNameIDsNameEveryEvent(t *testing.T) {
+	names := apps.Names()
+	for _, profile := range gen.Profiles {
+		for _, size := range []int{4, 16} {
+			for k := 1; k <= 4; k++ {
+				names = append(names, gen.Spec{Seed: int64(k), Profile: profile, Size: size}.Name())
+			}
+		}
+	}
+	events := 0
+	for _, name := range names {
+		p, err := apps.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := map[trace.Key]int64{}
+		for k, role := range p.Truth.Syncs {
+			if role == trace.RoleRelease {
+				plan[k] = 100_000
+			}
+		}
+		table := p.EventNames()
+		for _, test := range p.Tests {
+			res, err := Run(p, test, Options{Seed: 1, Delays: plan, HiddenMethods: p.Truth.HiddenMethods})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.NameIDs) != res.Trace.Len() {
+				t.Fatalf("%s/%s: %d name IDs for %d events", name, test.Name, len(res.NameIDs), res.Trace.Len())
+			}
+			for i, id := range res.NameIDs {
+				if id <= 0 || int(id) > table.Len() || table.Name(id) != res.Trace.Events[i].Name {
+					t.Fatalf("%s/%s: event %d (%s) has name ID %d", name, test.Name, i, res.Trace.Events[i].Name, id)
+				}
+			}
+			events += res.Trace.Len()
+			res.Recycle()
+			if res.NameIDs != nil {
+				t.Fatal("Recycle kept the name IDs")
+			}
+		}
+	}
+	if events == 0 {
+		t.Fatal("no events: the check proves nothing")
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"sherlock/internal/obs"
@@ -115,33 +114,45 @@ type Result struct {
 	// VirtualDuration is the maximum thread clock at completion: the
 	// virtual wall-clock of the test.
 	VirtualDuration int64
+	// NameIDs holds, aligned with Trace.Events, each event's name as its
+	// ID in the program's event-name table (prog.Program.EventNames):
+	// an in-memory side channel for extraction by ID
+	// (window.BuildWindowsByID, window.TraceStatsByID). It is no trace
+	// field, so no codec writes it; Recycle drops it with the events.
+	NameIDs []trace.NameID
 
-	// buf is the pooled buffer Trace.Events lives in (nil once recycled,
-	// and under DisableTracing).
-	buf *[]trace.Event
+	// buf is the pooled buffer Trace.Events and NameIDs live in (nil
+	// once recycled, and under DisableTracing).
+	buf *eventBuf
 }
 
-// eventPool recycles trace event buffers between runs. A buffer comes
-// back with the capacity of the longest trace it held, so after a few
-// runs the scheduler appends events without growing the slice.
-var eventPool = sync.Pool{New: func() any { return new([]trace.Event) }}
+// eventBuf is one run's event buffer: the events and their name IDs.
+type eventBuf struct {
+	events []trace.Event
+	ids    []trace.NameID
+}
+
+// eventPool recycles event buffers between runs. A buffer comes back
+// with the capacity of the longest trace it held, so after a few runs
+// the scheduler appends events without growing the slices.
+var eventPool = sync.Pool{New: func() any { return new(eventBuf) }}
 
 // Recycle returns the run's event buffer to the scheduler for reuse and
-// sets Trace.Events to nil. Call it once nothing reads the trace any more:
-// the events (and anything pointing into them, such as window.Conflict)
-// are overwritten by a later run. The rest of the Result stays valid.
-// Recycle is a no-op on a nil Result, a second call, and a run under
-// DisableTracing.
+// sets Trace.Events and NameIDs to nil. Call it once nothing reads the
+// trace any more: the events (and anything pointing into them, such as
+// window.Conflict) are overwritten by a later run. The rest of the
+// Result stays valid. Recycle is a no-op on a nil Result, a second call,
+// and a run under DisableTracing.
 func (r *Result) Recycle() {
 	if r == nil || r.buf == nil {
 		return
 	}
 	evs := r.Trace.Events
 	clear(evs) // drop the name strings the events hold
-	*r.buf = evs[:0]
+	r.buf.events, r.buf.ids = evs[:0], r.NameIDs[:0]
 	eventPool.Put(r.buf)
 	r.buf = nil
-	r.Trace.Events = nil
+	r.Trace.Events, r.NameIDs = nil, nil
 }
 
 // ErrTooManySteps is returned when MaxSteps is exceeded (a spin loop whose
@@ -221,10 +232,14 @@ type machine struct {
 	nextObjID uint64
 	nextAddr  uint64
 
-	events []trace.Event
-	buf    *[]trace.Event // pooled backing of events
-	delays []DelayInstance
-	steps  int
+	// The run's events and each one's name ID in evNames, the program's
+	// event-name table, in the pooled buffer buf.
+	events  []trace.Event
+	ids     []trace.NameID
+	evNames *trace.Names
+	buf     *eventBuf
+	delays  []DelayInstance
+	steps   int
 
 	// keyBuf is serveDelay's reused buffer for rendering candidate keys.
 	keyBuf []byte
@@ -395,13 +410,14 @@ func newMachine(p *prog.Program, t *prog.Test, opt Options, rng *rand.Rand) *mac
 		names:     sized(m.names, p.NumNames()+1),
 		cells:     sized(m.cells, p.NumCells()+1),
 		hidden:    sized(m.hidden, p.NumMethods()+1),
+		evNames:   p.EventNames(),
 		nextObjID: 1,
 		nextAddr:  0x1000,
 		keyBuf:    m.keyBuf,
 	}
 	if !opt.DisableTracing {
-		m.buf = eventPool.Get().(*[]trace.Event)
-		m.events = (*m.buf)[:0]
+		m.buf = eventPool.Get().(*eventBuf)
+		m.events, m.ids = m.buf.events[:0], m.buf.ids[:0]
 	}
 	return m
 }
@@ -421,7 +437,7 @@ func (m *machine) release() {
 	clear(m.hidden)
 	m.names, m.cells, m.hidden = m.names[:0], m.cells[:0], m.hidden[:0]
 	m.p, m.t, m.opt, m.rng, m.zipf = nil, nil, Options{}, nil, nil
-	m.events, m.buf, m.delays = nil, nil, nil
+	m.events, m.ids, m.evNames, m.buf, m.delays = nil, nil, nil, nil, nil
 	machinePool.Put(m)
 }
 
@@ -448,7 +464,7 @@ func (l *runTestBody) Site() int     { return l.site }
 func (l *runTestBody) SetSite(i int) { l.site = i }
 
 func (m *machine) finish(deadlocked bool) *Result {
-	sort.Stable(eventsByTime(m.events))
+	sortByTime(m.events, m.ids)
 	tr := &trace.Trace{App: m.p.Name, Test: m.t.Name, Seed: m.opt.Seed, Events: m.events}
 	var maxClock int64
 	for _, th := range m.threads {
@@ -462,19 +478,31 @@ func (m *machine) finish(deadlocked bool) *Result {
 		Deadlocked:      deadlocked,
 		Steps:           m.steps,
 		VirtualDuration: maxClock,
+		NameIDs:         m.ids,
 		buf:             m.buf,
 	}
 }
 
-// eventsByTime sorts a run's events by time, comparing them in place. On
-// the built-in apps' traces it sorts a third faster than the reflective
-// sort.SliceStable and twice as fast as slices.SortStableFunc, whose
-// by-value comparator copies two 104-byte events per call.
-type eventsByTime []trace.Event
-
-func (s eventsByTime) Len() int           { return len(s) }
-func (s eventsByTime) Less(i, j int) bool { return s[i].Time < s[j].Time }
-func (s eventsByTime) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+// sortByTime stably sorts a run's events by time, moving each event's
+// name ID with it. The scheduler emits events nearly in time order: an
+// event lands at most a few places after its slot (at most 4, and at
+// most one event in eight misplaced, over every test of the campaign
+// mix at seeds 1-5, with and without delay plans), so an insertion sort
+// makes about one comparison per event and moves only the misplaced
+// ones, where sort.Stable's merge passes compare O(n log n) times on
+// sorted input.
+func sortByTime(evs []trace.Event, ids []trace.NameID) {
+	for i := 1; i < len(evs); i++ {
+		if evs[i].Time >= evs[i-1].Time {
+			continue
+		}
+		e, id, j := evs[i], ids[i], i
+		for ; j > 0 && evs[j-1].Time > e.Time; j-- {
+			evs[j], ids[j] = evs[j-1], ids[j-1]
+		}
+		evs[j], ids[j] = e, id
+	}
+}
 
 // newThread starts a thread at clock, reusing a thread struct (and its
 // stack's backing array) that an earlier run of the pooled machine left.
@@ -643,12 +671,14 @@ func (m *machine) dispatch() int64 {
 	}
 }
 
-// emit appends a log entry unless tracing is disabled.
-func (m *machine) emit(e trace.Event) {
+// emit appends a log entry, whose name has ID id in the program's
+// event-name table, unless tracing is disabled.
+func (m *machine) emit(e trace.Event, id trace.NameID) {
 	if m.opt.DisableTracing {
 		return
 	}
 	m.events = append(m.events, e)
+	m.ids = append(m.ids, id)
 }
 
 // serveDelay implements two-phase delay injection for the dynamic
@@ -738,7 +768,7 @@ func (m *machine) exitMethod(th *thread, f *frame) {
 		m.emit(trace.Event{
 			Time: th.clock, Thread: th.id, Kind: trace.KindEnd,
 			Name: f.method.Name, Obj: f.obj,
-		})
+		}, f.method.NameID())
 	}
 	if f.onExit != nil {
 		f.onExit(th.clock)
@@ -754,7 +784,7 @@ func (m *machine) pushCall(th *thread, mm *prog.Method, obj uint64) *frame {
 		m.emit(trace.Event{
 			Time: th.clock, Thread: th.id, Kind: trace.KindBegin,
 			Name: mm.Name, Obj: obj,
-		})
+		}, mm.NameID())
 	}
 	f := &frame{stmts: mm.Body, method: mm, obj: obj}
 	th.stack = append(th.stack, f)

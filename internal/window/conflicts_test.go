@@ -3,6 +3,7 @@ package window
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -164,6 +165,40 @@ func TestFindConflictsMatchesReference(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trace %d (%s/%s) cap %d unsafe %v: %d conflicts, reference %d",
 					i, tr.App, tr.Test, cfg.PerPairCap, cfg.UseUnsafeAPIs, len(got), len(want))
+			}
+			total += len(got)
+		}
+	}
+	if total == 0 {
+		t.Fatal("no conflicts found at all: the comparison proves nothing")
+	}
+}
+
+// TestFindConflictsWideSites: the per-pair budget must keep every site
+// pair apart whatever ints an uploaded trace's sites are. Random traces
+// get sites that agree in their low 32 bits, or differ only in sign, and
+// must match the reference, whose budget is keyed by the sites
+// themselves.
+func TestFindConflictsWideSites(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	wide := []func(int) int{
+		func(s int) int { return s },
+		func(s int) int { return s + 1<<32 },
+		func(s int) int { return -s },
+		func(s int) int { return s | math.MinInt },
+	}
+	total := 0
+	for i := 0; i < 60; i++ {
+		tr := randomConflictTrace(rng, 50+rng.Intn(300))
+		for k := range tr.Events {
+			e := &tr.Events[k]
+			e.Site = wide[e.Site%len(wide)](e.Site / len(wide))
+		}
+		for _, cfg := range conflictConfigs() {
+			got, want := FindConflicts(tr, cfg), findConflictsRef(tr, cfg)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trace %d cap %d unsafe %v: %d conflicts, reference %d",
+					i, cfg.PerPairCap, cfg.UseUnsafeAPIs, len(got), len(want))
 			}
 			total += len(got)
 		}

@@ -143,7 +143,9 @@ func FindConflicts(tr *trace.Trace, cfg Config) []Conflict {
 func (ws *workspace) conflicts(tr *trace.Trace, cfg Config) []Conflict {
 	evs := tr.Events
 	clear(ws.addrSlot)
+	clear(ws.siteSlot)
 	ws.lists, ws.addrs = ws.lists[:0], ws.addrs[:0]
+	ws.slotOf = sized(ws.slotOf, len(evs))
 	for i := range evs {
 		e := &evs[i]
 		if !e.ConflictEligible() {
@@ -160,6 +162,12 @@ func (ws *workspace) conflicts(tr *trace.Trace, cfg Config) []Conflict {
 			ws.addrs = append(ws.addrs, addrList{e.Addr, s})
 		}
 		ws.lists[s] = append(ws.lists[s], int32(i))
+		site, ok := ws.siteSlot[e.Site]
+		if !ok {
+			site = int32(len(ws.siteSlot))
+			ws.siteSlot[e.Site] = site
+		}
+		ws.slotOf[i] = site
 	}
 	// The per-pair cap below consumes a budget shared across addresses, so
 	// the iteration order decides WHICH conflicts survive once a pair
@@ -171,8 +179,8 @@ func (ws *workspace) conflicts(tr *trace.Trace, cfg Config) []Conflict {
 	// backwards; the Near cut-off below needs each address's accesses in
 	// time order.
 	byTime := func(i, j int32) int { return cmp.Compare(evs[i].Time, evs[j].Time) }
-	clear(ws.perPair)
-	ws.found = ws.found[:0]
+	clear(ws.pairSlot)
+	ws.perPair, ws.found = ws.perPair[:0], ws.found[:0]
 	for _, al := range ws.addrs {
 		ix := ws.lists[al.slot]
 		if !slices.IsSortedFunc(ix, byTime) {
@@ -201,11 +209,20 @@ func (ws *workspace) conflicts(tr *trace.Trace, cfg Config) []Conflict {
 				if a.Acc != trace.AccWrite && b.Acc != trace.AccWrite {
 					continue
 				}
-				pid := PairID{First: a.Site, Second: b.Site}
-				if ws.perPair[pid] >= cfg.PerPairCap {
+				// The budget of the site pair: dense per-trace site
+				// slots pack into one uint64 without collisions,
+				// whatever ints the sites are.
+				k := uint64(ws.slotOf[ix[i]])<<32 | uint64(ws.slotOf[ix[j]])
+				p, ok := ws.pairSlot[k]
+				if !ok {
+					p = int32(len(ws.perPair))
+					ws.pairSlot[k] = p
+					ws.perPair = append(ws.perPair, 0)
+				}
+				if int(ws.perPair[p]) >= cfg.PerPairCap {
 					continue
 				}
-				ws.perPair[pid]++
+				ws.perPair[p]++
 				ws.found = append(ws.found, Conflict{A: a, B: b})
 			}
 		}
@@ -221,24 +238,106 @@ func (ws *workspace) conflicts(tr *trace.Trace, cfg Config) []Conflict {
 // TraceStats returns a trace's per-trace statistics: its per-method
 // duration samples (virtual ns) and its distinct library-API names,
 // sorted. They are what AddStats folds, so a caller can drop the trace
-// once it has them.
+// once it has them. It is TraceStatsByID over the trace's names interned
+// afresh (only those of method and library-call events are hashed),
+// rendered by name.
 func TraceStats(tr *trace.Trace) (map[string][]float64, []string) {
 	ws := workspaces.Get().(*workspace)
 	defer workspaces.Put(ws)
-	return ws.durations(tr), ws.libAPIs(tr)
+	return ws.traceStats(tr)
 }
 
-// durations extracts per-method duration samples from tr by pairing
-// Begin/End events per thread with a call stack. Library call sites pair
-// the same way (they never interleave within a thread). The returned
-// slices are carved, capacity-clipped, from one flat array.
-func (ws *workspace) durations(tr *trace.Trace) map[string][]float64 {
-	clear(ws.threadSlot)
-	clear(ws.nameSlot)
-	ws.stacks, ws.names, ws.samples = ws.stacks[:0], ws.names[:0], ws.samples[:0]
-	total := 0
+// traceStats is TraceStats on this workspace: it interns the names it
+// reads into the workspace's own table.
+func (ws *workspace) traceStats(tr *trace.Trace) (map[string][]float64, []string) {
+	ws.resetLocal(len(tr.Events))
 	for i := range tr.Events {
-		e := &tr.Events[i]
+		if e := &tr.Events[i]; e.Lib || e.Kind == trace.KindBegin || e.Kind == trace.KindEnd {
+			ws.ids[i] = ws.local.Intern(e.Name)
+		}
+	}
+	s := ws.traceStatsByID(tr, ws.local, ws.ids)
+	durations := make(map[string][]float64, len(s.Durations))
+	for _, smp := range s.Durations {
+		durations[ws.local.Name(smp.Name)] = smp.Values
+	}
+	var apis []string
+	if len(s.LibAPIs) > 0 {
+		apis = make([]string, len(s.LibAPIs))
+		for i, id := range s.LibAPIs {
+			apis[i] = ws.local.Name(id)
+		}
+		slices.Sort(apis)
+	}
+	return durations, apis
+}
+
+// Stats is one trace's statistics by name ID, as TraceStatsByID extracts
+// them and AddStatsByID folds them: the duration samples of every method
+// and library call with a completed call, and the library APIs called.
+type Stats struct {
+	// Names is the table the IDs are in.
+	Names *trace.Names
+	// Durations holds one entry per name with samples, in the order of
+	// their first completed call.
+	Durations []Samples
+	// LibAPIs lists the distinct library APIs, in first-seen order.
+	LibAPIs []trace.NameID
+}
+
+// Samples is one name's duration samples (virtual ns) in a trace.
+type Samples struct {
+	Name   trace.NameID
+	Values []float64
+}
+
+// TraceStatsByID returns tr's statistics by name ID: ids are its events'
+// name IDs (aligned with tr.Events) in names. No name is hashed. The
+// sample slices are carved, capacity-clipped, from one flat array.
+func TraceStatsByID(tr *trace.Trace, names *trace.Names, ids []trace.NameID) Stats {
+	mustAlign(tr, ids)
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	return ws.traceStatsByID(tr, names, ids)
+}
+
+// traceStatsByID is TraceStatsByID on this workspace.
+func (ws *workspace) traceStatsByID(tr *trace.Trace, names *trace.Names, ids []trace.NameID) Stats {
+	total := ws.stats(tr.Events, ids, names.Len())
+	s := Stats{Names: names}
+	if len(ws.sampleIDs) > 0 {
+		flat := make([]float64, total)
+		s.Durations = make([]Samples, len(ws.sampleIDs))
+		for i, id := range ws.sampleIDs {
+			n := copy(flat, ws.samples[i])
+			s.Durations[i] = Samples{Name: id, Values: flat[:n:n]}
+			flat = flat[n:]
+		}
+	}
+	if len(ws.apis) > 0 {
+		s.LibAPIs = slices.Clone(ws.apis)
+	}
+	return s
+}
+
+// stats collects evs' statistics into the workspace: duration samples
+// per name ID (in ws.sampleIDs and ws.samples), pairing Begin/End events
+// per thread with a call stack, and the library APIs (in ws.apis).
+// Library call sites pair the same way: they never interleave within a
+// thread. ids are the events' name IDs in a table of n names; only those
+// of Begin, End and library events are read. It returns the number of
+// samples.
+func (ws *workspace) stats(evs []trace.Event, ids []trace.NameID, n int) int {
+	clear(ws.threadSlot)
+	ws.stacks, ws.sampleIDs, ws.samples, ws.apis = ws.stacks[:0], ws.sampleIDs[:0], ws.samples[:0], ws.apis[:0]
+	ws.sampleSlot, ws.apiSeen = grown(ws.sampleSlot, n+1), grown(ws.apiSeen, n+1)
+	total := 0
+	for i := range evs {
+		e := &evs[i]
+		if e.Lib && !ws.apiSeen[ids[i]] {
+			ws.apiSeen[ids[i]] = true
+			ws.apis = append(ws.apis, ids[i])
+		}
 		if e.Kind != trace.KindBegin && e.Kind != trace.KindEnd {
 			continue
 		}
@@ -250,7 +349,7 @@ func (ws *workspace) durations(tr *trace.Trace) map[string][]float64 {
 		}
 		st := ws.stacks[s]
 		if e.Kind == trace.KindBegin {
-			ws.stacks[s] = append(st, open{e.Name, e.Time})
+			ws.stacks[s] = append(st, open{ids[i], e.Time})
 			continue
 		}
 		// Pop until the matching Begin (defensive against hidden methods
@@ -258,52 +357,41 @@ func (ws *workspace) durations(tr *trace.Trace) map[string][]float64 {
 		for len(st) > 0 {
 			top := st[len(st)-1]
 			st = st[:len(st)-1]
-			if top.name == e.Name {
-				ws.addSample(e.Name, float64(e.Time-top.t))
+			if top.name == ids[i] {
+				ws.addSample(ids[i], float64(e.Time-top.t))
 				total++
 				break
 			}
 		}
 		ws.stacks[s] = st
 	}
-	out := make(map[string][]float64, len(ws.names))
-	flat := make([]float64, total)
-	for i, name := range ws.names {
-		n := copy(flat, ws.samples[i])
-		out[name] = flat[:n:n]
-		flat = flat[n:]
+	// Unmark the IDs this call touched, for the next one.
+	for _, id := range ws.sampleIDs {
+		ws.sampleSlot[id] = 0
 	}
-	return out
+	for _, id := range ws.apis {
+		ws.apiSeen[id] = false
+	}
+	return total
 }
 
-func (ws *workspace) addSample(name string, d float64) {
-	s, ok := ws.nameSlot[name]
-	if !ok {
+func (ws *workspace) addSample(id trace.NameID, d float64) {
+	s := ws.sampleSlot[id] - 1
+	if s < 0 {
 		s = int32(len(ws.samples))
-		ws.nameSlot[name] = s
-		ws.names = append(ws.names, name)
+		ws.sampleSlot[id] = s + 1
+		ws.sampleIDs = append(ws.sampleIDs, id)
 		ws.samples = nextList(ws.samples)
 	}
 	ws.samples[s] = append(ws.samples[s], d)
 }
 
-// libAPIs returns tr's distinct library-API names, sorted (nil if none).
-func (ws *workspace) libAPIs(tr *trace.Trace) []string {
-	clear(ws.apiSeen)
-	ws.apis = ws.apis[:0]
-	for i := range tr.Events {
-		if e := &tr.Events[i]; e.Lib {
-			if _, ok := ws.apiSeen[e.Name]; !ok {
-				ws.apiSeen[e.Name] = struct{}{}
-				ws.apis = append(ws.apis, e.Name)
-			}
-		}
+// grown returns s extended with zeros to length n, if it is shorter.
+func grown[T any](s []T, n int) []T {
+	if len(s) >= n {
+		return s
 	}
-	if len(ws.apis) == 0 {
-		return nil
-	}
-	slices.Sort(ws.apis)
-	return slices.Clone(ws.apis)
+	return append(s, make([]T, n-len(s))...)
 }
 
 // Observations accumulates everything the Solver consumes, across runs
@@ -345,6 +433,14 @@ type Observations struct {
 	// LibAPIs records static names seen as library call sites (Single-Role
 	// constraint scope).
 	LibAPIs map[string]bool
+
+	// AddStatsByID's cache: the name table it last folded and, by ID in
+	// it, the name's duration moments and whether LibAPIs holds it, so a
+	// name is hashed only the first time the accumulator meets it. A
+	// clone starts without one.
+	statsNames *trace.Names
+	momentsOf  []*stats.Moments
+	apiKnown   []bool
 
 	// RacyPairs records static pairs with at least one data-race
 	// observation; the Solver drops their Mostly-Protected terms.
@@ -472,6 +568,23 @@ func (o *Observations) AddWindows(ws []Window) {
 	}
 }
 
+// FullPairs returns the static pairs that hold PerPairCap admitted
+// windows (nil when none does). Under AddWindows a pair's count only
+// grows, so AddWindows drops every later window of these pairs; under
+// AddWindowsCanonical an earlier window can still evict one.
+func (o *Observations) FullPairs() map[PairID]bool {
+	var full map[PairID]bool
+	for p, n := range o.perPair {
+		if n >= o.cfg.PerPairCap {
+			if full == nil {
+				full = map[PairID]bool{}
+			}
+			full[p] = true
+		}
+	}
+	return full
+}
+
 // AddTraceStats folds per-trace statistics (durations, library API names)
 // into the accumulator. Call once per trace, independent of windows.
 func (o *Observations) AddTraceStats(tr *trace.Trace) {
@@ -486,23 +599,60 @@ func (o *Observations) AddTraceStats(tr *trace.Trace) {
 // are already recycled, and checkpoint replay (internal/core) to rebuild
 // an accumulator from stored extracts without re-decoding traces.
 func (o *Observations) AddStats(durations map[string][]float64, libAPIs []string) {
-	o.addDurations(durations)
+	for name, durs := range durations {
+		addSamples(o.moments(name), durs)
+	}
 	for _, api := range libAPIs {
 		o.LibAPIs[api] = true
 	}
 	o.Runs++
 }
 
-func (o *Observations) addDurations(durations map[string][]float64) {
-	for name, durs := range durations {
-		w, ok := o.Durations[name]
-		if !ok {
-			w = &stats.Moments{}
-			o.Durations[name] = w
+// AddStatsByID folds one trace's statistics by name ID (TraceStatsByID
+// output) exactly as AddStats folds the same statistics by name. Names
+// are looked up through a cache indexed by ID, so over a campaign each
+// name is hashed once; folding statistics of another table starts the
+// cache afresh.
+func (o *Observations) AddStatsByID(s Stats) {
+	if len(s.Durations) > 0 || len(s.LibAPIs) > 0 {
+		if s.Names != o.statsNames {
+			o.statsNames, o.momentsOf, o.apiKnown = s.Names, o.momentsOf[:0], o.apiKnown[:0]
 		}
-		for _, d := range durs {
-			w.Add(d)
+		n := s.Names.Len() + 1
+		o.momentsOf, o.apiKnown = grown(o.momentsOf, n), grown(o.apiKnown, n)
+	}
+	for _, smp := range s.Durations {
+		m := o.momentsOf[smp.Name]
+		if m == nil {
+			m = o.moments(s.Names.Name(smp.Name))
+			o.momentsOf[smp.Name] = m
 		}
+		addSamples(m, smp.Values)
+	}
+	for _, id := range s.LibAPIs {
+		if !o.apiKnown[id] {
+			o.apiKnown[id] = true
+			o.LibAPIs[s.Names.Name(id)] = true
+		}
+	}
+	o.Runs++
+}
+
+// moments returns the duration moments of the named method, entering
+// them on first sight.
+func (o *Observations) moments(name string) *stats.Moments {
+	m, ok := o.Durations[name]
+	if !ok {
+		m = &stats.Moments{}
+		o.Durations[name] = m
+	}
+	return m
+}
+
+// addSamples adds duration samples to m.
+func addSamples(m *stats.Moments, durs []float64) {
+	for _, d := range durs {
+		m.Add(d)
 	}
 }
 

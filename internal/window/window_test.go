@@ -538,6 +538,25 @@ func BenchmarkBuildWindows(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceStats measures one trace's statistics on App-1's longest
+// trace at seed 1: by the scheduler's name IDs, as the engine extracts
+// them, and by name, interning the names as an uploaded trace's are.
+func BenchmarkTraceStats(b *testing.B) {
+	run, names := app1Run(b)
+	b.Run("byID", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			TraceStatsByID(run.Trace, names, run.NameIDs)
+		}
+	})
+	b.Run("byName", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			TraceStats(run.Trace)
+		}
+	})
+}
+
 func BenchmarkBuildWindowNaive(b *testing.B) {
 	tr, conflicts := benchTrace()
 	b.ResetTimer()

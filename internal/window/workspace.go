@@ -1,6 +1,6 @@
-// Per-call scratch for window extraction. FindConflicts, BuildWindows and
-// TraceStats each borrow one workspace from a package-level pool and put
-// it back before they return, so a campaign's
+// Per-call scratch for window extraction. FindConflicts, BuildWindows,
+// TraceStats and their by-ID forms each borrow one workspace from a
+// package-level pool and put it back before they return, so a campaign's
 // thousands of runs reuse the same per-address lists, per-thread indexes,
 // call stacks and sample lists instead of rebuilding and dropping them
 // for every trace. A workspace is never held across calls: keeping one
@@ -10,11 +10,14 @@
 // candidate events, durations and API names are fresh allocations sized
 // exactly; the workspace holds event positions (int32 indices into the
 // trace), never pointers into it, except for FindConflicts' pair buffer,
-// which is cleared before the put.
+// which is cleared before the put. The workspace's own name table hands
+// out candidate keys, which windows keep; emptying the table drops only
+// its references to them.
 package window
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -22,40 +25,47 @@ import (
 	"sherlock/internal/trace"
 )
 
-// maxKeyNames bounds the workspace's candidate-key table. The table
-// survives across calls, so a test's keys are built once and found in
-// every later run; past this many distinct names (uploaded traces can
-// carry any number) it is cleared and starts over.
-const maxKeyNames = 4096
-
 // workspace is one extraction's scratch, as the pool builds it.
 type workspace struct {
 	// FindConflicts: per-address event-index lists in first-seen order,
-	// the addresses to walk in sorted order, same-thread run starts, the
-	// per-pair budget and the pairs found.
+	// the addresses to walk in sorted order, same-thread run starts, each
+	// listed event's site as a dense per-trace slot, the per-pair budget
+	// (a slot pair packed into a uint64 indexes the counts) and the pairs
+	// found.
 	addrSlot map[uint64]int32
 	lists    [][]int32
 	addrs    []addrList
 	runStart []int32
-	perPair  map[PairID]int
+	siteSlot map[int]int32
+	slotOf   []int32
+	pairSlot map[uint64]int32
+	perPair  []int32
 	found    []Conflict
 
-	// BuildWindows: per-thread event positions in time order, each
-	// window's two position ranges, and the candidate keys by name and
-	// kind (kept across calls, see maxKeyNames).
+	// BuildWindows: per-thread event positions in time order and each
+	// window's two position ranges.
 	threadSlot map[int]int32
 	threads    [][]int32
 	spans      [][]int32
-	keys       map[string]*[trace.KindEnd + 1]trace.Key
 
-	// TraceStats: per-thread call stacks (slots in threadSlot), per-name
-	// duration samples in first-seen order, and the library-API names.
-	stacks   [][]open
-	nameSlot map[string]int32
-	names    []string
-	samples  [][]float64
-	apiSeen  map[string]struct{}
-	apis     []string
+	// TraceStats: per-thread call stacks (slots in threadSlot), per name
+	// ID the 1-based slot of its sample list (0: none yet) and whether
+	// its library API was seen, the sample lists in first-seen order with
+	// their IDs, and the library APIs in first-seen order. The per-ID
+	// marks are reset after each call, so they stay sized to the largest
+	// table seen.
+	stacks     [][]open
+	sampleSlot []int32
+	apiSeen    []bool
+	sampleIDs  []trace.NameID
+	samples    [][]float64
+	apis       []trace.NameID
+
+	// The name-keyed entry points intern the names a call reads into a
+	// table of the workspace's own, emptied per call, and record their
+	// IDs by event position in ids.
+	local *trace.Names
+	ids   []trace.NameID
 }
 
 // addrList names one address's event-index list.
@@ -66,18 +76,17 @@ type addrList struct {
 
 // open is a method call awaiting its End event.
 type open struct {
-	name string
+	name trace.NameID
 	t    int64
 }
 
 var workspaces = sync.Pool{New: func() any {
 	return &workspace{
 		addrSlot:   map[uint64]int32{},
-		perPair:    map[PairID]int{},
+		siteSlot:   map[int]int32{},
+		pairSlot:   map[uint64]int32{},
 		threadSlot: map[int]int32{},
-		keys:       map[string]*[trace.KindEnd + 1]trace.Key{},
-		nameSlot:   map[string]int32{},
-		apiSeen:    map[string]struct{}{},
+		local:      trace.NewNames(),
 	}
 }}
 
@@ -93,12 +102,9 @@ func nextList[T any](ls [][]T) [][]T {
 }
 
 // BuildWindows extracts every conflict's window from tr: all operations
-// strictly between the pair, split by thread. It indexes the event
-// positions of the conflicts' threads in time order and answers each
-// window with two binary searches. Only the windowed events are copied
-// out, into one exact-size array per trace that each window owns a
-// capacity-clipped range of, so an admitted window pins no more of its
-// trace than its own events.
+// strictly between the pair, split by thread. It is BuildWindowsByID over
+// the trace's names interned afresh: only the windowed events' names are
+// hashed.
 func BuildWindows(tr *trace.Trace, conflicts []Conflict) []Window {
 	if len(conflicts) == 0 {
 		return nil
@@ -108,17 +114,77 @@ func BuildWindows(tr *trace.Trace, conflicts []Conflict) []Window {
 	return ws.windows(tr, conflicts)
 }
 
-// windows is BuildWindows on this workspace (see BuildWindows).
+// BuildWindowsByID extracts every conflict's window from tr, whose
+// events' names have IDs ids (aligned with tr.Events) in names. It
+// indexes the event positions of the conflicts' threads in time order
+// and answers each window with two binary searches. Only the windowed
+// events are copied out, into one exact-size array per trace that each
+// window owns a capacity-clipped range of, so an admitted window pins no
+// more of its trace than its own events; their keys come from names.
+func BuildWindowsByID(tr *trace.Trace, names *trace.Names, ids []trace.NameID, conflicts []Conflict) []Window {
+	if len(conflicts) == 0 {
+		return nil
+	}
+	mustAlign(tr, ids)
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	return ws.windowsByID(tr, names, ids, conflicts)
+}
+
+// windows is BuildWindows on this workspace: it interns the windowed
+// events' names into the workspace's own table, once per event however
+// many windows hold it.
 func (ws *workspace) windows(tr *trace.Trace, conflicts []Conflict) []Window {
-	evs := tr.Events
+	ws.spanWindows(tr.Events, conflicts)
+	ws.resetLocal(len(tr.Events))
+	for _, ps := range ws.spans {
+		for _, p := range ps {
+			if ws.ids[p] == 0 {
+				ws.ids[p] = ws.local.Intern(tr.Events[p].Name)
+			}
+		}
+	}
+	return ws.fillWindows(tr, ws.local, ws.ids, conflicts)
+}
+
+// windowsByID is BuildWindowsByID on this workspace.
+func (ws *workspace) windowsByID(tr *trace.Trace, names *trace.Names, ids []trace.NameID, conflicts []Conflict) []Window {
+	ws.spanWindows(tr.Events, conflicts)
+	return ws.fillWindows(tr, names, ids, conflicts)
+}
+
+// mustAlign panics unless ids has one entry per event of tr.
+func mustAlign(tr *trace.Trace, ids []trace.NameID) {
+	if len(ids) != len(tr.Events) {
+		panic(fmt.Sprintf("window: %d name IDs for %d events", len(ids), len(tr.Events)))
+	}
+}
+
+// resetLocal empties the workspace's own name table and sizes ids to n
+// zero IDs.
+func (ws *workspace) resetLocal(n int) {
+	ws.local.Reset()
+	ws.ids = sized(ws.ids, n)
+	clear(ws.ids)
+}
+
+// spanWindows finds each conflict's two position ranges (release side,
+// then acquire side) in ws.spans.
+func (ws *workspace) spanWindows(evs []trace.Event, conflicts []Conflict) {
 	ws.indexThreads(evs, conflicts)
 	ws.spans = ws.spans[:0]
-	total := 0
 	for _, c := range conflicts {
 		rel := between(ws.threads[ws.threadSlot[c.A.Thread]], evs, c.A.Time, c.B.Time)
 		acq := between(ws.threads[ws.threadSlot[c.B.Thread]], evs, c.A.Time, c.B.Time)
 		ws.spans = append(ws.spans, rel, acq)
-		total += len(rel) + len(acq)
+	}
+}
+
+// fillWindows builds the windows spanWindows located.
+func (ws *workspace) fillWindows(tr *trace.Trace, names *trace.Names, ids []trace.NameID, conflicts []Conflict) []Window {
+	total := 0
+	for _, ps := range ws.spans {
+		total += len(ps)
 	}
 	cands := make([]CandEvent, total)
 	out := make([]Window, len(conflicts))
@@ -131,8 +197,8 @@ func (ws *workspace) windows(tr *trace.Trace, conflicts []Conflict) []Window {
 			TA:      c.A.Time,
 			TB:      c.B.Time,
 		}
-		out[i].RelEvents, cands = ws.fill(cands, evs, ws.spans[2*i])
-		out[i].AcqEvents, cands = ws.fill(cands, evs, ws.spans[2*i+1])
+		out[i].RelEvents, cands = fill(cands, tr.Events, names, ids, ws.spans[2*i])
+		out[i].AcqEvents, cands = fill(cands, tr.Events, names, ids, ws.spans[2*i+1])
 	}
 	return out
 }
@@ -186,34 +252,30 @@ func between(ps []int32, evs []trace.Event, lo, hi int64) []int32 {
 
 // fill writes the candidate events at positions ps to the front of dst
 // and returns them, capacity-clipped (nil when ps is empty), with the
-// rest of dst.
-func (ws *workspace) fill(dst []CandEvent, evs []trace.Event, ps []int32) (window, rest []CandEvent) {
+// rest of dst. Keys come from names; a kind past KindEnd, which only a
+// malformed trace carries, has its key built.
+func fill(dst []CandEvent, evs []trace.Event, names *trace.Names, ids []trace.NameID, ps []int32) (window, rest []CandEvent) {
 	if len(ps) == 0 {
 		return nil, dst
 	}
 	for k, p := range ps {
 		e := &evs[p]
-		dst[k] = CandEvent{Key: ws.key(e), Time: e.Time}
+		var key trace.Key
+		if e.Kind <= trace.KindEnd {
+			key = names.Key(ids[p], e.Kind)
+		} else {
+			key = trace.EventKey(e)
+		}
+		dst[k] = CandEvent{Key: key, Time: e.Time}
 	}
 	return dst[:len(ps):len(ps)], dst[len(ps):]
 }
 
-// key returns e's candidate key from the workspace's table, building it
-// only the first time the table meets its name and kind.
-func (ws *workspace) key(e *trace.Event) trace.Key {
-	if e.Kind > trace.KindEnd {
-		return trace.EventKey(e)
+// sized returns s resliced to length n, reusing its capacity when it has
+// enough; entries past the old length are not zeroed.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	ks := ws.keys[e.Name]
-	if ks == nil {
-		if len(ws.keys) >= maxKeyNames {
-			clear(ws.keys)
-		}
-		ks = new([trace.KindEnd + 1]trace.Key)
-		ws.keys[e.Name] = ks
-	}
-	if ks[e.Kind] == "" {
-		ks[e.Kind] = trace.EventKey(e)
-	}
-	return ks[e.Kind]
+	return s[:n]
 }
