@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -144,6 +146,82 @@ func TestIncrementalGoldenAllApps(t *testing.T) {
 			}
 			if gotB := resultBytes(t, got3); !bytes.Equal(gotB, wantB) {
 				t.Errorf("no-op delivery result differs from from-scratch")
+			}
+		})
+	}
+}
+
+// captureCorpusOrder captures an app's traces the way the corpus
+// benchmark workload does: six bases drawn from rand.NewSource(seed), each
+// test i run at base+127·i with the app's hidden methods hidden. The
+// traces come back in upload order, base by base.
+func captureCorpusOrder(t *testing.T, appName string, seed int64) []KeyedTrace {
+	t.Helper()
+	app, err := apps.ByName(appName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app.MustFinalize()
+	rng := rand.New(rand.NewSource(seed))
+	var out []KeyedTrace
+	for k := 0; k < 6; k++ {
+		base := rng.Int63n(1 << 40)
+		for i, tc := range app.Tests {
+			r, err := sched.Run(app, tc, sched.Options{
+				Seed:          base + int64(i)*127,
+				HiddenMethods: app.Truth.HiddenMethods,
+			})
+			if err != nil {
+				t.Fatalf("%s/%s base %d: %v", appName, tc.Name, base, err)
+			}
+			key, err := store.Key(r.Trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, KeyedTrace{Key: key, Trace: r.Trace})
+		}
+	}
+	return out
+}
+
+// TestIncrementalEveryFoldMatchesScratch folds App-5's corpus-workload
+// traces in one at a time. After every fold the result must equal a
+// from-scratch solve over the covered traces in sorted-key order. Seeds 2
+// and 32 are the two of seeds 1–40 whose sequences reach a degenerate
+// optimum, where a fold warm-started from the previous basis once ended
+// on another basis and one probability differed in its last bit.
+func TestIncrementalEveryFoldMatchesScratch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two scratch solves per fold")
+	}
+	ctx := context.Background()
+	cfg := DefaultConfig()
+	for _, seed := range []int64{2, 32} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			kts := captureCorpusOrder(t, "App-5", seed)
+			var ck *Checkpoint
+			var covered []KeyedTrace
+			for i, kt := range kts {
+				got, next, err := InferIncremental(ctx, ck, KeyedSlice{kt}, cfg)
+				if err != nil {
+					t.Fatalf("fold %d: %v", i+1, err)
+				}
+				ck = next
+				covered = append(covered, kt)
+				sorted := append([]KeyedTrace(nil), covered...)
+				sortKeyed(sorted)
+				src := make(SliceSource, len(sorted))
+				for j := range sorted {
+					src[j] = sorted[j].Trace
+				}
+				want, err := InferFromSource(ctx, src, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gotB, wantB := resultBytes(t, got), resultBytes(t, want); !bytes.Equal(gotB, wantB) {
+					t.Fatalf("fold %d of %d differs from a from-scratch solve\n got: %s\nwant: %s", i+1, len(kts), gotB, wantB)
+				}
 			}
 		})
 	}
