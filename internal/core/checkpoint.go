@@ -1,31 +1,26 @@
 // Checkpoints: the in-memory solved state of an offline inference, built
 // for streaming re-solves over a growing trace corpus. A Checkpoint
-// carries everything InferIncremental needs to extend a previous solve
-// when new traces arrive — per-trace window extracts, the last optimal LP
-// basis, and the last result (the rel/acq posteriors) — keyed by the
-// covered traces' content addresses. It is never persisted: the corpus is
-// the one durable store, and an extract is a pure function of (trace,
-// window config), so a restarted process rebuilds the state by folding
-// the covered keys from the corpus again.
+// carries what InferIncremental reads to extend a previous solve when new
+// traces arrive: the covered traces' content addresses and metadata, the
+// canonical observation accumulator over them, and the last result (the
+// rel/acq posteriors). It is never persisted: the corpus is the one
+// durable store, and an extract is a pure function of (trace, window
+// config), so a restarted process rebuilds the state by folding the
+// covered keys from the corpus again.
 //
 // The design choice that makes incremental results byte-identical to a
-// from-scratch solve regardless of upload order: the checkpoint stores
-// *inputs* per trace (pre-accumulation windows, raw duration samples,
-// library-API names), not just the accumulator. Accumulation happens
+// from-scratch solve regardless of upload order: accumulation happens
 // under window.AddWindowsCanonical, whose state is a function of the SET
 // of extracts folded — per-pair cap admissions resolve by canonical UID
 // order with late-arrival eviction, and duration statistics are exact
 // integer moments — so folding only the freshly delivered extracts into
-// a cached accumulator lands on the identical bits a full sorted replay
-// produces. Whatever order traces arrived in, the accumulator — and with
-// it the LP and its optimum — is the one a from-scratch solve over the
-// full set produces. A checkpoint InferIncremental returns memoizes the
-// accumulator (the `acc` field) so the fold is O(new traces), not
-// O(total extracts); one built from the exported fields alone rebuilds it
-// once on first use. The basis is only a warm start on top: a solve from
-// it lands on the same optimum bit for bit (the golden equivalence tests
-// enforce this), or is rejected by the LP's exact verification and falls
-// back to a cold start.
+// the checkpoint's accumulator lands on the identical bits a full sorted
+// replay produces. Whatever order traces arrived in, the accumulator — and
+// with it the LP — is the one a from-scratch solve over the full set
+// builds, and InferIncremental solves it exactly as InferFromSource does:
+// cold, with a fresh encoder. The accumulator is the whole input of the
+// next fold; an extract's own windows and statistics are dropped once
+// folded.
 package core
 
 import (
@@ -41,10 +36,12 @@ import (
 	"sherlock/internal/window"
 )
 
-// TraceExtract is one trace's contribution to inference, in replayable
+// TraceExtract is one trace's contribution to inference, in foldable
 // form: the windows FindConflicts+BuildWindows produce (before any
 // cross-trace capping), the raw per-method duration samples, and the
 // library-API names — exactly the inputs InferFromSource folds per trace.
+// A checkpoint's Extracts hold only the key and metadata: fold drops the
+// rest.
 type TraceExtract struct {
 	Key    string // corpus content address
 	App    string
@@ -58,11 +55,10 @@ type TraceExtract struct {
 }
 
 // ExtractTrace computes a trace's extract under the given window config.
-// Each window gets a UID of the FULL trace key and its ordinal, so its LP
-// rows keep their names across re-encodings with different trace
-// interleavings (see window.Window.UID). The key is used untruncated:
-// a shortened prefix could collide across traces and silently alias two
-// windows' LP rows, and row names are not size-critical.
+// Each window gets a UID of the FULL trace key and its ordinal, the
+// order canonical admission ranks windows by (see window.Window.UID). The
+// key is used untruncated: a shortened prefix could collide across traces
+// and tie two traces' windows in that order.
 func ExtractTrace(key string, t *trace.Trace, cfg window.Config) TraceExtract {
 	conflicts := window.FindConflicts(t, cfg)
 	ws := window.BuildWindows(t, conflicts)
@@ -76,32 +72,34 @@ func ExtractTrace(key string, t *trace.Trace, cfg window.Config) TraceExtract {
 	}
 }
 
-// foldCanonical folds the extract under canonical window admission, so
+// fold folds the extract into acc under canonical window admission, so
 // the accumulator state depends only on the set of extracts folded, not
-// their arrival order. Over extracts offered in sorted-key order the
-// result is bit-identical to the plain AddWindows/AddTraceStats replay
+// their arrival order, and then drops the extract's windows and
+// statistics. Over extracts offered in sorted-key order the result is
+// bit-identical to the plain AddWindows/AddTraceStats replay
 // InferFromSource performs on the live traces.
-func (x *TraceExtract) foldCanonical(acc *window.Observations) {
+func (x *TraceExtract) fold(acc *window.Observations) {
 	acc.AddWindowsCanonical(x.Windows)
 	acc.AddStats(x.Durations, x.LibAPIs)
+	x.Windows, x.Durations, x.LibAPIs = nil, nil, nil
 }
 
 // Checkpoint is the in-memory state of an incremental inference: which
-// traces are covered (as extracts, sorted by key), the last solve's
-// optimal basis, and the last result.
+// traces are covered (as extracts, sorted by key), the accumulator over
+// them, and the last result.
 type Checkpoint struct {
 	ConfigSig string
-	Extracts  []TraceExtract // sorted by Key
-	Basis     *lp.Basis
-	Result    *Result
+	Extracts  []TraceExtract // sorted by Key; key and metadata only
+	// Basis is always nil: a fold solves cold. It remains only for an
+	// outside reader that still passes it to the solver as a warm start,
+	// and goes when that reader does.
+	Basis  *lp.Basis
+	Result *Result
 
-	// acc memoizes the canonical observation accumulator over Extracts so
-	// the next incremental fold is O(new traces) instead of O(total
-	// extracts). A checkpoint built from the exported fields alone starts
-	// with acc nil and InferIncremental rebuilds it once. accEvents caches
-	// the summed Events of all extracts (the Overhead.Events share).
-	acc       *window.Observations
-	accEvents int
+	// acc is the canonical observation accumulator over Extracts, the
+	// input of the next fold. Only InferIncremental sets it, so a
+	// checkpoint copied from the exported fields is refused.
+	acc *window.Observations
 }
 
 // NewCheckpoint returns an empty checkpoint bound to cfg's offline-relevant

@@ -1,24 +1,23 @@
 // Incremental offline inference: extend a Checkpoint with newly ingested
-// traces and re-solve warm from its basis instead of cold-starting. The
-// result contract is exact: InferIncremental returns byte-identical
-// results (modulo wall-clock overhead fields) to InferFromSource over the
-// same trace set in sorted-key order, for any arrival order and with
-// duplicate deliveries ignored — see checkpoint.go for why the replay
-// construction guarantees it. One known exception breaks it: App-5's
-// traces captured at seed 2, folded one at a time, end on another
-// optimal basis of the same degenerate vertex from fold 43 on, and one
-// probability differs from a from-scratch solve in its last bit
-// (ROADMAP item 1).
+// traces and re-solve. The result contract is exact: InferIncremental
+// returns byte-identical results (modulo wall-clock overhead fields) to
+// InferFromSource over the same trace set in sorted-key order, for any
+// arrival order and with duplicate deliveries ignored. It holds by
+// construction: the fold advances an accumulator equal to the one a
+// sorted replay builds (see checkpoint.go), and both entrypoints end in
+// the same cold solve (solveOffline). A fold carries no LP basis: a solve
+// warm-started from the previous fold's basis can end on another optimal
+// basis of a degenerate vertex, and read a probability off it that
+// differs in its last bit.
 package core
 
 import (
 	"context"
 	"fmt"
-	"sort"
-	"time"
+	"slices"
+	"strings"
 
 	"sherlock/internal/obs"
-	"sherlock/internal/solver"
 	"sherlock/internal/trace"
 	"sherlock/internal/window"
 )
@@ -54,14 +53,16 @@ func (s KeyedSlice) KeyedTraces(ctx context.Context, yield func(string, *trace.T
 
 // InferIncremental folds the traces streamed by src into ck and re-solves.
 // A nil ck starts fresh (equivalent to NewCheckpoint(cfg)); a non-nil one
-// must have been built under a config with the same ConfigSignature.
-// Traces whose keys the checkpoint already covers are skipped — duplicate
-// deliveries are free — and if nothing new arrives the checkpoint's stored
-// result is returned as-is. Otherwise the fresh extracts are folded into
-// the checkpoint's canonical observation accumulator — O(new traces) when
-// the checkpoint carries its in-memory accumulator memo, one linear
-// rebuild otherwise — and solved warm from the prior basis. ck itself is
-// never mutated; the advanced state is the returned checkpoint. Config use mirrors InferFromSource: only Window,
+// must be NewCheckpoint's or one InferIncremental returned, under a config
+// with the same ConfigSignature. A checkpoint assembled from the exported
+// fields of another is rejected: the accumulator it would need lives only
+// in the checkpoint InferIncremental returned. Traces whose keys the
+// checkpoint already covers are skipped — duplicate deliveries are free —
+// and if nothing new arrives the checkpoint's stored result is returned
+// as-is. Otherwise the fresh extracts are folded into a copy of the
+// checkpoint's canonical observation accumulator, O(new traces), and
+// solved cold. ck itself is never mutated; the advanced state is the
+// returned checkpoint. Config use mirrors InferFromSource: only Window,
 // Solver, RemoveRacyMP and the observability fields apply.
 func InferIncremental(ctx context.Context, ck *Checkpoint, src KeyedSource, cfg Config) (*Result, *Checkpoint, error) {
 	if ck == nil {
@@ -69,6 +70,9 @@ func InferIncremental(ctx context.Context, ck *Checkpoint, src KeyedSource, cfg 
 	}
 	if sig := ConfigSignature(cfg); ck.ConfigSig != sig {
 		return nil, nil, fmt.Errorf("core: incremental: checkpoint config signature %s does not match config %s", ck.ConfigSig, sig)
+	}
+	if ck.acc == nil && (len(ck.Extracts) > 0 || ck.Result != nil) {
+		return nil, nil, fmt.Errorf("core: incremental: checkpoint holds no accumulator; start from NewCheckpoint or a checkpoint InferIncremental returned")
 	}
 
 	tr := cfg.tracer()
@@ -110,74 +114,38 @@ func InferIncremental(ctx context.Context, ck *Checkpoint, src KeyedSource, cfg 
 		if ck.Result != nil {
 			return ck.Result, ck, nil
 		}
-		if len(ck.Extracts) == 0 {
-			return nil, nil, fmt.Errorf("core: no traces to analyze")
-		}
-		// A checkpoint with extracts but no stored result (hand-built or
-		// stripped): fall through and solve what is covered.
+		return nil, nil, fmt.Errorf("core: no traces to analyze")
 	}
-
-	next := &Checkpoint{ConfigSig: ck.ConfigSig}
-	next.Extracts = make([]TraceExtract, 0, len(ck.Extracts)+len(fresh))
-	next.Extracts = append(next.Extracts, ck.Extracts...)
-	next.Extracts = append(next.Extracts, fresh...)
-	sort.Slice(next.Extracts, func(i, j int) bool { return next.Extracts[i].Key < next.Extracts[j].Key })
 
 	// Canonical fold: the accumulator's state under AddWindowsCanonical is
 	// a function of the extract set, not arrival order, so only the fresh
-	// extracts need folding — an O(new traces) step. A checkpoint carrying
-	// a memoized accumulator (any checkpoint InferIncremental returned)
-	// hands it over by clone; one built from the exported fields alone pays
-	// a one-time replay of its covered extracts to rebuild the memo. Either
-	// way the result is bit-identical to replaying everything from scratch
-	// in sorted-key order.
-	res := &Result{}
-	var acc *window.Observations
-	events := ck.accEvents
+	// extracts need folding into a copy of the checkpoint's. The result is
+	// bit-identical to replaying everything from scratch in sorted-key
+	// order. Once folded, an extract keeps only its key and metadata: a
+	// window canonical admission rejected or evicted is never admitted
+	// again, so no later fold reads it.
+	acc := window.NewObservations(cfg.Window)
 	if ck.acc != nil {
 		acc = ck.acc.Clone()
-	} else {
-		acc = window.NewObservations(cfg.Window)
-		events = 0
-		for i := range ck.Extracts {
-			x := &ck.Extracts[i]
-			x.foldCanonical(acc)
-			events += x.Events
-		}
 	}
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i].Key < fresh[j].Key })
+	slices.SortFunc(fresh, func(a, b TraceExtract) int { return strings.Compare(a.Key, b.Key) })
 	for i := range fresh {
-		x := &fresh[i]
-		x.foldCanonical(acc)
-		events += x.Events
+		fresh[i].fold(acc)
 	}
-	if len(next.Extracts) > 0 {
-		res.App = next.Extracts[0].App
+	next := &Checkpoint{ConfigSig: ck.ConfigSig, acc: acc}
+	next.Extracts = append(slices.Clip(ck.Extracts), fresh...)
+	slices.SortFunc(next.Extracts, func(a, b TraceExtract) int { return strings.Compare(a.Key, b.Key) })
+
+	res := &Result{App: next.Extracts[0].App}
+	for _, x := range next.Extracts {
+		res.Overhead.Events += x.Events
 	}
-	res.Overhead.Events = events
 	root.Annotate(
 		obs.Int("covered", len(ck.Extracts)),
-		obs.Int("fresh", len(fresh)),
-		obs.Int("windows", len(acc.Windows)))
-
-	t0 := time.Now()
-	sr, basis, err := solver.NewEncoder(cfg.solverConfig()).SolveSpan(acc, ck.Basis, root)
-	res.Overhead.SolveWall = time.Since(t0)
-	if err != nil {
+		obs.Int("fresh", len(fresh)))
+	if err := solveOffline(res, acc, cfg, root); err != nil {
 		return nil, nil, fmt.Errorf("core: incremental solve: %w", err)
 	}
-	res.setFinal(sr, len(acc.Windows))
-	res.Rounds = []RoundSnapshot{{
-		Round:    1,
-		Acquires: append([]trace.Key(nil), sr.AcquireSet...),
-		Releases: append([]trace.Key(nil), sr.ReleaseSet...),
-		Windows:  len(acc.Windows),
-	}}
-	cfg.notifyRound(res.Rounds[0], acc)
-
-	next.Basis = basis
 	next.Result = res
-	next.acc = acc
-	next.accEvents = events
 	return res, next, nil
 }

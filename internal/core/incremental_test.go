@@ -68,11 +68,10 @@ func resultBytes(t *testing.T, r *Result) []byte {
 
 // TestIncrementalGoldenAllApps is the tentpole invariant: for every
 // benchmark app and for adversarial upload orders — reverse-key one at a
-// time, interleaved batches, duplicate deliveries, with a copy of the
-// checkpoint that lacks the accumulator memo mid-stream — the final
-// incremental result
-// is byte-identical (modulo wall clock) to a from-scratch offline solve
-// over the full trace set.
+// time, interleaved batches, duplicate deliveries — the final incremental
+// result is byte-identical (modulo wall clock) to a from-scratch offline
+// solve over the full trace set. A checkpoint copied from the exported
+// fields mid-stream is refused.
 func TestIncrementalGoldenAllApps(t *testing.T) {
 	ctx := context.Background()
 	for _, app := range apps.All() {
@@ -95,10 +94,9 @@ func TestIncrementalGoldenAllApps(t *testing.T) {
 			}
 			wantB := resultBytes(t, want)
 
-			// Order A: one trace at a time, in reverse key order, with a
-			// copy of the checkpoint built from its exported fields between
-			// every step. The copy has no accumulator memo, so every fold
-			// replays the covered extracts first.
+			// Order A: one trace at a time, in reverse key order. Between
+			// every step, a copy of the checkpoint built from its exported
+			// fields must be refused: it lacks the accumulator a fold reads.
 			ck := NewCheckpoint(cfg)
 			var got *Result
 			for i := len(kts) - 1; i >= 0; i-- {
@@ -106,7 +104,10 @@ func TestIncrementalGoldenAllApps(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d: %v", i, err)
 				}
-				ck = &Checkpoint{ConfigSig: ck.ConfigSig, Extracts: ck.Extracts, Basis: ck.Basis, Result: ck.Result}
+				copied := &Checkpoint{ConfigSig: ck.ConfigSig, Extracts: ck.Extracts, Basis: ck.Basis, Result: ck.Result}
+				if _, _, err := InferIncremental(ctx, copied, KeyedSlice{kts[max(i-1, 0)]}, cfg); err == nil {
+					t.Fatalf("step %d: a checkpoint copied from its exported fields was accepted", i)
+				}
 			}
 			if gotB := resultBytes(t, got); !bytes.Equal(gotB, wantB) {
 				t.Errorf("reverse-order incremental differs from from-scratch\n got: %s\nwant: %s", gotB, wantB)

@@ -96,11 +96,24 @@ func InferFromSource(ctx context.Context, src TraceSource, cfg Config) (*Result,
 		return nil, fmt.Errorf("core: no traces to analyze")
 	}
 
+	root.Annotate(obs.Int("traces", n))
+	if err := solveOffline(res, acc, cfg, root); err != nil {
+		return nil, fmt.Errorf("core: offline solve: %w", err)
+	}
+	return res, nil
+}
+
+// solveOffline ends every offline inference, InferFromSource and
+// InferIncremental alike: one cold solve of acc by a fresh encoder, whose
+// final state and single round it records in res. Both paths end here in
+// the same steps and order, so their results are equal whenever their
+// accumulators are.
+func solveOffline(res *Result, acc *window.Observations, cfg Config, root *obs.Span) error {
 	t0 := time.Now()
 	sr, _, err := solver.NewEncoder(cfg.solverConfig()).SolveSpan(acc, nil, root)
 	res.Overhead.SolveWall = time.Since(t0)
 	if err != nil {
-		return nil, fmt.Errorf("core: offline solve: %w", err)
+		return err
 	}
 	res.setFinal(sr, len(acc.Windows))
 	res.Rounds = []RoundSnapshot{{
@@ -110,10 +123,9 @@ func InferFromSource(ctx context.Context, src TraceSource, cfg Config) (*Result,
 		Windows:  len(acc.Windows),
 	}}
 	root.Annotate(
-		obs.Int("traces", n),
 		obs.Int("windows", len(acc.Windows)),
 		obs.Int("vars", sr.Vars),
 		obs.Int("constraints", sr.Constraints))
 	cfg.notifyRound(res.Rounds[0], acc)
-	return res, nil
+	return nil
 }

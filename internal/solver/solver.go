@@ -141,7 +141,7 @@ type varPair struct {
 
 // Encoder incrementally encodes a growing Observations accumulator across
 // Perturber rounds. It caches the per-window derived data (the distinct
-// candidates in key order and the term names) keyed by the window's
+// candidates in key order) keyed by the window's
 // absolute index in obs.Windows — valid because the accumulator only ever
 // appends windows — and the global candidate key set with each key's
 // variable names, indexed by the accumulator's key IDs, ingesting only
@@ -165,12 +165,11 @@ type Encoder struct {
 	lastObs *window.Observations // accumulator the cache was built from
 	nCached int                  // windows ingested so far
 
-	winRel  [][]*keyInfo  // per absolute window index: distinct rel candidates, in key order
-	winAcq  [][]*keyInfo  // likewise for acq candidates
-	winName []windowNames // per absolute window index: its row names
-	keys    []*keyInfo    // all candidate keys, in key order
-	byID    []*keyInfo    // by the accumulator's window.KeyID; nil until ingested
-	terms   *termPlan     // terms over keys; nil until planned for the current key set
+	winRel [][]*keyInfo // per absolute window index: distinct rel candidates, in key order
+	winAcq [][]*keyInfo // likewise for acq candidates
+	keys   []*keyInfo   // all candidate keys, in key order
+	byID   []*keyInfo   // by the accumulator's window.KeyID; nil until ingested
+	terms  *termPlan    // terms over keys; nil until planned for the current key set
 
 	fresh []*keyInfo // sync's scratch: the keys one sync meets first
 }
@@ -240,7 +239,6 @@ func (e *Encoder) Reset() {
 	e.nCached = 0
 	e.winRel = e.winRel[:0]
 	e.winAcq = e.winAcq[:0]
-	e.winName = e.winName[:0]
 	e.keys = e.keys[:0]
 	clear(e.byID)
 	e.byID = e.byID[:0]
@@ -286,14 +284,6 @@ func (e *Encoder) sync(obs *window.Observations) {
 		rel, acq := obs.Candidates(wi)
 		e.winRel = append(e.winRel, candidates(rel))
 		e.winAcq = append(e.winAcq, candidates(acq))
-		// Windows are named by UID when they carry one (checkpointed windows
-		// named by owning trace), otherwise by their absolute index in the
-		// accumulator — which this cache is keyed by, so both are stable.
-		if uid := obs.Windows[wi].UID; uid != "" {
-			e.winName = append(e.winName, windowNames{mpRel: "mp_rel(" + uid + ")", mpAcq: "mp_acq(" + uid + ")"})
-		} else {
-			e.winName = append(e.winName, indexNamesOf(wi))
-		}
 	}
 	e.nCached = len(obs.Windows)
 	if len(fresh) > 0 {
@@ -332,9 +322,8 @@ func (e *Encoder) mergeKeys(fresh []*keyInfo) {
 	}
 }
 
-// indexNames is the process-wide table of the row names of windows named
-// by their accumulator index, mp_rel(w<i>) and mp_acq(w<i>). It only
-// grows, so a process builds each name once however many encoders name
+// indexNames is the process-wide table of window row names: mp_rel(w<i>)
+// and mp_acq(w<i>) for the window at accumulator index i. It only grows, so a process builds each name once however many encoders name
 // window i: readers load the current table without locking, a writer
 // publishes a longer copy.
 var indexNames struct {
@@ -672,19 +661,21 @@ func (b *builder) addRow(name string, sense lp.Sense, rhs float64) {
 // tieBreakEps scales the deterministic tie-breaker costs on role
 // variables. The SherLock encodings routinely have tied optima — several
 // candidate operations protecting the same windows at the same penalty —
-// and which vertex a simplex reaches then depends on its pivot path, i.e.
-// on whether and from where it was warm-started. A tiny name-hashed cost
-// on every role variable makes the optimum generically unique, so every
-// pivot path (cold, warm from any checkpoint) converges to the same
-// vertex — the property the incremental-inference byte-identity contract
-// rests on. The scale sits well above the simplex's 1e-9 pivot tolerance
-// (so the preference is acted on) and well below the 1e-3-granular real
-// penalties (so it never overrides genuine evidence).
+// and which vertex a simplex reaches then depends on its pivot path. A
+// tiny name-hashed cost on every role variable makes the optimal vertex
+// generically unique, so warm and cold solves of one problem reach the
+// same vertex. It does not make the optimal basis unique: at a degenerate
+// vertex two pivot paths can end on different bases, and the values read
+// off them can differ in the last bit. Only a solve from the same start
+// is reproducible bit for bit, which is why every offline solve,
+// incremental folds included, starts cold. The scale sits well
+// above the simplex's 1e-9 pivot tolerance (so the preference is acted
+// on) and well below the 1e-3-granular real penalties (so it never
+// overrides genuine evidence).
 //
-// Only role variables are perturbed: their names are identical across
-// encodings, while ε/auxiliary names are not (index- vs UID-based window
-// naming), and the auxiliaries are uniquely determined by the role
-// variables anyway — each carries a strictly positive cost and a one-sided
+// Only role variables are perturbed: their names depend on the key alone,
+// and the auxiliaries are uniquely determined by the role variables
+// anyway — each carries a strictly positive cost and a one-sided
 // constraint, so it sits at its bound once the role variables are fixed.
 const tieBreakEps = 1e-6
 
@@ -724,16 +715,14 @@ func (b *builder) addVars(in *keyInfo) {
 }
 
 // addMostlyProtected adds Eq. 2's rel(w) and acq(w) terms for every
-// non-retired window. Windows are identified by their UID when they carry
-// one (checkpointed windows named by owning trace), otherwise by their
-// absolute index in the accumulator — not their position after racy
-// filtering — so the term names (and with them the basis mapping) stay
-// stable when a pair turns racy and its rows are retired. UID naming goes
-// further: it survives windows from other traces being inserted ahead,
-// which is what lets an incremental re-solve carry its basis across
-// arbitrary upload orders. Names never influence pivoting, so the two
-// schemes produce the identical program values either way. The Encoder
-// builds each window's names once (windowNames).
+// non-retired window. Windows are identified by their absolute index in
+// the accumulator — not their position after racy filtering — so the term
+// names (and with them the basis mapping) stay stable across one
+// encoder's rounds, when windows are appended and when a pair turns racy
+// and its rows are retired. That is as long as names must last: a basis
+// is carried only from one round of a campaign to the next. Names never
+// influence pivoting. A process builds each index's names once
+// (indexNamesOf).
 func (b *builder) addMostlyProtected(e *Encoder) {
 	if !b.cfg.Hyp.MostlyProtected {
 		return
@@ -743,7 +732,7 @@ func (b *builder) addMostlyProtected(e *Encoder) {
 		if !b.cfg.KeepRacyWindows && b.obs.RacyPairs[w.Pair] {
 			continue
 		}
-		names := &e.winName[wi]
+		names := indexNamesOf(wi)
 		b.addWindowTerm(names.mpRel, e.winRel[wi], trace.RoleRelease)
 		b.addWindowTerm(names.mpAcq, e.winAcq[wi], trace.RoleAcquire)
 	}

@@ -37,7 +37,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 
 	"sherlock/internal/obs"
 	"sherlock/internal/prog"
@@ -592,7 +591,7 @@ type located struct {
 
 // windows enumerates conflicting pairs across threads and synthesizes
 // their acquire/release windows, deterministic in (class, thread, index)
-// order. testName scopes the window UIDs.
+// order, each tagged with testName.
 func (w *walker) windows(testName string) []window.Window {
 	byClass := map[string][]located{}
 	for _, th := range w.threads {
@@ -618,7 +617,6 @@ func (w *walker) windows(testName string) []window.Window {
 
 	var out []window.Window
 	perPair := map[window.PairID]int{}
-	uid := 0
 	add := func(x, y located) {
 		pid := window.PairID{First: x.th.ops[x.idx].site, Second: y.th.ops[y.idx].site}
 		if perPair[pid] >= w.cfg.Window.PerPairCap {
@@ -627,8 +625,6 @@ func (w *walker) windows(testName string) []window.Window {
 		perPair[pid]++
 		win := w.buildWindow(x, y)
 		win.Test = testName
-		win.UID = "s:" + testName + ":" + strconv.Itoa(uid)
-		uid++
 		out = append(out, win)
 	}
 	for _, c := range classes {

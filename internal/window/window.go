@@ -61,13 +61,11 @@ type CandEvent struct {
 // instead of mutating in place.
 type Window struct {
 	App, Test string
-	// UID, when non-empty, is a stable identity for this window across
-	// encodings — typically derived from the owning trace's content address
-	// plus the window's ordinal within that trace. The solver names a
-	// window's LP rows by UID when present (falling back to the absolute
-	// accumulator index), which keeps row names — and with them warm-basis
-	// mapping — stable even when later encodings insert windows from other
-	// traces ahead of this one. Empty for windows built live by the engine.
+	// UID, when non-empty, is the window's rank under canonical
+	// admission (AddWindowsCanonical): the owning trace's content address
+	// plus the window's ordinal within that trace. Nothing else reads it;
+	// the solver names LP rows by accumulator index. Empty for windows
+	// built live by the engine and by static analysis.
 	UID     string
 	Pair    PairID
 	ThreadA int
