@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -100,6 +101,47 @@ func TestCampaignGolden(t *testing.T) {
 		id, _, _ := strings.Cut(line, " inferred=")
 		if r, ok := renders[id]; ok {
 			t.Logf("%s rendering:\n%s", id, r)
+		}
+	}
+}
+
+// pivotLine matches the per-round pivot count and warm flag that
+// renderCampaign writes: the only fields a cold campaign may change.
+var pivotLine = regexp.MustCompile(` iters=\d+ warm=(true|false)`)
+
+// TestColdStartRendersSame: over the golden mix at seeds 1-3, a ColdStart
+// campaign renders byte for byte like the default warm-started one once
+// the pivot counts and warm flags are left out: every sync with its
+// probability bits, each round's sets and window counts, the LP size and
+// the objective bits. Config.ColdStart's doc and the job key's omission
+// of it rest on this.
+func TestColdStartRendersSame(t *testing.T) {
+	if testing.Short() {
+		t.Skip("240 campaigns")
+	}
+	ctx := context.Background()
+	for _, name := range goldenMix() {
+		app, err := apps.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			cfg := DefaultConfig()
+			cfg.Seed = seed
+			warm, err := Infer(ctx, app, cfg)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			cfg.ColdStart = true
+			cold, err := Infer(ctx, app, cfg)
+			if err != nil {
+				t.Fatalf("%s seed %d cold: %v", name, seed, err)
+			}
+			w := pivotLine.ReplaceAllString(renderCampaign(warm), "")
+			c := pivotLine.ReplaceAllString(renderCampaign(cold), "")
+			if w != c {
+				t.Errorf("%s seed %d: ColdStart renders differently\nwarm:\n%s\ncold:\n%s", name, seed, w, c)
+			}
 		}
 	}
 }

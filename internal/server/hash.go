@@ -12,8 +12,11 @@
 //     hashed because results are bit-identical for every worker-pool size
 //     (a PR 1 invariant) — a 4-worker submission hits the cache entry a
 //     16-worker submission populated. The Observer and ColdStart are
-//     likewise excluded: they change cost, not results (the warm/cold
-//     equivalence tests enforce the latter).
+//     likewise excluded. The Observer changes nothing a job returns.
+//     ColdStart changes only the solver's cost accounting: per-round pivot
+//     counts, warm flags and WarmRounds. core's TestColdStartRendersSame
+//     pins the rest over the golden campaign mix: the same syncs,
+//     probabilities, rounds, LP size and objective, to the bit.
 //
 // The encoding is versioned (keyEncodingV1); changing what gets hashed
 // must bump the version so stale keys can never alias new content.
