@@ -8,10 +8,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -40,6 +42,34 @@ func captureAppTraces(t testing.TB, name string, n int) []*trace.Trace {
 			if len(out) == n {
 				break
 			}
+		}
+	}
+	return out
+}
+
+// captureCorpusTraces captures an app's traces the way the corpus
+// benchmark workload does: six bases drawn from rand.NewSource(seed), each
+// test i run at base+127·i with the app's hidden methods hidden. The
+// traces come back in upload order, base by base.
+func captureCorpusTraces(t testing.TB, name string, seed int64) []*trace.Trace {
+	t.Helper()
+	app, err := apps.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var out []*trace.Trace
+	for k := 0; k < 6; k++ {
+		base := rng.Int63n(1 << 40)
+		for i, tc := range app.Tests {
+			run, err := sched.Run(app, tc, sched.Options{
+				Seed:          base + int64(i)*127,
+				HiddenMethods: app.Truth.HiddenMethods,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, run.Trace)
 		}
 	}
 	return out
@@ -206,6 +236,51 @@ func TestWatchJobStreamsVersions(t *testing.T) {
 	s.subMu.Unlock()
 	if nsubs != 0 {
 		t.Errorf("%d subscriptions still registered after cancel", nsubs)
+	}
+}
+
+// TestWatchFoldsEqualOneShot uploads App-5's seed-2 corpus traces one at
+// a time under a watch job, waiting for each publish, so every trace is
+// its own fold. The last publish must equal, wall clock aside, what a
+// one-shot trace_keys job over the same sorted keys computes on a second
+// server. The two share a cache key, so a difference would make the bytes
+// served for one key depend on which path filled the cache.
+func TestWatchFoldsEqualOneShot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("54 uploads and folds")
+	}
+	traces := captureCorpusTraces(t, "App-5", 2)
+
+	_, watchTS := startTestServer(t, fastConfig())
+	resp, watch := postJob(t, watchTS.URL, map[string]any{"watch_app": "App-5"})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("watch submit: HTTP %d", resp.StatusCode)
+	}
+	var keys []string
+	var v jobView
+	for i, tr := range traces {
+		keys = append(keys, uploadTraceT(t, watchTS.URL, tr))
+		if v = longPoll(t, watchTS.URL, watch.ID, uint64(i), 30); v.Version != uint64(i+1) {
+			t.Fatalf("upload %d: version %d (status %s, err %q)", i+1, v.Version, v.Status, v.Error)
+		}
+	}
+	got := normalizedResult(t, watchTS.URL, v.Key)
+
+	_, oneTS := startTestServer(t, fastConfig())
+	for _, tr := range traces {
+		uploadTraceT(t, oneTS.URL, tr)
+	}
+	slices.Sort(keys)
+	resp, one := postJob(t, oneTS.URL, map[string]any{"trace_keys": keys})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("one-shot submit: HTTP %d", resp.StatusCode)
+	}
+	one = waitDone(t, oneTS.URL, one.ID)
+	if one.Key != v.Key {
+		t.Fatalf("one-shot key %s != watch key %s", one.Key, v.Key)
+	}
+	if want := normalizedResult(t, oneTS.URL, one.Key); string(got) != string(want) {
+		t.Errorf("watch publish after %d one-trace folds differs from the one-shot job\n got: %s\nwant: %s", len(traces), got, want)
 	}
 }
 
