@@ -2,11 +2,11 @@
 // checkpointed corpus solve by a few traces than re-solving from scratch?
 // For each appended-trace count the from-scratch path re-runs the full
 // offline solve over base+k traces, while the incremental path folds just
-// the k new traces into the base checkpoint, warm-starting the LP from the
-// stored basis. The checkpoint is the in-memory one the base solve
-// returned, built outside the timed region: a live daemon holds exactly
-// that between uploads, so the steady-state per-upload cost is the honest
-// comparison. -gate asserts the +1-trace speedup and the fold cost's
+// the k new traces into the base checkpoint's accumulator and solves it
+// cold, as the from-scratch path does. The checkpoint is the in-memory one
+// the base solve returned, built outside the timed region: a live daemon
+// holds exactly that between uploads, so the steady-state per-upload cost
+// is the honest comparison. -gate asserts the +1-trace speedup and the fold cost's
 // independence of the base size.
 package main
 

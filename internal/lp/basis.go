@@ -2,9 +2,9 @@
 // (row, basic column) identity pairs — nothing numerical. An identity is
 // a (kind, name) value: a constraint row or a variable's upper-bound row,
 // and a structural, slack or artificial column, each named by the
-// variable or constraint it stands for. A basis lives in memory only (a
-// core.Checkpoint carries one from fold to fold), so no identity is ever
-// rendered as a string.
+// variable or constraint it stands for. A basis lives in memory only (the
+// engine carries one from a campaign's round to the next), so no identity
+// is ever rendered as a string.
 //
 // Because the SherLock encodings grow incrementally (each Perturber round
 // mostly appends windows, i.e. new rows and columns, to the previous

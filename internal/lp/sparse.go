@@ -42,7 +42,8 @@
 // values are a function of the final basis, not of the pivot path that
 // reached it. They are not a function of the vertex alone: a warm and a
 // cold solve can end on different optimal bases of one degenerate vertex,
-// whose values may differ in the last bit (ROADMAP item 1).
+// whose values may differ in the last bit. That is why offline solves,
+// incremental folds included, always start cold.
 package lp
 
 import "math"
