@@ -71,7 +71,7 @@ func InferIncremental(ctx context.Context, ck *Checkpoint, src KeyedSource, cfg 
 	if sig := ConfigSignature(cfg); ck.ConfigSig != sig {
 		return nil, nil, fmt.Errorf("core: incremental: checkpoint config signature %s does not match config %s", ck.ConfigSig, sig)
 	}
-	if ck.acc == nil && (len(ck.Extracts) > 0 || ck.Result != nil) {
+	if len(ck.Extracts) > 0 && ck.acc == nil {
 		return nil, nil, fmt.Errorf("core: incremental: checkpoint holds no accumulator; start from NewCheckpoint or a checkpoint InferIncremental returned")
 	}
 
@@ -128,13 +128,14 @@ func InferIncremental(ctx context.Context, ck *Checkpoint, src KeyedSource, cfg 
 	if ck.acc != nil {
 		acc = ck.acc.Clone()
 	}
-	slices.SortFunc(fresh, func(a, b TraceExtract) int { return strings.Compare(a.Key, b.Key) })
+	byKey := func(a, b TraceExtract) int { return strings.Compare(a.Key, b.Key) }
+	slices.SortFunc(fresh, byKey)
 	for i := range fresh {
 		fresh[i].fold(acc)
 	}
 	next := &Checkpoint{ConfigSig: ck.ConfigSig, acc: acc}
 	next.Extracts = append(slices.Clip(ck.Extracts), fresh...)
-	slices.SortFunc(next.Extracts, func(a, b TraceExtract) int { return strings.Compare(a.Key, b.Key) })
+	slices.SortFunc(next.Extracts, byKey)
 
 	res := &Result{App: next.Extracts[0].App}
 	for _, x := range next.Extracts {

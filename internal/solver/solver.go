@@ -141,9 +141,9 @@ type varPair struct {
 
 // Encoder incrementally encodes a growing Observations accumulator across
 // Perturber rounds. It caches the per-window derived data (the distinct
-// candidates in key order) keyed by the window's
-// absolute index in obs.Windows — valid because the accumulator only ever
-// appends windows — and the global candidate key set with each key's
+// candidates in key order) keyed by the window's absolute index in
+// obs.Windows — valid because the accumulator only ever appends
+// windows — and the global candidate key set with each key's
 // variable names, indexed by the accumulator's key IDs, ingesting only
 // the delta since the previous round. The pairing
 // and single-role terms, which depend on the key set alone, are planned
@@ -323,9 +323,10 @@ func (e *Encoder) mergeKeys(fresh []*keyInfo) {
 }
 
 // indexNames is the process-wide table of window row names: mp_rel(w<i>)
-// and mp_acq(w<i>) for the window at accumulator index i. It only grows, so a process builds each name once however many encoders name
-// window i: readers load the current table without locking, a writer
-// publishes a longer copy.
+// and mp_acq(w<i>) for the window at accumulator index i. It only grows,
+// so a process builds each name once however many encoders name window i:
+// readers load the current table without locking, a writer publishes a
+// longer copy.
 var indexNames struct {
 	mu    sync.Mutex
 	table atomic.Pointer[[]windowNames]
@@ -668,10 +669,10 @@ func (b *builder) addRow(name string, sense lp.Sense, rhs float64) {
 // vertex two pivot paths can end on different bases, and the values read
 // off them can differ in the last bit. Only a solve from the same start
 // is reproducible bit for bit, which is why every offline solve,
-// incremental folds included, starts cold. The scale sits well
-// above the simplex's 1e-9 pivot tolerance (so the preference is acted
-// on) and well below the 1e-3-granular real penalties (so it never
-// overrides genuine evidence).
+// incremental folds included, starts cold. The scale sits well above the
+// simplex's 1e-9 pivot tolerance (so the preference is acted on) and well
+// below the 1e-3-granular real penalties (so it never overrides genuine
+// evidence).
 //
 // Only role variables are perturbed: their names depend on the key alone,
 // and the auxiliaries are uniquely determined by the role variables
